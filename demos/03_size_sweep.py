@@ -1,7 +1,7 @@
 """The size axis: replay one plan to many deployed sizes.
 
-A single precomputed plan is replayed to a sweep of targets between one
-model and all M of them (fractional targets included). Reconstruction
+A single precomputed plan is replayed once, in one walk, to a sweep of
+targets between one model and all M of them (fractional targets included). Reconstruction
 error against the original checkpoints falls monotonically as the deployed
 size grows, mirroring the accuracy-size trade-off this kind of merging is
 built around.
@@ -20,7 +20,7 @@ from blockmerge import (
     default_transformer_rules,
     kmeans_baseline,
     partition,
-    replay_to_size,
+    replay_to_sizes,
     verify_artifact,
 )
 from blockmerge.tensor_store import Checkpoint
@@ -52,8 +52,7 @@ def main():
 
     targets = [Fraction(t) for t in ("1", "1.5", "2", "2.25", "3", "4", "5", "6")]
     print("target   achieved   events   reconstruction SSE")
-    for target in targets:
-        asg = replay_to_size(plan, tv, target, sm)
+    for target, asg in zip(targets, replay_to_sizes(plan, tv, targets, sm)):
         art = build_artifact(asg, tv, pre, cfg, finetuned=tasks)
         sse = verify_artifact(art, tasks).total_sse
         print(f"{float(target):>6.2f}   {float(asg.size):>8.4f}   {asg.applied_events:>6}   {sse:>12.6f}")

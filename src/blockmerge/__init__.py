@@ -68,6 +68,7 @@ from .scheduler import (
     naive_greedy_order,
     read_plan_jsonl,
     replay_to_size,
+    replay_to_sizes,
     size_of,
     write_assignment_json,
     write_plan_jsonl,

@@ -4,18 +4,18 @@ Dense groups store deployment-ready block weights (pretrained + unified
 task vector); masked groups store the unified task vector, one bit-packed
 mask per member and, for emr, one rescaling scalar per member, alongside
 one shared copy of the pretrained block. Per-task weights for masked blocks
-are rebuilt on demand *in place* against the artifact's own pretrained
-buffers: the masked product is added, the result copied out, and the same
-product subtracted to restore the buffer, so reconstruction of different
-tasks must not run concurrently on one artifact.
+are rebuilt on demand into a fresh block (pretrained + masked product); the
+artifact's buffers are only read, so reconstruction never depends on what
+was reconstructed before.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Mapping
 
 import numpy as np
 
@@ -108,9 +108,15 @@ def build_artifact(
     cfg: MergerConfig,
     finetuned: list[Checkpoint] | None = None,
     fingerprint: str = "",
+    reuse: Mapping[tuple[int, tuple[int, ...]], StoredGroup] | None = None,
 ) -> MergedArtifact:
     """Merge every multi-member group of the assignment under ``cfg`` and
     assemble the stored payloads.
+
+    ``reuse`` maps ``(block_id, members)`` to payloads already built for the
+    same inputs and ``cfg`` (e.g. the previous size of a sweep); a group
+    found there shares its arrays under a new group id instead of being
+    merged again.
 
     ``finetuned`` supplies the per-task tensors outside the partition (task
     heads); it is required whenever such tensors exist. Raises
@@ -134,16 +140,18 @@ def build_artifact(
     for block in part.blocks:
         b = block.block_id
         base = flatten_block(pretrained, block)
-        block_masked = False
-        for members in assignment.block_groups[b]:
+        block_groups = assignment.block_groups[b]
+        for members in block_groups:
             gid = len(groups)
-            if len(members) == 1:
+            known = reuse.get((b, tuple(sorted(members)))) if reuse else None
+            if known is not None:
+                payload = replace(known, group_id=gid)
+            elif len(members) == 1:
                 k = members[0]
                 payload = StoredGroup(gid, b, members, "dense", dense=base + tv.block_vectors[b][k])
             else:
                 out = merge_group(cfg, tv, b, members)
                 if cfg.masked:
-                    block_masked = True
                     payload = StoredGroup(
                         gid, b, tuple(sorted(members)), "masked",
                         unified=out.unified, masks=out.masks, gammas=out.rescalers,
@@ -154,8 +162,8 @@ def build_artifact(
             groups.append(payload)
             for k in members:
                 routing[k][b] = gid
-        if block_masked:
-            pretrained_blocks[b] = base.copy()
+        if cfg.masked and any(len(g) > 1 for g in block_groups):
+            pretrained_blocks[b] = base
 
     heads: list[dict[str, np.ndarray]] = [{} for _ in range(m)]
     if finetuned is not None:
@@ -201,16 +209,12 @@ def _reconstruct_block_flat(artifact: MergedArtifact, task: int, block_id: int) 
     product = group.unified * group.masks[idx]
     if group.gammas is not None:
         product = group.gammas[idx] * product
-    buf = artifact.pretrained_blocks[block_id]
-    buf += product
-    out = buf.copy()
-    buf -= product  # restore the shared pretrained buffer bit-for-bit
-    return out
+    return np.add(artifact.pretrained_blocks[block_id], product)
 
 
 def reconstruct_task(artifact: MergedArtifact, task: int) -> Checkpoint:
     """Per-task checkpoint: dense payloads verbatim, masked payloads rebuilt
-    in place against the pretrained buffers, head tensors copied through.
+    against the pretrained buffers, head tensors copied through.
 
     Tensor order follows the pretrained archive; heads the pretrained model
     never had are appended at the end.

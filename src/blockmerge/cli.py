@@ -24,7 +24,8 @@ from .scheduler import (
     SizeModel,
     compute_merge_plan,
     read_plan_jsonl,
-    replay_to_size,
+    replay_to_size,  # noqa: F401  (a call site perfbench/spans.py patches by name)
+    replay_to_sizes,
     write_assignment_json,
     write_plan_jsonl,
 )
@@ -52,7 +53,9 @@ PLAN_META_FILE = "plan_meta.json"
 class RunConfig:
     pretrained: str
     finetuned: list[str]
-    rules_path: str | None
+    rules: list[PartitionRule]
+    exclude: list[str]
+    rules_text: str  # the rules file as read ("" without one), fingerprinted
     merger: MergerConfig
     strategy: str
     order_policy: str
@@ -61,21 +64,23 @@ class RunConfig:
     out: str
 
 
-def _parse_rules_file(path: str | None) -> tuple[list[PartitionRule], list[str], dict]:
+def _parse_rules_file(path: str | None) -> tuple[str, list[PartitionRule], list[str], dict]:
     """Rules JSON: {"rules": [{"pattern", "block_key"}], "exclude": [...],
-    "merger": {...}}; every section optional."""
+    "merger": {...}}; every section optional. Returns the text as read and
+    the parsed sections."""
     if path is None:
-        return [], [], {}
+        return "", [], [], {}
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+        text = fh.read()
+    obj = json.loads(text)
     rules = [PartitionRule(r["pattern"], r["block_key"]) for r in obj.get("rules", [])]
     exclude = list(obj.get("exclude", []))
     merger = dict(obj.get("merger", {}))
-    return rules, exclude, merger
+    return text, rules, exclude, merger
 
 
 def _build_config(args) -> RunConfig:
-    rules, exclude, merger_section = _parse_rules_file(args.rules)
+    rules_text, rules, exclude, merger_section = _parse_rules_file(args.rules)
     overrides = dict(merger_section)
     overrides.pop("algorithm", None)
     algorithm = args.algorithm or merger_section.get("algorithm", "ta")
@@ -94,7 +99,9 @@ def _build_config(args) -> RunConfig:
     return RunConfig(
         pretrained=args.pretrained,
         finetuned=list(args.finetuned),
-        rules_path=args.rules,
+        rules=rules,
+        exclude=exclude,
+        rules_text=rules_text,
         merger=cfg,
         strategy=args.strategy,
         order_policy=_ORDER_NAMES[args.order],
@@ -116,15 +123,11 @@ def plan_fingerprint(config: RunConfig) -> str:
     """Everything the plan depends on: input bytes, rules, trim state,
     strategy, order, seed. The merge coefficient is deliberately excluded;
     it does not affect the schedule."""
-    rules_blob = ""
-    if config.rules_path:
-        with open(config.rules_path, encoding="utf-8") as fh:
-            rules_blob = fh.read()
     payload = json.dumps(
         {
             "pretrained": _file_sha(config.pretrained),
             "finetuned": [_file_sha(p) for p in config.finetuned],
-            "rules": rules_blob,
+            "rules": config.rules_text,
             "trim_ratio": expected_trim_ratio(config.merger),
             "strategy": config.strategy,
             "order": config.order_policy,
@@ -138,13 +141,12 @@ def plan_fingerprint(config: RunConfig) -> str:
 def _load_pipeline(config: RunConfig):
     pretrained = read_archive(config.pretrained)
     finetuned = [read_archive(p) for p in config.finetuned]
-    rules, exclude, _ = _parse_rules_file(config.rules_path)
-    report = validate_aligned(pretrained, finetuned, exclude)
+    report = validate_aligned(pretrained, finetuned, config.exclude)
     if not report.ok:
         for name, kind in report.mismatches[:20]:
             print(f"alignment mismatch: {name} ({kind})", file=sys.stderr)
         raise SystemExit(EXIT_ALIGNMENT)
-    part = partition(pretrained, rules, exclude)
+    part = partition(pretrained, config.rules, config.exclude)
     tv = compute_task_vectors(pretrained, finetuned, part)
     tv = prepare_task_vectors(tv, config.merger)
     return pretrained, finetuned, part, tv
@@ -198,7 +200,7 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _load_plan_checked(plan_path: str, config: RunConfig) -> MergePlan:
+def _load_plan_checked(plan_path: str, fingerprint: str) -> MergePlan:
     meta_path = os.path.join(os.path.dirname(plan_path) or ".", PLAN_META_FILE)
     try:
         with open(meta_path, encoding="utf-8") as fh:
@@ -206,7 +208,7 @@ def _load_plan_checked(plan_path: str, config: RunConfig) -> MergePlan:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read plan metadata {meta_path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
-    if meta.get("fingerprint") != plan_fingerprint(config):
+    if meta.get("fingerprint") != fingerprint:
         print("plan fingerprint does not match the current inputs/config", file=sys.stderr)
         raise SystemExit(EXIT_FINGERPRINT)
     return read_plan_jsonl(
@@ -230,25 +232,35 @@ def _size_dir_token(size: Fraction) -> str:
 
 
 def cmd_merge(args) -> int:
+    """Replay the plan once for every distinct size, then build the sizes
+    largest first: a smaller size only coarsens a larger one, so each group
+    shared with the previous size reuses its payload instead of merging."""
     config = _build_config(args)
     if not config.sizes:
         print("--sizes is required for merge", file=sys.stderr)
         return EXIT_PARSE
     pretrained, finetuned, part, tv = _load_pipeline(config)
+    fingerprint = plan_fingerprint(config)
     if args.plan:
-        plan = _load_plan_checked(args.plan, config)
+        plan = _load_plan_checked(args.plan, fingerprint)
     else:
         plan = compute_merge_plan(tv, strategy=config.strategy,
                                   order_policy=config.order_policy, seed=config.seed)
     sm = SizeModel.from_partition(part, config.merger)
-    fingerprint = plan_fingerprint(config)
     os.makedirs(config.out, exist_ok=True)
-    for target in config.sizes:
-        assignment = replay_to_size(plan, tv, target, sm)
+    targets = sorted(set(config.sizes), reverse=True)
+    reuse: dict = {}
+    for target, assignment in zip(targets, replay_to_sizes(plan, tv, targets, sm)):
+        keys = [(b, g) for b, groups in enumerate(assignment.block_groups) for g in groups]
+        reused = sum(key in reuse for key in keys)
+        merged = sum(len(g) > 1 and (b, g) not in reuse for b, g in keys)
         art = artifact_mod.build_artifact(
             assignment, tv, pretrained, config.merger,
-            finetuned=finetuned, fingerprint=fingerprint,
+            finetuned=finetuned, fingerprint=fingerprint, reuse=reuse,
         )
+        # the next, smaller size needs only this size's payloads; dropping
+        # the rest before the export keeps the peak at one artifact's worth
+        reuse = {(g.block_id, g.members): g for g in art.groups}
         out_dir = os.path.join(config.out, f"size_{_size_dir_token(target)}")
         artifact_mod.export_manifest(art, out_dir)
         write_assignment_json(assignment, part.block_keys, os.path.join(out_dir, "groups.json"))
@@ -256,8 +268,10 @@ def cmd_merge(args) -> int:
         print(
             f"target {float(target):g}: achieved {float(achieved):.6g} "
             f"({achieved.numerator}/{achieved.denominator}) after "
-            f"{assignment.applied_events} events -> {out_dir}"
+            f"{assignment.applied_events} events, groups merged {merged}, reused {reused} "
+            f"-> {out_dir}"
         )
+        del art
     return 0
 
 

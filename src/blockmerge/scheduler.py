@@ -11,7 +11,8 @@ directly. Global ordering interleaves the per-block sequences (min-heap of
 block heads for greedy, concatenation for left-/right-to-left, seeded
 uniform interleave for random), and ``replay_to_size`` walks the plan with
 one union-find per block, tracking the deployed size in exact rationals
-until the target is reached.
+until the target is reached; ``replay_to_sizes`` does so for a whole size
+sweep in one walk.
 
 Sizes are expressed in *model units*: stored bytes divided by the bytes of
 one full fine-tuned mergeable parameter set.
@@ -418,9 +419,6 @@ class SizeModel:
     def mask_nbytes(self, block_id: int) -> int:
         return (self.block_dims[block_id] + 7) // 8
 
-    def initial_size(self, num_tasks: int) -> ModelUnits:
-        return Fraction(num_tasks)
-
     def stored_bytes(self, block_groups) -> dict[str, int]:
         """Byte breakdown {dense, mask, pretrained, scalar} for a partition
         state (scalar bytes reported, not counted in units)."""
@@ -470,6 +468,60 @@ def size_of(assignment: GroupAssignment, sm: SizeModel) -> ModelUnits:
     return sm.size_of(assignment.block_groups)
 
 
+def replay_to_sizes(
+    plan: MergePlan,
+    tv: TaskVectorSet,
+    targets: Sequence[ModelUnits],
+    sm: SizeModel,
+) -> list[GroupAssignment]:
+    """One walk over the plan for many targets: the assignment for each
+    target, in the order given.
+
+    Each assignment is the state where the tracked size first drops to the
+    target (or the fully merged state when the plan runs out first, e.g.
+    below the family's floor). Targets are visited in descending order, so
+    every snapshot is a prefix of the next; equal targets share one
+    assignment.
+    """
+    if tv.num_tasks != plan.num_tasks or len(tv.block_vectors) != plan.num_blocks:
+        raise ValueError("plan and task vectors disagree on tasks/blocks")
+    wanted = [Fraction(t) for t in targets]
+    pending = sorted(set(wanted), reverse=True)
+    m = plan.num_tasks
+    dsus = [DisjointSet(m) for _ in range(plan.num_blocks)]
+    merged_groups = [0] * plan.num_blocks
+    size = Fraction(m)
+    applied = 0
+    snapshots: dict[Fraction, GroupAssignment] = {}
+
+    def take(reached) -> None:
+        state = GroupAssignment(
+            block_groups=[d.groups() for d in dsus], applied_events=applied, size=size
+        )
+        snapshots.update(dict.fromkeys(reached, state))
+
+    for ev in plan.events:
+        if pending and size <= pending[0]:
+            reached = [t for t in pending if size <= t]
+            take(reached)
+            pending = pending[len(reached):]
+        if not pending:
+            break
+        b = ev.block_id
+        ra = dsus[b].find(ev.left[0])
+        rb = dsus[b].find(ev.right[0])
+        if ra == rb:
+            raise ValueError(f"plan event {ev.seq} re-merges an existing group")
+        la, lb = dsus[b].size[ra], dsus[b].size[rb]
+        size += sm.merge_delta(b, la, lb, merged_groups[b] > 0)
+        merged_groups[b] += 1 - (la > 1) - (lb > 1)
+        dsus[b].union(ra, rb)
+        applied += 1
+    if pending:  # reached after the last event, or below the family's floor
+        take(pending)
+    return [snapshots[t] for t in wanted]
+
+
 def replay_to_size(
     plan: MergePlan,
     tv: TaskVectorSet,
@@ -479,33 +531,7 @@ def replay_to_size(
     """Apply plan events in order until the tracked size first drops to
     ``target`` or the plan is exhausted (targets below the family's floor
     just return the fully merged state)."""
-    if tv.num_tasks != plan.num_tasks or len(tv.block_vectors) != plan.num_blocks:
-        raise ValueError("plan and task vectors disagree on tasks/blocks")
-    target = Fraction(target)
-    m = plan.num_tasks
-    dsus = [DisjointSet(m) for _ in range(plan.num_blocks)]
-    merged_groups = [0] * plan.num_blocks
-    size = sm.initial_size(m)
-    applied = 0
-    if size > target:
-        for ev in plan.events:
-            b = ev.block_id
-            ra = dsus[b].find(ev.left[0])
-            rb = dsus[b].find(ev.right[0])
-            if ra == rb:
-                raise ValueError(f"plan event {ev.seq} re-merges an existing group")
-            la, lb = dsus[b].size[ra], dsus[b].size[rb]
-            size += sm.merge_delta(b, la, lb, merged_groups[b] > 0)
-            merged_groups[b] += 1 - (la > 1) - (lb > 1)
-            dsus[b].union(ra, rb)
-            applied += 1
-            if size <= target:
-                break
-    return GroupAssignment(
-        block_groups=[d.groups() for d in dsus],
-        applied_events=applied,
-        size=size,
-    )
+    return replay_to_sizes(plan, tv, [target], sm)[0]
 
 
 # ---------------------------------------------------------------------------

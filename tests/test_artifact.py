@@ -24,6 +24,7 @@ from blockmerge import (
 )
 from blockmerge.scheduler import GroupAssignment
 from blockmerge.task_space import flatten_block
+from blockmerge.tensor_store import Checkpoint
 
 from helpers import toy_model
 
@@ -133,6 +134,62 @@ def test_inplace_restore_bit_exact_power_of_two_gammas():
         reconstruct_task(art, k)
     after = {b: buf.tobytes() for b, buf in art.pretrained_blocks.items()}
     assert before == after
+
+
+def test_repeat_reconstruction_bit_identical_non_dyadic_rescalers():
+    # off-grid weights: pretrained + masked product rounds in float32, so
+    # any write to the shared pretrained buffer would show up in later calls
+    rng = np.random.default_rng(15)
+    names = [f"layer{i}.w" for i in range(3)]
+    pre = Checkpoint(tensors={n: rng.normal(size=64).astype(np.float32) for n in names})
+    tasks = [
+        Checkpoint(tensors={n: pre.tensors[n] + rng.normal(scale=0.1, size=64).astype(np.float32)
+                            for n in names})
+        for _ in range(4)
+    ]
+    part = partition(pre, rules=[])
+    cfg = MergerConfig.for_algorithm("emr")
+    tv = compute_task_vectors(pre, tasks, part)
+    sm = SizeModel.from_partition(part, cfg)
+    asg = replay_to_size(compute_merge_plan(tv), tv, Fraction(0), sm)
+    art = build_artifact(asg, tv, pre, cfg, finetuned=tasks)
+    gammas = np.concatenate([g.gammas for g in art.groups if g.payload == "masked"])
+    assert (np.frexp(gammas)[0] != 0.5).any(), "fixture needs non-power-of-two rescalers"
+    first = {k: reconstruct_task(art, k) for k in range(4)}
+    for k in [0, 3, 1, 2, 1, 0, 3, 2] * 25:
+        assert reconstruct_task(art, k).same_tensors(first[k]), f"task {k} drifted"
+
+
+def test_reuse_shares_payloads_and_matches_fresh_build():
+    rng = np.random.default_rng(16)
+    pre, tasks = toy_model(rng, 4, layers=2, width=4)
+    part = partition(pre, default_transformer_rules(), exclude=["head.*"])
+    tv = compute_task_vectors(pre, tasks, part)
+    cfg = MergerConfig.for_algorithm("emr")
+    sm = SizeModel.from_partition(part, cfg)
+    plan = compute_merge_plan(tv)
+    large = build_artifact(replay_to_size(plan, tv, Fraction(3), sm), tv, pre, cfg, finetuned=tasks)
+    reuse = {(g.block_id, g.members): g for g in large.groups}
+    small_asg = replay_to_size(plan, tv, Fraction(0), sm)
+    small = build_artifact(small_asg, tv, pre, cfg, finetuned=tasks, reuse=reuse)
+    fresh = build_artifact(small_asg, tv, pre, cfg, finetuned=tasks)
+    assert [g.group_id for g in small.groups] == list(range(len(small.groups)))
+    shared = 0
+    for got, want in zip(small.groups, fresh.groups):
+        assert (got.block_id, got.members, got.payload) == (want.block_id, want.members, want.payload)
+        for field in ("dense", "unified", "masks", "gammas"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a is None) == (b is None)
+            if a is not None:
+                np.testing.assert_array_equal(a, b)
+        known = reuse.get((got.block_id, got.members))
+        if known is not None:
+            shared += 1
+            assert (got.unified if got.payload == "masked" else got.dense) is (
+                known.unified if known.payload == "masked" else known.dense)
+    assert shared, "fixture should keep some groups from the larger size"
+    assert small.routing == fresh.routing
+    assert small.pretrained_blocks.keys() == fresh.pretrained_blocks.keys()
 
 
 def test_config_mismatch_on_trim_state():

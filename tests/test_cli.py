@@ -194,3 +194,57 @@ def test_sweep_matches_single_target(workspace):
     ]
     assert stored[0] < stored[1] < stored[2]
     assert os.path.exists(os.path.join(sweep, "size_2", "groups.json"))
+
+
+def test_merge_with_plan_hashes_inputs_once(workspace, monkeypatch):
+    import blockmerge.cli as cli
+
+    ws = workspace
+    plan_dir = str(ws["tmp"] / "plan")
+    assert main(["plan"] + _base_args(ws, ["--algorithm", "ta", "--out", plan_dir])) == 0
+    calls = []
+    original = cli.plan_fingerprint
+
+    def counting(config):
+        calls.append(config)
+        return original(config)
+
+    monkeypatch.setattr(cli, "plan_fingerprint", counting)
+    assert main(["merge"] + _base_args(
+        ws, ["--algorithm", "ta", "--plan", os.path.join(plan_dir, "plan.jsonl"),
+             "--sizes", "1,2.5,4", "--out", str(ws["tmp"] / "m")])) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("algorithm", ["emr", "consensus", "ta"])
+def test_sweep_equals_single_size_runs_and_merges_each_group_once(
+        workspace, monkeypatch, algorithm):
+    import blockmerge.artifact as artifact_mod
+
+    ws = workspace
+    base = _base_args(ws, ["--algorithm", algorithm])
+    merged = []
+    original = artifact_mod.merge_group
+
+    def counting(cfg, tv, block_id, members):
+        merged.append((block_id, tuple(sorted(members))))
+        return original(cfg, tv, block_id, members)
+
+    monkeypatch.setattr(artifact_mod, "merge_group", counting)
+    sweep = str(ws["tmp"] / "sweep")
+    assert main(["merge"] + base + ["--sizes", "3,1.5,2.5,1,3", "--out", sweep]) == 0
+    sweep_merges = list(merged)
+    assert sorted(os.listdir(sweep)) == ["size_1", "size_1.5", "size_2.5", "size_3"]
+
+    distinct = set()
+    for entry in os.listdir(sweep):
+        with open(os.path.join(sweep, entry, "groups.json")) as fh:
+            for key, groups in json.load(fh).items():
+                distinct.update((key, tuple(g)) for g in groups if len(g) > 1)
+    assert len(sweep_merges) == len(set(sweep_merges)) == len(distinct)
+
+    for entry in os.listdir(sweep):
+        single = str(ws["tmp"] / f"single_{entry}")
+        size = entry[len("size_"):]
+        assert main(["merge"] + base + ["--sizes", size, "--out", single]) == 0
+        assert _tree_bytes(os.path.join(sweep, entry)) == _tree_bytes(os.path.join(single, entry))

@@ -1,9 +1,11 @@
 """Merge sequencing, global ordering, replay and size accounting."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockmerge import (
     DisjointSet,
@@ -16,6 +18,7 @@ from blockmerge import (
     naive_greedy_order,
     read_plan_jsonl,
     replay_to_size,
+    replay_to_sizes,
     size_of,
     write_plan_jsonl,
 )
@@ -258,6 +261,47 @@ def test_replay_below_floor_returns_full_merge():
     asg = replay_to_size(plan, tv, Fraction(0), sm)
     assert asg.applied_events == len(plan.events)
     assert asg.size == Fraction(2) + Fraction(3, 32)
+
+
+@st.composite
+def sweeps(draw):
+    """A small plan, a size model and an unsorted target list with
+    duplicates, targets below the masked floor, above M and fractional."""
+    m = draw(st.integers(2, 5))
+    dims = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    tv = synthetic_tv(np.random.default_rng(draw(st.integers(0, 2**16))), dims, num_tasks=m)
+    plan = compute_merge_plan(
+        tv,
+        strategy=draw(st.sampled_from(["min", "max", "avg"])),
+        order_policy=draw(st.sampled_from(["greedy", "left_to_right", "random"])),
+        seed=draw(st.integers(0, 3)),
+    )
+    algorithm = draw(st.sampled_from([None, "ta", "emr", "consensus"]))
+    cfg = MergerConfig.for_algorithm(algorithm) if algorithm else None
+    sm = SizeModel.from_partition(tv.partition, cfg)
+    drawn = draw(st.lists(st.fractions(min_value=0, max_value=m + 2, max_denominator=64),
+                          min_size=1, max_size=6))
+    targets = drawn + [Fraction(1, 2), Fraction(m + 1), drawn[0]]
+    return plan, tv, sm, draw(st.permutations(targets))
+
+
+@given(sweeps())
+@settings(max_examples=60, deadline=None)
+def test_replay_to_sizes_equals_per_target_replays(case):
+    plan, tv, sm, targets = case
+    swept = replay_to_sizes(plan, tv, targets, sm)
+    assert len(swept) == len(targets)
+    for target, asg in zip(targets, swept):
+        alone = replay_to_size(plan, tv, target, sm)
+        assert asg.block_groups == alone.block_groups
+        assert asg.applied_events == alone.applied_events
+        assert isinstance(asg.size, Fraction) and asg.size == alone.size
+        # the first prefix at or below the target, else the whole plan
+        assert asg.size == sm.size_of(asg.block_groups)
+        assert asg.size <= target or asg.applied_events == len(plan.events)
+        if asg.applied_events:
+            shorter = replace(plan, events=plan.events[: asg.applied_events - 1])
+            assert replay_to_size(shorter, tv, Fraction(0), sm).size > target
 
 
 def test_size_of_free_function():
