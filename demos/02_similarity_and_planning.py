@@ -48,7 +48,7 @@ def main():
     print(f"{part.num_blocks} blocks: {part.block_keys}")
 
     tv = compute_task_vectors(pre, tasks, part)
-    print(f"task vectors: M={tv.num_tasks}, d_max={tv.d_max}, total dim={part.total_dim}")
+    print(f"task vectors: M={tv.num_tasks}, d_max={max(part.block_dims)}, total dim={part.total_dim}")
 
     mx = pairwise_block_similarity(tv, 1)  # first attention block
     print(f"\ncosine matrix for block '{part.block_keys[1]}':")

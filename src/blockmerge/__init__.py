@@ -12,6 +12,7 @@ from .errors import (
     EmptyGroup,
     EmptyPartition,
     LengthMismatch,
+    MalformedArtifact,
     MalformedHeader,
     OverlappingGroups,
     TruncatedData,
@@ -21,7 +22,6 @@ from .errors import (
 from .tensor_store import (
     AlignmentReport,
     Checkpoint,
-    TensorMeta,
     read_archive,
     validate_aligned,
     write_archive,

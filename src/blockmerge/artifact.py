@@ -1,17 +1,23 @@
 """Materialized merged artifacts: storage, reconstruction, verification.
 
 Dense groups store deployment-ready block weights (pretrained + unified
-task vector); masked groups store the unified task vector, one bit-packed
-mask per member and, for emr, one rescaling scalar per member, alongside
-one shared copy of the pretrained block. Per-task weights for masked blocks
-are rebuilt on demand into a fresh block (pretrained + masked product); the
-artifact's buffers are only read, so reconstruction never depends on what
-was reconstructed before.
+task vector; an untrimmed singleton stores its fine-tuned block as is);
+masked groups store the unified task vector, one bit-packed mask per member
+and, for emr, one rescaling scalar per member, alongside one shared copy of
+the pretrained block.
+
+A loaded artifact keeps its float32 payloads and pretrained blocks as views
+into the archive's read buffer. Reconstruction only reads those buffers and
+always returns fresh arrays: masked blocks are rebuilt into one new block
+each (pretrained + masked product), dense payloads are copied. So an output
+never aliases the artifact, and reconstruction never depends on what was
+reconstructed before.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -19,8 +25,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigMismatch, UnknownTask
-from .mergers import MergerConfig, expected_trim_ratio, merge_group
+from .errors import ConfigMismatch, MalformedArtifact, UnknownTask
+from .mergers import ALGORITHMS, MergerConfig, expected_trim_ratio, merge_group
 from .scheduler import GroupAssignment, SizeModel
 from .task_space import Block, BlockPartition, TaskVectorSet, flatten_block
 from .tensor_store import DTYPES, Checkpoint, write_archive, read_archive
@@ -119,7 +125,12 @@ def build_artifact(
     merged again.
 
     ``finetuned`` supplies the per-task tensors outside the partition (task
-    heads); it is required whenever such tensors exist. Raises
+    heads); it is required whenever such tensors exist. With ``finetuned``
+    and untrimmed task vectors, a singleton group stores the fine-tuned
+    block itself (a view when the block is one float32 tensor): in float32,
+    ``pre + (ft - pre)`` is not always ``ft``, and size M must give back the
+    inputs bit for bit. Trimmed vectors keep ``pre + trimmed vector``, which
+    is what ties/consensus define. Raises
     ConfigMismatch when the task vectors' trim state disagrees with the
     algorithm (ties/consensus need the up-front global trim).
     """
@@ -133,6 +144,9 @@ def build_artifact(
         raise ValueError("assignment and partition disagree on block count")
 
     m = tv.num_tasks
+    if finetuned is not None and len(finetuned) != m:
+        raise ValueError(f"expected {m} fine-tuned checkpoints, got {len(finetuned)}")
+    exact_singletons = finetuned is not None and tv.trim_ratio is None
     groups: list[StoredGroup] = []
     routing = [[-1] * part.num_blocks for _ in range(m)]
     pretrained_blocks: dict[int, np.ndarray] = {}
@@ -148,7 +162,9 @@ def build_artifact(
                 payload = replace(known, group_id=gid)
             elif len(members) == 1:
                 k = members[0]
-                payload = StoredGroup(gid, b, members, "dense", dense=base + tv.block_vectors[b][k])
+                dense = (flatten_block(finetuned[k], block) if exact_singletons
+                         else base + tv.block_vectors[b][k])
+                payload = StoredGroup(gid, b, members, "dense", dense=dense)
             else:
                 out = merge_group(cfg, tv, b, members)
                 if cfg.masked:
@@ -167,8 +183,6 @@ def build_artifact(
 
     heads: list[dict[str, np.ndarray]] = [{} for _ in range(m)]
     if finetuned is not None:
-        if len(finetuned) != m:
-            raise ValueError(f"expected {m} fine-tuned checkpoints, got {len(finetuned)}")
         for k, ckpt in enumerate(finetuned):
             heads[k] = {
                 name: arr for name, arr in ckpt.tensors.items() if name not in part.tensor_to_block
@@ -201,20 +215,25 @@ def build_artifact(
     )
 
 
-def _reconstruct_block_flat(artifact: MergedArtifact, task: int, block_id: int) -> np.ndarray:
+def _task_block(artifact: MergedArtifact, task: int, block_id: int) -> tuple[np.ndarray, bool]:
+    """One task's flat float32 block and whether it is the stored payload
+    itself (dense; the caller must not hand it out) or a fresh array. A
+    masked block is built in one new array, in the operand order
+    pretrained + gamma * (unified * mask)."""
     group = artifact.groups[artifact.routing[task][block_id]]
     if group.payload == "dense":
-        return group.dense
+        return group.dense, True
     idx = group.members.index(task)
-    product = group.unified * group.masks[idx]
+    out = np.multiply(group.unified, group.masks[idx])
     if group.gammas is not None:
-        product = group.gammas[idx] * product
-    return np.add(artifact.pretrained_blocks[block_id], product)
+        np.multiply(group.gammas[idx], out, out=out)
+    return np.add(artifact.pretrained_blocks[block_id], out, out=out), False
 
 
 def reconstruct_task(artifact: MergedArtifact, task: int) -> Checkpoint:
-    """Per-task checkpoint: dense payloads verbatim, masked payloads rebuilt
-    against the pretrained buffers, head tensors copied through.
+    """Per-task checkpoint: dense payloads copied, masked payloads rebuilt
+    against the pretrained buffers, head tensors copied. No output array
+    shares memory with the artifact.
 
     Tensor order follows the pretrained archive; heads the pretrained model
     never had are appended at the end.
@@ -222,12 +241,12 @@ def reconstruct_task(artifact: MergedArtifact, task: int) -> Checkpoint:
     if not 0 <= task < artifact.num_tasks:
         raise UnknownTask(f"task {task} not in artifact (0..{artifact.num_tasks - 1})")
     part = artifact.partition
-    flats = {b.block_id: _reconstruct_block_flat(artifact, task, b.block_id) for b in part.blocks}
     merged: dict[str, np.ndarray] = {}
     for block in part.blocks:
+        flat, stored = _task_block(artifact, task, block.block_id)
         for name, offset, n, shape, code in _block_slices(block):
-            arr = flats[block.block_id][offset : offset + n].reshape(shape)
-            merged[name] = arr.astype(DTYPES[code])
+            # a fresh float32 block is handed out as slices; anything else is copied
+            merged[name] = flat[offset : offset + n].reshape(shape).astype(DTYPES[code], copy=stored)
 
     heads = artifact.heads[task]
     order = part.name_order or (list(part.tensor_to_block) + list(heads))
@@ -236,10 +255,10 @@ def reconstruct_task(artifact: MergedArtifact, task: int) -> Checkpoint:
         if name in merged:
             tensors[name] = merged[name]
         elif name in heads:
-            tensors[name] = heads[name]
+            tensors[name] = heads[name].copy()
     for name, arr in heads.items():
         if name not in tensors:
-            tensors[name] = arr
+            tensors[name] = arr.copy()
     return Checkpoint(tensors=tensors)
 
 
@@ -266,7 +285,7 @@ def verify_artifact(
     for task in range(artifact.num_tasks):
         sse = 0.0
         for block in part.blocks:
-            got = _reconstruct_block_flat(artifact, task, block.block_id).astype(np.float64)
+            got = _task_block(artifact, task, block.block_id)[0].astype(np.float64)
             want = flatten_block(originals[task], block).astype(np.float64)
             l2 = float(np.linalg.norm(got - want))
             rows.append((task, block.key, l2))
@@ -299,7 +318,7 @@ def export_manifest(artifact: MergedArtifact, out_dir: str) -> None:
         flat = artifact.pretrained_blocks[b]
         for name, offset, n, shape, code in _block_slices(block):
             key = f"pre.{name}"
-            tensors[key] = flat[offset : offset + n].reshape(shape).astype(DTYPES[code])
+            tensors[key] = flat[offset : offset + n].reshape(shape).astype(DTYPES[code], copy=False)
             pre_names.append(key)
 
     groups_meta: dict[str, dict] = {}
@@ -309,7 +328,7 @@ def export_manifest(artifact: MergedArtifact, out_dir: str) -> None:
         names = []
         for name, offset, n, shape, code in _block_slices(block):
             key = f"g{g.group_id}.{name}"
-            tensors[key] = flat[offset : offset + n].reshape(shape).astype(DTYPES[code])
+            tensors[key] = flat[offset : offset + n].reshape(shape).astype(DTYPES[code], copy=False)
             names.append(key)
         if g.payload == "masked":
             for row, task in enumerate(g.members):
@@ -318,7 +337,7 @@ def export_manifest(artifact: MergedArtifact, out_dir: str) -> None:
                 names.append(key)
             if g.gammas is not None:
                 key = f"gamma.g{g.group_id}"
-                tensors[key] = g.gammas.astype(np.float32)
+                tensors[key] = g.gammas.astype(np.float32, copy=False)
                 names.append(key)
         groups_meta[str(g.group_id)] = {
             "members": list(g.members),
@@ -374,11 +393,121 @@ def export_manifest(artifact: MergedArtifact, out_dir: str) -> None:
     write_archive(Checkpoint(tensors=tensors), os.path.join(out_dir, TENSORS_NAME))
 
 
+_CONFIG_FIELDS = ("lam", "keep_ratio", "consensus_threshold", "pcb_intra_temp", "pcb_inter_temp")
+_REPORT_FIELDS = ("dense_bytes", "mask_bytes", "pretrained_bytes", "scalar_bytes", "head_bytes",
+                  "unit_bytes")
+
+
+def _need(ok, what: str, *args) -> None:
+    # the message is formatted only on failure: this runs per group and tensor
+    if not ok:
+        raise MalformedArtifact("manifest: " + what.format(*args))
+
+
+def _check_manifest(manifest) -> None:
+    """Raise MalformedArtifact unless ``manifest`` has every field
+    load_artifact and reconstruct_task read, with the right types and
+    ranges, and routes every (task, block) to a group of that block holding
+    the task. The tensors it names are checked as they are loaded."""
+
+    def is_int(x, lo: int = 0) -> bool:
+        return isinstance(x, int) and not isinstance(x, bool) and x >= lo
+
+    def is_num(x) -> bool:
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    _need(isinstance(manifest, dict), "not a JSON object")
+    for section, kind in (("blocks", list), ("groups", dict), ("tasks", dict), ("excluded", dict),
+                          ("config", dict), ("size_report", dict), ("name_order", list)):
+        _need(isinstance(manifest.get(section, [] if section == "name_order" else None), kind),
+              "{!r} must be a JSON {}", section, "array" if kind is list else "object")
+    _need(manifest.get("algorithm") in ALGORITHMS, "unknown algorithm {!r}", manifest.get("algorithm"))
+    _need(all(is_num(manifest["config"].get(f)) for f in _CONFIG_FIELDS), "config values must be numbers")
+    _need(isinstance(manifest.get("fingerprint"), str), "fingerprint must be a string")
+    m = manifest.get("num_tasks")
+    _need(is_int(m, 1), "num_tasks must be an integer >= 1, got {!r}", m)
+    _need(all(isinstance(n, str) for n in manifest.get("name_order", [])), "name_order must list names")
+    rep = manifest["size_report"]
+    _need(all(is_int(rep.get(f)) for f in _REPORT_FIELDS), "size_report byte counts must be integers")
+    units = rep.get("units")
+    try:
+        units_ok = isinstance(units, str) and Fraction(units) >= 0
+    except (ValueError, ZeroDivisionError):
+        units_ok = False
+    _need(units_ok, "size_report units {!r} is not a fraction string", units)
+
+    blocks = manifest["blocks"]
+    for i, spec in enumerate(blocks):
+        _need(isinstance(spec, dict) and is_int(spec.get("id")) and spec["id"] == i
+              and isinstance(spec.get("key"), str),
+              "block {} must be an object with id {} and a string key", i, i)
+        names, shapes, codes = spec.get("tensors"), spec.get("shapes"), spec.get("dtypes")
+        _need(isinstance(names, list) and isinstance(shapes, list) and isinstance(codes, list)
+              and 0 < len(names) == len(shapes) == len(codes)
+              and all(isinstance(n, str) for n in names)
+              and all(isinstance(sh, list) and all(is_int(d) for d in sh) for sh in shapes)
+              and all(c in ("F32", "F16") for c in codes),
+              "block {} needs parallel tensors/shapes/dtypes lists", i)
+        _need(is_int(spec.get("dim")) and spec["dim"] == sum(math.prod(sh) for sh in shapes)
+              and is_int(spec.get("nbytes")),
+              "block {} dim/nbytes disagree with its shapes", i)
+    key_to_block = {spec["key"]: i for i, spec in enumerate(blocks)}
+    _need(len(key_to_block) == len(blocks), "block keys must be unique")
+    order = set(manifest.get("name_order", []))
+    _need(not order or all(n in order for spec in blocks for n in spec["tensors"]),
+          "name_order must list every block tensor")
+
+    groups = manifest["groups"]
+    _need(set(groups) == {str(g) for g in range(len(groups))}, "group ids must be 0..G-1")
+    for gid, meta in groups.items():
+        _need(isinstance(meta, dict) and isinstance(meta.get("block"), str) and meta["block"] in key_to_block
+              and meta.get("payload") in ("dense", "masked"),
+              "group {} needs a known block and a dense/masked payload", gid)
+        members = meta.get("members")
+        _need(isinstance(members, list) and members and all(is_int(t) and t < m for t in members)
+              and len(set(members)) == len(members),
+              "group {} members must be distinct task ids below {}", gid, m)
+
+    routes = manifest["tasks"]
+    _need(len(routes) == m and set(routes) == {str(t) for t in range(m)},
+          "tasks must map every task id 0..M-1")
+    for task, mapping in routes.items():
+        _need(isinstance(mapping, dict) and set(mapping) == set(key_to_block),
+              "task {} must route every block", task)
+        for key, gid in mapping.items():
+            meta = groups.get(str(gid)) if is_int(gid) else None
+            _need(meta is not None and meta["block"] == key and int(task) in meta["members"],
+                  "task {} block {!r} routed to group {!r}, which does not hold it", task, key, gid)
+
+    for task, names in manifest["excluded"].items():
+        _need(task in routes and isinstance(names, list) and all(isinstance(n, str) for n in names),
+              "excluded entry {!r} must list head names of a known task", task)
+
+
 def load_artifact(out_dir: str) -> MergedArtifact:
-    """Inverse of export_manifest."""
-    with open(os.path.join(out_dir, MANIFEST_NAME), encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    """Inverse of export_manifest.
+
+    The manifest is checked against its schema first, and each tensor it
+    names against the archive as it is loaded (MalformedArtifact). Payloads
+    and pretrained blocks that are one float32 tensor stay views into the
+    archive's read buffer; head tensors and rescalers are copied, so a
+    float16 archive's buffer is freed once its blocks have been widened.
+    """
+    path = os.path.join(out_dir, MANIFEST_NAME)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        manifest = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        raise MalformedArtifact(f"{path}: not valid JSON: {exc}") from None
+    _check_manifest(manifest)
     archive = read_archive(os.path.join(out_dir, TENSORS_NAME))
+
+    def tensor(name: str, shape: tuple[int, ...], kind: str) -> np.ndarray:
+        arr = archive.tensors.get(name)
+        _need(arr is not None and arr.shape == shape and arr.dtype.kind == kind,
+              "archive lacks tensor {!r} of shape {}", name, shape)
+        return arr
 
     blocks = []
     tensor_to_block: dict[str, int] = {}
@@ -402,19 +531,15 @@ def load_artifact(out_dir: str) -> MergedArtifact:
         name_order=list(manifest.get("name_order", [])),
     )
 
-    cfg = MergerConfig(algorithm=manifest["algorithm"], **{
-        "lam": manifest["config"]["lam"],
-        "keep_ratio": manifest["config"]["keep_ratio"],
-        "consensus_threshold": manifest["config"]["consensus_threshold"],
-        "pcb_intra_temp": manifest["config"]["pcb_intra_temp"],
-        "pcb_inter_temp": manifest["config"]["pcb_inter_temp"],
-    })
+    cfg = MergerConfig(algorithm=manifest["algorithm"],
+                       **{f: manifest["config"][f] for f in _CONFIG_FIELDS})
 
     key_to_block = {b.key: b.block_id for b in blocks}
     m = manifest["num_tasks"]
 
     def block_flat(prefix: str, block: Block) -> np.ndarray:
-        parts = [archive.tensors[f"{prefix}.{n}"].astype(np.float32).ravel() for n in block.tensor_names]
+        parts = [tensor(f"{prefix}.{n}", shape, "f").astype(np.float32, copy=False).ravel()
+                 for n, shape in zip(block.tensor_names, block.shapes)]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     groups: list[StoredGroup] = [None] * len(manifest["groups"])  # type: ignore[list-item]
@@ -427,14 +552,13 @@ def load_artifact(out_dir: str) -> MergedArtifact:
         if meta["payload"] == "dense":
             groups[gid] = StoredGroup(gid, b, members, "dense", dense=flat)
         else:
-            masks = np.stack(
-                [
-                    np.unpackbits(archive.tensors[f"mask.g{gid}.t{task}"], count=block.dim).astype(bool)
-                    for task in members
-                ]
-            )
+            packed = np.stack([tensor(f"mask.g{gid}.t{task}", ((block.dim + 7) // 8,), "u")
+                               for task in members])
+            # unpacked bits are 0/1 bytes, so they are a valid bool buffer
+            masks = np.unpackbits(packed, axis=1, count=block.dim).view(bool)
             gname = f"gamma.g{gid}"
-            gammas = archive.tensors[gname].astype(np.float32) if gname in archive.tensors else None
+            gammas = (np.array(tensor(gname, (len(members),), "f"), dtype=np.float32)
+                      if gname in archive.tensors else None)
             groups[gid] = StoredGroup(gid, b, members, "masked", unified=flat, masks=masks, gammas=gammas)
 
     pretrained_blocks = {}
@@ -452,18 +576,14 @@ def load_artifact(out_dir: str) -> MergedArtifact:
     for task_str, names in manifest["excluded"].items():
         task = int(task_str)
         for name in names:
-            heads[task][name] = archive.tensors[f"head.t{task}.{name}"]
+            key = f"head.t{task}.{name}"
+            _need(key in archive.tensors, "archive lacks head tensor {!r}", key)
+            heads[task][name] = archive.tensors[key].copy()
 
     rep = manifest["size_report"]
-    num, den = rep["units"].split("/")
     report = SizeReport(
-        dense_bytes=rep["dense_bytes"],
-        mask_bytes=rep["mask_bytes"],
-        pretrained_bytes=rep["pretrained_bytes"],
-        scalar_bytes=rep["scalar_bytes"],
-        head_bytes=rep["head_bytes"],
-        unit_bytes=rep["unit_bytes"],
-        units=Fraction(int(num), int(den)),
+        **{f: rep[f] for f in _REPORT_FIELDS},
+        units=Fraction(rep["units"]),
     )
     return MergedArtifact(
         partition=part,

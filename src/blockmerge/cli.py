@@ -278,7 +278,7 @@ def cmd_merge(args) -> int:
 def cmd_reconstruct(args) -> int:
     try:
         art = artifact_mod.load_artifact(args.artifact)
-    except (OSError, json.JSONDecodeError, KeyError, BlockMergeError) as exc:
+    except (OSError, BlockMergeError) as exc:
         print(f"cannot load artifact from {args.artifact}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:

@@ -57,5 +57,10 @@ class ConfigMismatch(BlockMergeError):
     (e.g. a different global trim state)."""
 
 
+class MalformedArtifact(BlockMergeError):
+    """Artifact manifest is not valid against its schema, or names tensors
+    the artifact archive lacks or holds at the wrong size."""
+
+
 class UnknownTask(BlockMergeError):
     """Task id not present in the artifact manifest."""

@@ -33,7 +33,3 @@ def compile_name_pattern(pattern: str) -> re.Pattern:
             out.append(re.escape(ch))
         i += 1
     return re.compile("".join(out))
-
-
-def matches_any(name: str, patterns: list[re.Pattern]) -> bool:
-    return any(p.fullmatch(name) for p in patterns)

@@ -156,17 +156,11 @@ class TaskVectorSet:
     block_vectors: list[np.ndarray]
     trim_ratio: float | None = None
 
-    @property
-    def d_max(self) -> int:
-        return max(v.shape[1] for v in self.block_vectors)
-
-    def vector(self, task: int, block_id: int) -> np.ndarray:
-        return self.block_vectors[block_id][task]
-
 
 def flatten_block(ckpt: Checkpoint, block: Block) -> np.ndarray:
-    """Block tensors as one flat float32 vector (block order, row-major)."""
-    parts = [ckpt.tensors[n].astype(np.float32).ravel() for n in block.tensor_names]
+    """Block tensors as one flat float32 vector (block order, row-major): a
+    view of a single float32 tensor, a new array otherwise."""
+    parts = [ckpt.tensors[n].astype(np.float32, copy=False).ravel() for n in block.tensor_names]
     if len(parts) == 1:
         return parts[0]
     return np.concatenate(parts)
@@ -178,7 +172,8 @@ def compute_task_vectors(
     part: BlockPartition,
 ) -> TaskVectorSet:
     """Differences fine-tuned minus pretrained, widened to float32 before
-    subtracting so float16 archives lose nothing in the difference."""
+    subtracting so float16 archives lose nothing in the difference. Each
+    tensor is subtracted straight into its slice of the block's rows."""
     report = validate_aligned(pretrained, finetuned, exclude=None)
     mergeable = set(part.tensor_to_block)
     bad = [m for m in report.mismatches if m[0] in mergeable]
@@ -187,9 +182,13 @@ def compute_task_vectors(
 
     block_vectors = []
     for block in part.blocks:
-        base = flatten_block(pretrained, block)
         rows = np.empty((len(finetuned), block.dim), dtype=np.float32)
-        for k, ckpt in enumerate(finetuned):
-            rows[k] = flatten_block(ckpt, block) - base
+        offset = 0
+        for name in block.tensor_names:
+            base = pretrained.tensors[name].astype(np.float32, copy=False).ravel()
+            cols = slice(offset, offset + base.size)
+            for k, ckpt in enumerate(finetuned):
+                np.subtract(ckpt.tensors[name].ravel(), base, out=rows[k, cols], dtype=np.float32)
+            offset += base.size
         block_vectors.append(rows)
     return TaskVectorSet(partition=part, num_tasks=len(finetuned), block_vectors=block_vectors)

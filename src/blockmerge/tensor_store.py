@@ -6,12 +6,18 @@ the rest is raw row-major little-endian tensor data. ``data_offsets`` are
 relative to the first byte after the header and must tile the data section
 contiguously in header order. An optional ``__metadata__`` string map is
 preserved opaquely.
+
+Reading is zero-copy past one read: the data section lands in a single
+buffer and the tensors of a loaded checkpoint are views into it (a tensor at
+an offset that is not a multiple of its item size is copied, so every array
+is aligned). The buffer lives as long as any of its views.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -35,21 +41,15 @@ def dtype_code(arr: np.ndarray) -> str:
         raise UnsupportedDtype(f"no archive dtype for numpy dtype {arr.dtype}")
 
 
-@dataclass(frozen=True)
-class TensorMeta:
-    name: str
-    dtype: str  # wire code, e.g. "F32"
-    shape: tuple[int, ...]
-    byte_offset: int
-    byte_length: int
-
-
 @dataclass
 class Checkpoint:
     """Ordered named tensors plus opaque metadata.
 
     Insertion order of ``tensors`` is the archive header order. Arrays are
-    little-endian and C-contiguous; treat a loaded checkpoint as immutable.
+    little-endian and C-contiguous. The tensors of a loaded checkpoint are
+    views into one shared read buffer, and code that derives arrays from
+    them (task vectors, artifact payloads) may keep views too, so treat a
+    loaded checkpoint as immutable.
     """
 
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
@@ -59,15 +59,6 @@ class Checkpoint:
     @property
     def names(self) -> list[str]:
         return list(self.tensors)
-
-    def metas(self) -> list[TensorMeta]:
-        offset = 0
-        out = []
-        for name, arr in self.tensors.items():
-            n = arr.nbytes
-            out.append(TensorMeta(name, dtype_code(arr), tuple(arr.shape), offset, n))
-            offset += n
-        return out
 
     def same_tensors(self, other: "Checkpoint") -> bool:
         if self.names != other.names or (self.metadata or None) != (other.metadata or None):
@@ -93,18 +84,39 @@ def _canonical(arr: np.ndarray) -> np.ndarray:
 def read_archive(path: str) -> Checkpoint:
     """Parse an archive file into a Checkpoint.
 
-    Raises MalformedHeader, UnsupportedDtype or TruncatedData; never reads
-    past the declared extents.
+    The header is validated first; the data section is then read once into
+    one buffer, and every tensor is a view into it. A tensor whose offset is
+    not a multiple of its item size is copied out instead, so every array is
+    aligned. Raises MalformedHeader, UnsupportedDtype or TruncatedData;
+    never reads past the declared extents.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 8:
-        raise MalformedHeader(f"{path}: file shorter than the 8-byte length prefix")
-    (header_len,) = struct.unpack("<Q", blob[:8])
-    if header_len > len(blob) - 8:
-        raise MalformedHeader(f"{path}: header length {header_len} exceeds file size")
+        file_size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(8)
+        if len(prefix) < 8:
+            raise MalformedHeader(f"{path}: file shorter than the 8-byte length prefix")
+        (header_len,) = struct.unpack("<Q", prefix)
+        if header_len > file_size - 8:
+            raise MalformedHeader(f"{path}: header length {header_len} exceeds file size")
+        data_len = file_size - 8 - header_len
+        entries, metadata = _parse_header(path, fh.read(header_len), data_len)
+        data = np.empty(data_len, dtype=np.uint8)
+        got = fh.readinto(data)
+    if got != data_len:
+        raise TruncatedData(f"{path}: data section ends at {got}, expected {data_len}")
+
+    tensors: dict[str, np.ndarray] = {}
+    for name, dtype, shape, begin, end in entries:
+        arr = data[begin:end].view(dtype).reshape(shape)
+        tensors[name] = arr if begin % dtype.itemsize == 0 else arr.copy()
+    return Checkpoint(tensors=tensors, metadata=metadata, source_path=path)
+
+
+def _parse_header(path: str, raw: bytes, data_len: int):
+    """Validated header entries as (name, dtype, shape, begin, end), in
+    header order, plus the ``__metadata__`` map (or None)."""
     try:
-        header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
+        header = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedHeader(f"{path}: header is not valid JSON: {exc}") from None
     if not isinstance(header, dict):
@@ -116,8 +128,7 @@ def read_archive(path: str) -> Checkpoint:
     ):
         raise MalformedHeader(f"{path}: __metadata__ must be a string map")
 
-    data = blob[8 + header_len :]
-    tensors: dict[str, np.ndarray] = {}
+    entries = []
     expected_offset = 0
     for name, entry in header.items():
         if not isinstance(entry, dict):
@@ -133,19 +144,17 @@ def read_archive(path: str) -> Checkpoint:
             raise MalformedHeader(f"{path}: tensor {name!r} has invalid data_offsets")
         begin, end = offsets
         dtype = DTYPES[code]
-        count = math.prod(shape)
-        if begin != expected_offset or end - begin != count * dtype.itemsize:
+        if begin != expected_offset or end - begin != math.prod(shape) * dtype.itemsize:
             raise MalformedHeader(
                 f"{path}: tensor {name!r} offsets [{begin}, {end}) do not tile the data section"
             )
-        if end > len(data):
-            raise TruncatedData(f"{path}: data section ends at {len(data)}, tensor {name!r} needs {end}")
-        arr = np.frombuffer(data, dtype=dtype, count=count, offset=begin).reshape(shape).copy()
-        tensors[name] = arr
+        if end > data_len:
+            raise TruncatedData(f"{path}: data section ends at {data_len}, tensor {name!r} needs {end}")
+        entries.append((name, dtype, shape, begin, end))
         expected_offset = end
-    if expected_offset != len(data):
-        raise MalformedHeader(f"{path}: {len(data) - expected_offset} trailing bytes after last tensor")
-    return Checkpoint(tensors=tensors, metadata=metadata, source_path=path)
+    if expected_offset != data_len:
+        raise MalformedHeader(f"{path}: {data_len - expected_offset} trailing bytes after last tensor")
+    return entries, metadata
 
 
 def write_archive(checkpoint: Checkpoint, path: str) -> None:
@@ -169,7 +178,7 @@ def write_archive(checkpoint: Checkpoint, path: str) -> None:
         fh.write(struct.pack("<Q", len(payload)))
         fh.write(payload)
         for arr in arrays:
-            fh.write(arr.tobytes())
+            fh.write(arr)  # canonical arrays are C-contiguous: written via the buffer protocol
 
 
 @dataclass

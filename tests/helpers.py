@@ -91,5 +91,13 @@ def synthetic_tv(rng: np.random.Generator, dims: list[int], num_tasks: int, scal
     return TaskVectorSet(partition=part, num_tasks=num_tasks, block_vectors=vectors)
 
 
+def buffer_owner(arr: np.ndarray) -> np.ndarray:
+    """The array that owns the memory ``arr`` views (``arr`` itself if it
+    owns its data)."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
 def plan_signature(plan):
     return [(e.block_id, e.left, e.right, float(np.float32(e.score))) for e in plan.events]

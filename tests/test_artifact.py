@@ -1,12 +1,17 @@
 """Artifact build, reconstruction, verification and manifest round trips."""
 
+import json
+import os
+import shutil
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockmerge import (
     ConfigMismatch,
+    MalformedArtifact,
     MergerConfig,
     SizeModel,
     UnknownTask,
@@ -18,15 +23,17 @@ from blockmerge import (
     load_artifact,
     partition,
     prepare_task_vectors,
+    read_archive,
     reconstruct_task,
     replay_to_size,
     verify_artifact,
+    write_archive,
 )
 from blockmerge.scheduler import GroupAssignment
 from blockmerge.task_space import flatten_block
 from blockmerge.tensor_store import Checkpoint
 
-from helpers import toy_model
+from helpers import buffer_owner, toy_model
 
 
 def _pipeline(rng, num_tasks, algorithm, target, layers=2, width=4, **cfg_overrides):
@@ -360,3 +367,142 @@ def test_hand_built_assignment_accepted():
     asg.size = sm.size_of(asg.block_groups)
     art = build_artifact(asg, tv, pre, cfg, finetuned=tasks)
     assert {g.members for g in art.groups} == {(0, 1), (2, 3)}
+
+
+def _off_grid_model(rng, num_tasks, width=6):
+    """Normal-distributed float32 weights: pre + (ft - pre) rounds in float32."""
+    names = ["embed.w"] + [f"blocks.{i}.{p}.w" for i in range(2) for p in ("attn", "mlp")] + ["head.w"]
+    shape = {n: ((width, width) if ("attn" in n or "mlp" in n) else (width,)) for n in names}
+    pre = Checkpoint(tensors={n: rng.normal(size=shape[n]).astype(np.float32) for n in names})
+    tasks = [
+        Checkpoint(tensors={n: (pre.tensors[n] + rng.normal(scale=0.3, size=shape[n])).astype(np.float32)
+                            for n in names})
+        for _ in range(num_tasks)
+    ]
+    return pre, tasks
+
+
+@pytest.mark.parametrize("algorithm", ["ta", "emr", "pcb"])
+def test_size_m_round_trip_is_byte_exact_off_grid(tmp_path, algorithm):
+    rng = np.random.default_rng(30)
+    pre, tasks = _off_grid_model(rng, 3)
+    paths = [tmp_path / f"in{k}.st" for k in range(4)]
+    for path, ck in zip(paths, [pre] + tasks):
+        write_archive(ck, str(path))
+    pre, tasks = read_archive(str(paths[0])), [read_archive(str(p)) for p in paths[1:]]
+    part = partition(pre, default_transformer_rules(), exclude=["head.*"])
+    cfg = MergerConfig.for_algorithm(algorithm)
+    tv = prepare_task_vectors(compute_task_vectors(pre, tasks, part), cfg)
+    sm = SizeModel.from_partition(part, cfg)
+    asg = replay_to_size(compute_merge_plan(tv), tv, Fraction(3), sm)
+    art = build_artifact(asg, tv, pre, cfg, finetuned=tasks)
+    # the fixture must be one where pre + (ft - pre) != ft somewhere
+    assert any((flatten_block(pre, b) + tv.block_vectors[b.block_id][k]
+                != flatten_block(tasks[k], b)).any() for k in range(3) for b in part.blocks)
+    export_manifest(art, str(tmp_path / "art"))
+    back = load_artifact(str(tmp_path / "art"))
+    for k in range(3):
+        out = tmp_path / f"out{k}.st"
+        write_archive(reconstruct_task(back, k), str(out))
+        assert out.read_bytes() == paths[k + 1].read_bytes(), f"task {k}"
+
+
+def _artifact_arrays(art):
+    arrays = [a for g in art.groups for a in (g.dense, g.unified, g.masks, g.gammas) if a is not None]
+    arrays += list(art.pretrained_blocks.values())
+    arrays += [a for head in art.heads for a in head.values()]
+    return arrays
+
+
+@pytest.mark.parametrize("algorithm,target", [("ta", 3), ("ta", 2), ("emr", 2.5), ("emr", 0)])
+def test_reconstruct_outputs_never_alias_artifact_or_inputs(tmp_path, algorithm, target):
+    rng = np.random.default_rng(31)
+    pre, tasks, part, tv, asg, art = _pipeline(rng, 3, algorithm, target=target)
+    export_manifest(art, str(tmp_path / "art"))
+    back = load_artifact(str(tmp_path / "art"))
+    assert ("masked" in {g.payload for g in art.groups}) == (algorithm == "emr")
+    inputs = [a for ck in tasks + [pre] for a in ck.tensors.values()]
+    for source in (art, back):
+        held = _artifact_arrays(source) + inputs
+        for k in range(3):
+            for name, out in reconstruct_task(source, k).tensors.items():
+                assert not any(np.shares_memory(out, a) for a in held), (name, k)
+
+
+def test_loaded_float32_payloads_are_views_of_the_archive(tmp_path):
+    rng = np.random.default_rng(32)
+    # width 32: every mask is a whole number of words, so no tensor of the
+    # archive sits at a misaligned offset (those are copied on read)
+    *_, art = _pipeline(rng, 3, "emr", target=2.5, width=32)
+    assert {g.payload for g in art.groups} == {"dense", "masked"}
+    export_manifest(art, str(tmp_path / "art"))
+    back = load_artifact(str(tmp_path / "art"))
+    flats = [g.dense if g.payload == "dense" else g.unified for g in back.groups]
+    flats += list(back.pretrained_blocks.values())
+    assert all(f.base is not None for f in flats)
+    assert len({id(buffer_owner(f)) for f in flats}) == 1
+    assert all(h.base is None for head in back.heads for h in head.values())  # heads copied
+
+
+@pytest.fixture(scope="module")
+def exported_emr(tmp_path_factory):
+    rng = np.random.default_rng(33)
+    *_, art = _pipeline(rng, 3, "emr", target=2.5)
+    out = tmp_path_factory.mktemp("art")
+    export_manifest(art, str(out))
+    with open(out / "manifest.json", encoding="utf-8") as fh:
+        return str(out), json.load(fh)
+
+
+def _json_paths(node, path=()):
+    """Every position in a JSON tree, the root included."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+_JUNK = [None, True, -1, 0, 1, 2, 10**12, 0.5, "", "x", "1/0", "L0.attn", [], [0], [[1]], {}, {"0": 0}]
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_manifest_fails_typed_or_reconstructs(tmp_path_factory, exported_emr, data):
+    src, manifest = exported_emr
+    manifest = json.loads(json.dumps(manifest))
+    path = data.draw(st.sampled_from(list(_json_paths(manifest))))
+    delete = bool(path) and data.draw(st.booleans())
+    junk = data.draw(st.sampled_from(_JUNK))
+    if not path:
+        manifest = junk
+    else:
+        parent = manifest
+        for key in path[:-1]:
+            parent = parent[key]
+        if delete:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = junk
+    out = tmp_path_factory.mktemp("mut")
+    shutil.copy(os.path.join(src, "tensors.safetensors"), out)
+    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    try:
+        art = load_artifact(str(out))
+    except MalformedArtifact:
+        return
+    for k in range(art.num_tasks):
+        reconstruct_task(art, k)
+
+
+def test_manifest_not_json_is_malformed(tmp_path, exported_emr):
+    src, _ = exported_emr
+    shutil.copy(os.path.join(src, "tensors.safetensors"), tmp_path)
+    (tmp_path / "manifest.json").write_bytes(b"\xff{")
+    with pytest.raises(MalformedArtifact):
+        load_artifact(str(tmp_path))

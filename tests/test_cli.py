@@ -248,3 +248,21 @@ def test_sweep_equals_single_size_runs_and_merges_each_group_once(
         size = entry[len("size_"):]
         assert main(["merge"] + base + ["--sizes", size, "--out", single]) == 0
         assert _tree_bytes(os.path.join(sweep, entry)) == _tree_bytes(os.path.join(single, entry))
+
+
+@pytest.mark.parametrize("field,value", [("groups", []), ("num_tasks", "4"), ("tasks", {"0": 1})])
+def test_malformed_manifest_exits_parse(workspace, field, value):
+    ws = workspace
+    out_dir = str(ws["tmp"] / "merged")
+    assert main(["merge"] + _base_args(ws, ["--algorithm", "emr", "--sizes", "2",
+                                            "--out", out_dir])) == 0
+    art_dir = os.path.join(out_dir, "size_2")
+    manifest_path = os.path.join(art_dir, "manifest.json")
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    manifest[field] = value
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh)
+    assert main(["reconstruct", "--artifact", art_dir, "--task", "0",
+                 "--out", str(ws["tmp"] / "x.st")]) == 3
+    assert main(["inspect", "--input", art_dir, "--out", str(ws["tmp"] / "report")]) == 3

@@ -17,6 +17,8 @@ from blockmerge import (
     write_archive,
 )
 
+from helpers import buffer_owner
+
 
 def rt(ckpt, tmp_path, name="a.safetensors"):
     path = str(tmp_path / name)
@@ -188,3 +190,34 @@ def test_validate_excluded_heads_ignored():
     a = _ck(**{"head.weight": np.zeros(2, dtype=np.float32), "x": np.zeros(2, dtype=np.float32)})
     b = _ck(**{"head.weight": np.zeros(5, dtype=np.float32), "x": np.zeros(2, dtype=np.float32)})
     assert validate_aligned(a, [b], exclude=["head.*"]).ok
+
+
+def test_tensors_are_views_into_one_read_buffer(tmp_path):
+    rng = np.random.default_rng(2)
+    ck = Checkpoint(tensors={
+        "a": rng.normal(size=(3, 4)).astype(np.float32),
+        "b": rng.normal(size=8).astype(np.float16),
+        "c": np.arange(16, dtype=np.uint8),
+        "d": rng.normal(size=5).astype(np.float32),
+    })
+    _, back = rt(ck, tmp_path)
+    owners = {id(buffer_owner(arr)) for arr in back.tensors.values()}
+    assert len(owners) == 1
+    buffer = buffer_owner(back.tensors["a"])
+    assert buffer.dtype == np.uint8 and buffer.nbytes == sum(a.nbytes for a in ck.tensors.values())
+    assert back.same_tensors(ck)
+
+
+@pytest.mark.parametrize("lead", [np.arange(3, dtype=np.float16), np.arange(5, dtype=np.uint8)])
+def test_misaligned_tensor_is_copied_aligned(tmp_path, lead):
+    rng = np.random.default_rng(3)
+    after = rng.normal(size=(2, 3)).astype(np.float32)
+    ck = Checkpoint(tensors={"lead": lead, "after": after, "zero": np.zeros(0, np.float32)})
+    _, back = rt(ck, tmp_path)
+    got = back.tensors["after"]
+    np.testing.assert_array_equal(got, after)
+    assert got.dtype == np.float32 and got.flags.aligned and got.flags.c_contiguous
+    assert all(arr.flags.aligned for arr in back.tensors.values())
+    # the misaligned tensor owns its copy; the aligned lead stays a view
+    assert buffer_owner(got) is not buffer_owner(back.tensors["lead"])
+    assert back.same_tensors(ck)
