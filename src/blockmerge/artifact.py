@@ -8,10 +8,10 @@ the pretrained block.
 
 A loaded artifact keeps its float32 payloads and pretrained blocks as views
 into the archive's read buffer. Reconstruction only reads those buffers and
-always returns fresh arrays: masked blocks are rebuilt into one new block
-each (pretrained + masked product), dense payloads are copied. So an output
-never aliases the artifact, and reconstruction never depends on what was
-reconstructed before.
+always returns fresh arrays: each call writes its float32 blocks into one
+new buffer (masked blocks rebuilt as pretrained + masked product, dense
+payloads copied). So an output never aliases the artifact, and
+reconstruction never depends on what was reconstructed before.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import ConfigMismatch, MalformedArtifact, UnknownTask
 from .mergers import ALGORITHMS, MergerConfig, expected_trim_ratio, merge_group
 from .scheduler import GroupAssignment, SizeModel
 from .task_space import Block, BlockPartition, TaskVectorSet, flatten_block
-from .tensor_store import DTYPES, Checkpoint, write_archive, read_archive
+from .tensor_store import DTYPES, Checkpoint, joined_view, read_archive, write_archive
 
 MANIFEST_NAME = "manifest.json"
 TENSORS_NAME = "tensors.safetensors"
@@ -129,8 +129,10 @@ def build_artifact(
     and untrimmed task vectors, a singleton group stores the fine-tuned
     block itself (a view when the block is one float32 tensor): in float32,
     ``pre + (ft - pre)`` is not always ``ft``, and size M must give back the
-    inputs bit for bit. Trimmed vectors keep ``pre + trimmed vector``, which
-    is what ties/consensus define. Raises
+    inputs bit for bit. Without ``finetuned`` a singleton stores
+    ``pre + vector``, so size M is then only exact on data where that sum
+    rounds back to the input. Trimmed vectors keep ``pre + trimmed vector``,
+    which is what ties/consensus define. Raises
     ConfigMismatch when the task vectors' trim state disagrees with the
     algorithm (ties/consensus need the up-front global trim).
     """
@@ -215,19 +217,23 @@ def build_artifact(
     )
 
 
-def _task_block(artifact: MergedArtifact, task: int, block_id: int) -> tuple[np.ndarray, bool]:
-    """One task's flat float32 block and whether it is the stored payload
-    itself (dense; the caller must not hand it out) or a fresh array. A
-    masked block is built in one new array, in the operand order
-    pretrained + gamma * (unified * mask)."""
+def _task_block(artifact: MergedArtifact, task: int, block_id: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """One task's flat float32 block, written into ``out`` when it is given.
+    Without ``out``, a dense block is the stored payload itself (the caller
+    must not hand it out) and a masked block a new array. A masked block is
+    built in the operand order pretrained + gamma * (unified * mask)."""
     group = artifact.groups[artifact.routing[task][block_id]]
     if group.payload == "dense":
-        return group.dense, True
+        if out is None:
+            return group.dense
+        np.copyto(out, group.dense)
+        return out
     idx = group.members.index(task)
-    out = np.multiply(group.unified, group.masks[idx])
+    out = np.multiply(group.unified, group.masks[idx], out=out)
     if group.gammas is not None:
         np.multiply(group.gammas[idx], out, out=out)
-    return np.add(artifact.pretrained_blocks[block_id], out, out=out), False
+    return np.add(artifact.pretrained_blocks[block_id], out, out=out)
 
 
 def reconstruct_task(artifact: MergedArtifact, task: int) -> Checkpoint:
@@ -235,18 +241,29 @@ def reconstruct_task(artifact: MergedArtifact, task: int) -> Checkpoint:
     against the pretrained buffers, head tensors copied. No output array
     shares memory with the artifact.
 
+    Blocks whose tensors are all float32 are built into one fresh buffer per
+    call and handed out as slices of it: one allocation instead of one per
+    block or tensor, so repeated calls fault in far fewer new pages. Other
+    blocks are narrowed into copies.
+
     Tensor order follows the pretrained archive; heads the pretrained model
     never had are appended at the end.
     """
     if not 0 <= task < artifact.num_tasks:
         raise UnknownTask(f"task {task} not in artifact (0..{artifact.num_tasks - 1})")
     part = artifact.partition
+    in_buffer = [all(code == "F32" for code in block.dtypes) for block in part.blocks]
+    buffer = np.empty(sum(b.dim for b, inb in zip(part.blocks, in_buffer) if inb), np.float32)
+    pos = 0
     merged: dict[str, np.ndarray] = {}
-    for block in part.blocks:
-        flat, stored = _task_block(artifact, task, block.block_id)
+    for block, inb in zip(part.blocks, in_buffer):
+        if inb:
+            flat = _task_block(artifact, task, block.block_id, buffer[pos : pos + block.dim])
+            pos += block.dim
+        else:
+            flat = _task_block(artifact, task, block.block_id)
         for name, offset, n, shape, code in _block_slices(block):
-            # a fresh float32 block is handed out as slices; anything else is copied
-            merged[name] = flat[offset : offset + n].reshape(shape).astype(DTYPES[code], copy=stored)
+            merged[name] = flat[offset : offset + n].reshape(shape).astype(DTYPES[code], copy=not inb)
 
     heads = artifact.heads[task]
     order = part.name_order or (list(part.tensor_to_block) + list(heads))
@@ -285,7 +302,7 @@ def verify_artifact(
     for task in range(artifact.num_tasks):
         sse = 0.0
         for block in part.blocks:
-            got = _task_block(artifact, task, block.block_id)[0].astype(np.float64)
+            got = _task_block(artifact, task, block.block_id).astype(np.float64)
             want = flatten_block(originals[task], block).astype(np.float64)
             l2 = float(np.linalg.norm(got - want))
             rows.append((task, block.key, l2))
@@ -488,10 +505,11 @@ def load_artifact(out_dir: str) -> MergedArtifact:
     """Inverse of export_manifest.
 
     The manifest is checked against its schema first, and each tensor it
-    names against the archive as it is loaded (MalformedArtifact). Payloads
-    and pretrained blocks that are one float32 tensor stay views into the
-    archive's read buffer; head tensors and rescalers are copied, so a
-    float16 archive's buffer is freed once its blocks have been widened.
+    names against the archive as it is loaded (MalformedArtifact). Float32
+    payloads and pretrained blocks stay views into the archive's read buffer
+    (a block of several tensors as one span of it), so a float32 artifact
+    is held once; head tensors and rescalers are copied, so a float16
+    archive's buffer is freed once its blocks have been widened.
     """
     path = os.path.join(out_dir, MANIFEST_NAME)
     with open(path, "rb") as fh:
@@ -540,7 +558,12 @@ def load_artifact(out_dir: str) -> MergedArtifact:
     def block_flat(prefix: str, block: Block) -> np.ndarray:
         parts = [tensor(f"{prefix}.{n}", shape, "f").astype(np.float32, copy=False).ravel()
                  for n, shape in zip(block.tensor_names, block.shapes)]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if len(parts) == 1:
+            return parts[0]
+        # export writes a block's tensors back to back, so float32 ones are
+        # one span of the read buffer; anything else is joined into a copy
+        joined = joined_view(parts)
+        return joined if joined is not None else np.concatenate(parts)
 
     groups: list[StoredGroup] = [None] * len(manifest["groups"])  # type: ignore[list-item]
     for gid_str, meta in manifest["groups"].items():

@@ -8,9 +8,11 @@ contiguously in header order. An optional ``__metadata__`` string map is
 preserved opaquely.
 
 Reading is zero-copy past one read: the data section lands in a single
-buffer and the tensors of a loaded checkpoint are views into it (a tensor at
-an offset that is not a multiple of its item size is copied, so every array
-is aligned). The buffer lives as long as any of its views.
+buffer and the tensors of a loaded checkpoint are views into it, in header
+order (a tensor at an offset that is not a multiple of its item size is
+moved up by a few gap bytes, so every array is aligned). The buffer lives as
+long as any of its views; ``joined_view`` spans consecutive tensors of one
+dtype with one view.
 """
 
 from __future__ import annotations
@@ -84,11 +86,13 @@ def _canonical(arr: np.ndarray) -> np.ndarray:
 def read_archive(path: str) -> Checkpoint:
     """Parse an archive file into a Checkpoint.
 
-    The header is validated first; the data section is then read once into
-    one buffer, and every tensor is a view into it. A tensor whose offset is
-    not a multiple of its item size is copied out instead, so every array is
-    aligned. Raises MalformedHeader, UnsupportedDtype or TruncatedData;
-    never reads past the declared extents.
+    The header is validated first; the data section is then read in one
+    sequential pass into one buffer, and every tensor is a view into it.
+    Where a tensor's offset is not a multiple of its item size (an
+    odd-length F16 or U8 tensor comes before it), the read leaves a gap of
+    a few bytes in the buffer, so every array is aligned. Raises
+    MalformedHeader, UnsupportedDtype or TruncatedData; never reads past the
+    declared extents.
     """
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
@@ -100,16 +104,64 @@ def read_archive(path: str) -> Checkpoint:
             raise MalformedHeader(f"{path}: header length {header_len} exceeds file size")
         data_len = file_size - 8 - header_len
         entries, metadata = _parse_header(path, fh.read(header_len), data_len)
-        data = np.empty(data_len, dtype=np.uint8)
-        got = fh.readinto(data)
+        starts, runs, pad = _aligned_layout(entries)
+        data = np.empty(data_len + pad, dtype=np.uint8)
+        buf = memoryview(data)
+        got = 0
+        for start, n in runs:
+            read = fh.readinto(buf[start : start + n])
+            got += read
+            if read < n:
+                break
     if got != data_len:
         raise TruncatedData(f"{path}: data section ends at {got}, expected {data_len}")
 
     tensors: dict[str, np.ndarray] = {}
-    for name, dtype, shape, begin, end in entries:
-        arr = data[begin:end].view(dtype).reshape(shape)
-        tensors[name] = arr if begin % dtype.itemsize == 0 else arr.copy()
+    for (name, dtype, shape, begin, end), start in zip(entries, starts):
+        tensors[name] = data[start : start + end - begin].view(dtype).reshape(shape)
     return Checkpoint(tensors=tensors, metadata=metadata, source_path=path)
+
+
+def joined_view(arrays: list[np.ndarray]) -> np.ndarray | None:
+    """One flat view over ``arrays`` when they are C-contiguous views of one
+    buffer, share a dtype and lie back to back in list order, as consecutive
+    same-dtype tensors of a read archive do; None otherwise."""
+    first = arrays[0]
+    owner = _owner(first)
+    begin = pos = first.__array_interface__["data"][0]
+    for arr in arrays:
+        if (arr.dtype != first.dtype or not arr.flags.c_contiguous or _owner(arr) is not owner
+                or arr.__array_interface__["data"][0] != pos):
+            return None
+        pos += arr.nbytes
+    if not owner.flags.c_contiguous:
+        return None
+    offset = begin - owner.__array_interface__["data"][0]
+    return np.ndarray(((pos - begin) // first.itemsize,), first.dtype, buffer=owner, offset=offset)
+
+
+def _owner(arr: np.ndarray) -> np.ndarray:
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def _aligned_layout(entries):
+    """Buffer offset of each tensor (its data offset plus the gap bytes
+    before it, just enough for its item size), the (buffer offset, length)
+    runs that read the data section in order (a new run starts at every
+    gap), and the total gap."""
+    starts: list[int] = []
+    runs: list[list[int]] = []
+    pad = 0
+    for _, dtype, _, begin, end in entries:
+        skew = -(begin + pad) % dtype.itemsize
+        pad += skew
+        if skew or not runs:
+            runs.append([begin + pad, 0])
+        runs[-1][1] += end - begin
+        starts.append(begin + pad)
+    return starts, runs, pad
 
 
 def _parse_header(path: str, raw: bytes, data_len: int):

@@ -425,23 +425,53 @@ def test_reconstruct_outputs_never_alias_artifact_or_inputs(tmp_path, algorithm,
     for source in (art, back):
         held = _artifact_arrays(source) + inputs
         for k in range(3):
-            for name, out in reconstruct_task(source, k).tensors.items():
+            rebuilt = reconstruct_task(source, k)
+            for name, out in rebuilt.tensors.items():
                 assert not any(np.shares_memory(out, a) for a in held), (name, k)
+            # float32 block tensors are slices of one fresh buffer per call
+            assert len({id(buffer_owner(rebuilt.tensors[n])) for n in part.tensor_to_block}) == 1
 
 
-def test_loaded_float32_payloads_are_views_of_the_archive(tmp_path):
+def _multi_tensor_model(rng, num_tasks, width):
+    """The default_transformer_rules layout: attn and mlp blocks of several
+    tensors, layer norms and the embedding blocks of one."""
+    shapes = {"embed.w": (3, width)}
+    for i in range(2):
+        shapes.update({f"blocks.{i}.attn.{p}": (width, width) for p in "qkvo"})
+        shapes.update({f"blocks.{i}.mlp.fc1": (width, 2 * width), f"blocks.{i}.mlp.fc2": (2 * width, width),
+                       f"blocks.{i}.ln1.w": (width,), f"blocks.{i}.ln2.w": (width,)})
+    shapes["head.w"] = (2, width)
+    pre = Checkpoint(tensors={n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()})
+    tasks = [Checkpoint(tensors={n: (a + rng.normal(scale=0.3, size=a.shape)).astype(np.float32)
+                                 for n, a in pre.tensors.items()}) for _ in range(num_tasks)]
+    return pre, tasks
+
+
+# width 5 gives masks of odd byte length, so later tensors sit at offsets
+# that are not multiples of 4; width 8 keeps every offset aligned
+@pytest.mark.parametrize("algorithm,target,width", [("emr", 2.5, 5), ("emr", 2.5, 8), ("ties", 2, 5)])
+def test_loaded_float32_payloads_are_views_of_the_archive(tmp_path, algorithm, target, width):
     rng = np.random.default_rng(32)
-    # width 32: every mask is a whole number of words, so no tensor of the
-    # archive sits at a misaligned offset (those are copied on read)
-    *_, art = _pipeline(rng, 3, "emr", target=2.5, width=32)
-    assert {g.payload for g in art.groups} == {"dense", "masked"}
+    pre, tasks = _multi_tensor_model(rng, 3, width)
+    part = partition(pre, default_transformer_rules(), exclude=["head.*"])
+    assert max(len(b.tensor_names) for b in part.blocks) > 1
+    cfg = MergerConfig.for_algorithm(algorithm)
+    tv = prepare_task_vectors(compute_task_vectors(pre, tasks, part), cfg)
+    sm = SizeModel.from_partition(part, cfg)
+    art = build_artifact(replay_to_size(compute_merge_plan(tv), tv, Fraction(target), sm), tv, pre, cfg,
+                         finetuned=tasks)
+    kinds = {"emr": {"dense", "masked"}, "ties": {"dense"}}[algorithm]
+    assert {g.payload for g in art.groups} == kinds
     export_manifest(art, str(tmp_path / "art"))
     back = load_artifact(str(tmp_path / "art"))
     flats = [g.dense if g.payload == "dense" else g.unified for g in back.groups]
     flats += list(back.pretrained_blocks.values())
-    assert all(f.base is not None for f in flats)
+    # every float32 block, one tensor or several, is a view of one read buffer
+    assert all(f.base is not None and f.flags.aligned for f in flats)
     assert len({id(buffer_owner(f)) for f in flats}) == 1
     assert all(h.base is None for head in back.heads for h in head.values())  # heads copied
+    for k in range(3):
+        assert reconstruct_task(back, k).same_tensors(reconstruct_task(art, k))
 
 
 @pytest.fixture(scope="module")

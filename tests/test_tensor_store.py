@@ -16,6 +16,7 @@ from blockmerge import (
     validate_aligned,
     write_archive,
 )
+from blockmerge.tensor_store import joined_view
 
 from helpers import buffer_owner
 
@@ -209,15 +210,38 @@ def test_tensors_are_views_into_one_read_buffer(tmp_path):
 
 
 @pytest.mark.parametrize("lead", [np.arange(3, dtype=np.float16), np.arange(5, dtype=np.uint8)])
-def test_misaligned_tensor_is_copied_aligned(tmp_path, lead):
+def test_misaligned_tensor_is_read_aligned_into_the_shared_buffer(tmp_path, lead):
     rng = np.random.default_rng(3)
     after = rng.normal(size=(2, 3)).astype(np.float32)
-    ck = Checkpoint(tensors={"lead": lead, "after": after, "zero": np.zeros(0, np.float32)})
+    ck = Checkpoint(tensors={"lead": lead, "after": after, "odd": np.arange(3, dtype=np.uint8),
+                             "zero": np.zeros(0, np.float32), "last": np.ones(2, np.float16)})
     _, back = rt(ck, tmp_path)
     got = back.tensors["after"]
     np.testing.assert_array_equal(got, after)
     assert got.dtype == np.float32 and got.flags.aligned and got.flags.c_contiguous
     assert all(arr.flags.aligned for arr in back.tensors.values())
-    # the misaligned tensor owns its copy; the aligned lead stays a view
-    assert buffer_owner(got) is not buffer_owner(back.tensors["lead"])
+    # nothing is copied: the read leaves a few gap bytes before each skewed tensor
+    buffer = buffer_owner(got)
+    assert all(buffer_owner(arr) is buffer for arr in back.tensors.values())
+    data_len = sum(a.nbytes for a in ck.tensors.values())
+    assert data_len < buffer.nbytes <= data_len + 3 * 3
     assert back.same_tensors(ck)
+
+
+def test_joined_view_spans_consecutive_tensors_only(tmp_path):
+    rng = np.random.default_rng(4)
+    ck = Checkpoint(tensors={
+        "a": rng.normal(size=(2, 3)).astype(np.float32),
+        "b": rng.normal(size=4).astype(np.float32),
+        "c": np.arange(3, dtype=np.uint8),
+        "d": rng.normal(size=5).astype(np.float32),
+    })
+    _, back = rt(ck, tmp_path)
+    t = back.tensors
+    joined = joined_view([t["a"].ravel(), t["b"]])
+    np.testing.assert_array_equal(joined, np.concatenate([ck.tensors["a"].ravel(), ck.tensors["b"]]))
+    assert buffer_owner(joined) is buffer_owner(t["a"])
+    assert joined_view([t["b"], t["a"].ravel()]) is None  # out of order
+    assert joined_view([t["a"].ravel(), t["d"]]) is None  # not adjacent
+    assert joined_view([t["b"], t["c"]]) is None  # dtypes differ
+    assert joined_view([t["a"].ravel(), t["b"].copy()]) is None  # another buffer
