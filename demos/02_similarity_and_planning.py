@@ -72,7 +72,7 @@ def main():
         (a.block_id, a.left, a.right) == (b.block_id, b.left, b.right)
         for a, b in zip(plan.events, oracle.events)
     )
-    print(f"chain+heap order equals the cubic greedy oracle: {same}")
+    print(f"per-block greedy + heap order equals the cubic greedy oracle: {same}")
 
     for policy in ("left_to_right", "right_to_left", "random"):
         alt = compute_merge_plan(tv, order_policy=policy, seed=7)

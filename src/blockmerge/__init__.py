@@ -14,6 +14,7 @@ from .errors import (
     LengthMismatch,
     MalformedArtifact,
     MalformedHeader,
+    MalformedPlan,
     OverlappingGroups,
     TruncatedData,
     UnknownTask,

@@ -1,7 +1,8 @@
 """Command-line pipeline: plan, merge, reconstruct, inspect.
 
-Exit codes: 2 alignment failure, 3 config/input parse failure,
-4 plan/config fingerprint mismatch, 5 unknown task.
+Exit codes: 2 alignment failure, 3 config/input parse failure (a malformed
+plan or artifact included), 4 plan/config fingerprint mismatch, 5 unknown
+task.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import artifact as artifact_mod
-from .errors import BlockMergeError, UnknownTask
+from .errors import BlockMergeError, MalformedPlan, UnknownTask
 from .mergers import ALGORITHMS, MergerConfig, expected_trim_ratio, prepare_task_vectors
 from .scheduler import (
+    ORDER_POLICIES,
     MergePlan,
     SizeModel,
     compute_merge_plan,
@@ -200,15 +202,33 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _load_plan_checked(plan_path: str, fingerprint: str) -> MergePlan:
+_PLAN_META_TYPES = {
+    "fingerprint": str, "strategy": str, "order": str, "seed": int,
+    "num_tasks": int, "num_blocks": int, "block_keys": list,
+}
+
+
+def _read_plan(plan_path: str, fingerprint: str | None = None) -> MergePlan:
+    """Read a plan checked against the ``plan_meta.json`` next to it, which
+    must be well-typed (``MalformedPlan`` otherwise). Given a fingerprint,
+    the metadata must exist and match it (exit 4 otherwise); without one, a
+    plan with no metadata is read on its own."""
     meta_path = os.path.join(os.path.dirname(plan_path) or ".", PLAN_META_FILE)
-    try:
-        with open(meta_path, encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read plan metadata {meta_path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
-    if meta.get("fingerprint") != fingerprint:
+    if fingerprint is None and not os.path.exists(meta_path):
+        return read_plan_jsonl(plan_path)
+    with open(meta_path, "rb") as fh:
+        try:
+            meta = json.loads(fh.read())
+        except ValueError as exc:  # not JSON or not UTF-8
+            raise MalformedPlan(f"{meta_path}: not JSON ({exc})") from None
+    typed = isinstance(meta, dict) and all(
+        type(meta.get(f)) is kind for f, kind in _PLAN_META_TYPES.items())
+    if not (typed and meta["strategy"] in STRATEGIES and meta["order"] in ORDER_POLICIES
+            and meta["num_tasks"] >= 1 and len(meta["block_keys"]) == meta["num_blocks"]
+            and all(type(k) is str for k in meta["block_keys"])):
+        raise MalformedPlan(f"{meta_path}: needs {', '.join(_PLAN_META_TYPES)}, well-typed, "
+                            "a known strategy and order, and num_blocks block keys")
+    if fingerprint is not None and meta["fingerprint"] != fingerprint:
         print("plan fingerprint does not match the current inputs/config", file=sys.stderr)
         raise SystemExit(EXIT_FINGERPRINT)
     return read_plan_jsonl(
@@ -242,7 +262,7 @@ def cmd_merge(args) -> int:
     pretrained, finetuned, part, tv = _load_pipeline(config)
     fingerprint = plan_fingerprint(config)
     if args.plan:
-        plan = _load_plan_checked(args.plan, fingerprint)
+        plan = _read_plan(args.plan, fingerprint)
     else:
         plan = compute_merge_plan(tv, strategy=config.strategy,
                                   order_policy=config.order_policy, seed=config.seed)
@@ -291,14 +311,9 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
-def _inspect_plan(plan_dir: str, plan_path: str, out_dir: str) -> int:
-    meta = {}
-    meta_path = os.path.join(plan_dir, PLAN_META_FILE)
-    if os.path.exists(meta_path):
-        with open(meta_path, encoding="utf-8") as fh:
-            meta = json.load(fh)
-    plan = read_plan_jsonl(plan_path)
-    keys = meta.get("block_keys") or [str(b) for b in range(plan.num_blocks)]
+def _inspect_plan(plan_path: str, out_dir: str) -> int:
+    plan = _read_plan(plan_path)
+    keys = plan.block_keys or [str(b) for b in range(plan.num_blocks)]
     seqs: dict[int, list[int]] = {}
     for ev in plan.events:
         seqs.setdefault(ev.block_id, []).append(ev.seq)
@@ -358,11 +373,11 @@ def cmd_inspect(args) -> int:
             if os.path.exists(os.path.join(target, artifact_mod.MANIFEST_NAME)):
                 return _inspect_artifact(target, args.out)
             if os.path.exists(os.path.join(target, PLAN_FILE)):
-                return _inspect_plan(target, os.path.join(target, PLAN_FILE), args.out)
+                return _inspect_plan(os.path.join(target, PLAN_FILE), args.out)
             print(f"{target}: no manifest or plan found", file=sys.stderr)
             return EXIT_PARSE
         if target.endswith(".jsonl"):
-            return _inspect_plan(os.path.dirname(target) or ".", target, args.out)
+            return _inspect_plan(target, args.out)
         print(f"{target}: expected an artifact directory or plan JSONL", file=sys.stderr)
         return EXIT_PARSE
     except (OSError, json.JSONDecodeError, KeyError, BlockMergeError) as exc:

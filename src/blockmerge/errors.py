@@ -50,6 +50,13 @@ class EmptyGroup(BlockMergeError):
     """A merge was requested for zero member vectors."""
 
 
+# -- plans -------------------------------------------------------------------
+
+class MalformedPlan(BlockMergeError):
+    """Plan JSON lines or plan metadata are not valid against the plan
+    format, or an event does not join two whole groups of its block."""
+
+
 # -- artifacts ---------------------------------------------------------------
 
 class ConfigMismatch(BlockMergeError):

@@ -1,18 +1,17 @@
 """Merge scheduling: per-block merge sequences, global ordering, and replay.
 
 The pipeline is bottom-up agglomeration per block followed by a global
-interleave. Per block, groups are repeatedly merged by highest linkage score;
-for the matrix-backed strategies (min/max/avg) the sequence is produced by
-nearest-neighbor-chain clustering on dissimilarity 1 - s (complete, single
-and average linkage respectively), which matches the direct greedy argmax
-exactly under the canonical tie-break. The ``unified`` strategy recomputes
-group representatives after every merge, so it runs the greedy loop
-directly. Global ordering interleaves the per-block sequences (min-heap of
-block heads for greedy, concatenation for left-/right-to-left, seeded
-uniform interleave for random), and ``replay_to_size`` walks the plan with
-one union-find per block, tracking the deployed size in exact rationals
-until the target is reached; ``replay_to_sizes`` does so for a whole size
-sweep in one walk.
+interleave. Per block, ``block_merge_sequence`` merges the highest-scoring
+pair of groups until one is left, in a direct greedy loop on M x M matrices:
+min/max/avg update cosine rows, ``unified`` updates Gram-matrix sums (the
+Lance-Williams style of update), so no strategy reads the task vectors.
+Global ordering interleaves the per-block sequences (min-heap of block heads
+for greedy, concatenation for left-/right-to-left, seeded uniform interleave
+for random), and ``replay_to_size`` walks the plan with one union-find per
+block, tracking the deployed size in exact rationals until the target is
+reached; ``replay_to_sizes`` does so for a whole size sweep in one walk.
+``naive_greedy_order`` is the cubic, vector-based reference scheduler the
+fast path is tested against.
 
 Sizes are expressed in *model units*: stored bytes divided by the bytes of
 one full fine-tuned mergeable parameter set.
@@ -29,8 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import MalformedPlan
 from .mergers import MergerConfig
-from .similarity import SimilarityMatrix, cosine, group_mean, group_similarity, map_blocks, pairwise_all
+from .similarity import STRATEGIES, SimilarityMatrix, group_similarity, pairwise_all
 from .task_space import BlockPartition, TaskVectorSet
 
 ModelUnits = Fraction
@@ -116,145 +116,62 @@ def _pair_event(block_id: int, ga, gb, score: float) -> MergeEvent:
 # Per-block sequences
 # ---------------------------------------------------------------------------
 
-def _nn_chain_tree(dis: np.ndarray, linkage: str) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Nearest-neighbor-chain agglomeration over a dissimilarity matrix.
-
-    Returns the merge pairs (member tuples) of the dendrogram, in chain
-    discovery order. Valid for the reducible linkages used here (complete,
-    single, average).
-    """
-    m = dis.shape[0]
-    d = dis.astype(np.float64).copy()
-    np.fill_diagonal(d, np.inf)
-    active = np.ones(m, dtype=bool)
-    sizes = np.ones(m)
-    members: list[tuple[int, ...]] = [(i,) for i in range(m)]
-    chain: list[int] = []
-    merges = []
-    for _ in range(m - 1):
-        if not chain:
-            chain.append(int(np.flatnonzero(active)[0]))
-        while True:
-            a = chain[-1]
-            prev = chain[-2] if len(chain) >= 2 else -1
-            row = np.where(active, d[a], np.inf)
-            row = row.copy()
-            row[a] = np.inf
-            c = int(np.argmin(row))
-            if prev >= 0 and row[prev] == row[c]:
-                c = prev  # prefer the chain predecessor on ties (termination)
-            if c == prev:
-                chain.pop()
-                chain.pop()
-                break
-            chain.append(c)
-        lo, hi = (a, c) if a < c else (c, a)
-        merges.append((members[lo], members[hi]))
-        if linkage == "complete":
-            newrow = np.maximum(d[lo], d[hi])
-        elif linkage == "single":
-            newrow = np.minimum(d[lo], d[hi])
-        elif linkage == "average":
-            newrow = (sizes[lo] * d[lo] + sizes[hi] * d[hi]) / (sizes[lo] + sizes[hi])
-        else:
-            raise ValueError(f"unknown linkage {linkage!r}")
-        d[lo], d[:, lo] = newrow, newrow
-        d[lo, lo] = np.inf
-        d[hi], d[:, hi] = np.inf, np.inf
-        active[hi] = False
-        sizes[lo] += sizes[hi]
-        members[lo] = tuple(sorted(members[lo] + members[hi]))
-    return merges
+def _linkage_scores(w: np.ndarray, sizes: np.ndarray, strategy: str) -> np.ndarray:
+    """Scores of every pair of slots, read off the linkage state ``w``."""
+    if strategy in ("min", "max"):
+        return w
+    if strategy == "avg":
+        return w / np.outer(sizes, sizes)
+    den = np.sqrt(np.outer(np.diagonal(w), np.diagonal(w)))
+    s = np.divide(w, den, out=np.zeros_like(w), where=den > 0.0)
+    return np.clip(s, -1.0, 1.0).astype(np.float32)
 
 
-def _order_tree_events(
-    matrix: SimilarityMatrix,
-    merges,
-    strategy: str,
-    tv: TaskVectorSet | None,
-) -> list[MergeEvent]:
-    """Score dendrogram merges canonically and emit them in greedy order
-    (best key first, never before both sides exist)."""
-    scored = []
-    for lm, rm in merges:
-        s = group_similarity(matrix, lm, rm, strategy, tv)
-        scored.append(_pair_event(matrix.block_id, lm, rm, s))
-    live = {(k,) for k in range(matrix.num_tasks)}
-    remaining = list(scored)
-    out: list[MergeEvent] = []
-    while remaining:
-        ready = [e for e in remaining if e.left in live and e.right in live]
-        best = min(ready, key=MergeEvent.key)
-        remaining.remove(best)
-        live.discard(best.left)
-        live.discard(best.right)
-        live.add(tuple(sorted(best.left + best.right)))
-        out.append(best)
-    return out
-
-
-def _unified_sequence(matrix: SimilarityMatrix, tv: TaskVectorSet) -> list[MergeEvent]:
-    """Direct greedy merging where each group is represented by the plain
-    average of its members (no precomputable linkage)."""
-    m = matrix.num_tasks
-    block_id = matrix.block_id
-    groups: dict[int, tuple[int, ...]] = {i: (i,) for i in range(m)}
-    reps: dict[int, np.ndarray] = {i: group_mean(tv, block_id, (i,)) for i in range(m)}
-    scores: dict[tuple[int, int], float] = {}
-    slots = sorted(groups)
-    for idx, i in enumerate(slots):
-        for j in slots[idx + 1 :]:
-            scores[(i, j)] = cosine(reps[i], reps[j])
-    events: list[MergeEvent] = []
-    for _ in range(m - 1):
-        best_pair = None
-        best_key = None
-        for (i, j), s in sorted(scores.items()):
-            ev = _pair_event(block_id, groups[i], groups[j], s)
-            if best_key is None or ev.key() < best_key:
-                best_key = ev.key()
-                best_pair = (i, j, ev)
-        i, j, ev = best_pair
-        events.append(ev)
-        keep, drop = min(i, j), max(i, j)
-        groups[keep] = tuple(sorted(groups[i] + groups[j]))
-        del groups[drop]
-        reps[keep] = group_mean(tv, block_id, groups[keep])
-        del reps[drop]
-        scores = {p: s for p, s in scores.items() if drop not in p and keep not in p}
-        for other in groups:
-            if other == keep:
-                continue
-            pair = (min(keep, other), max(keep, other))
-            scores[pair] = cosine(reps[keep], reps[other])
-    return events
-
-
-_LINKAGE_FOR_STRATEGY = {"min": "complete", "max": "single", "avg": "average"}
-
-
-def block_merge_sequence(
-    matrix: SimilarityMatrix,
-    strategy: str = "min",
-    tv: TaskVectorSet | None = None,
-) -> list[MergeEvent]:
+def block_merge_sequence(matrix: SimilarityMatrix, strategy: str = "min") -> list[MergeEvent]:
     """Sequence of M-1 merges for one block, highest linkage first.
 
-    Equals the naive greedy argmax under the canonical tie-break
-    (score desc, min member id asc, other group's min id asc).
+    Direct greedy agglomeration on M x M matrices. A group lives in the slot
+    of its smallest member, so the first maximum over the live upper
+    triangle in row-major order is the canonical tie-break (score desc, min
+    member id asc, other group's min id asc) and the sequence equals the
+    naive greedy argmax. The linkage state ``w`` per strategy: min/max keep
+    the float32 cosines and merge rows by element-wise min/max; avg keeps
+    float64 sums of the cross-pair cosines; unified keeps float64 sums of
+    the Gram matrix (cos of the group means is S_ab / sqrt(S_aa * S_bb)),
+    scored in float32.
     """
-    if matrix.num_tasks <= 1:
-        return []
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    m = matrix.num_tasks
     if strategy == "unified":
-        if tv is None:
-            raise ValueError("unified strategy needs the task vectors")
-        return _unified_sequence(matrix, tv)
-    linkage = _LINKAGE_FOR_STRATEGY.get(strategy)
-    if linkage is None:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    dis = 1.0 - matrix.values.astype(np.float64)
-    merges = _nn_chain_tree(dis, linkage)
-    return _order_tree_events(matrix, merges, strategy, tv)
+        if matrix.gram is None:
+            raise ValueError("unified strategy needs the Gram matrix of pairwise_block_similarity")
+        w = matrix.gram.astype(np.float64)
+    elif strategy == "avg":
+        w = matrix.values.astype(np.float64)
+    else:
+        w = matrix.values.copy()
+    sizes = np.ones(m)
+    members = [(i,) for i in range(m)]
+    pairs = np.triu(np.ones((m, m), dtype=bool), k=1)  # live slot pairs, i < j
+    events: list[MergeEvent] = []
+    for _ in range(m - 1):
+        scores = np.where(pairs, _linkage_scores(w, sizes, strategy), -np.inf)
+        i, j = divmod(int(np.argmax(scores)), m)
+        events.append(_pair_event(matrix.block_id, members[i], members[j], scores[i, j]))
+        if strategy == "min":
+            np.minimum(w[i], w[j], out=w[i])
+        elif strategy == "max":
+            np.maximum(w[i], w[j], out=w[i])
+        else:
+            diag = w[i, i] + w[j, j] + 2.0 * w[i, j]
+            w[i] += w[j]
+            w[i, i] = diag
+        w[:, i] = w[i]
+        sizes[i] += sizes[j]
+        members[i] = tuple(sorted(members[i] + members[j]))
+        pairs[j, :] = pairs[:, j] = False
+    return events
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +246,7 @@ def compute_merge_plan(
     """Similarity matrices -> per-block sequences -> global plan."""
     if matrices is None:
         matrices = pairwise_all(tv)
-    sequences = map_blocks(lambda mx: block_merge_sequence(mx, strategy, tv), matrices)
+    sequences = [block_merge_sequence(mx, strategy) for mx in matrices]
     return global_merge_order(
         sequences,
         policy=order_policy,
@@ -346,8 +263,9 @@ def naive_greedy_order(
     matrices: list[SimilarityMatrix] | None = None,
 ) -> MergePlan:
     """Reference scheduler: at every step scan all (block, group pair)
-    candidates and apply the best under the canonical tie-break. Cubic in M;
-    used as the testing oracle for the chain+heap fast path."""
+    candidates and apply the best under the canonical tie-break. Cubic in M
+    and vector-based for ``unified``; used as the testing oracle for the
+    per-block greedy loop and the heap."""
     if matrices is None:
         matrices = pairwise_all(tv)
     state: list[list[tuple[int, ...]]] = [
@@ -511,7 +429,7 @@ def replay_to_sizes(
         ra = dsus[b].find(ev.left[0])
         rb = dsus[b].find(ev.right[0])
         if ra == rb:
-            raise ValueError(f"plan event {ev.seq} re-merges an existing group")
+            raise MalformedPlan(f"plan event {ev.seq} re-merges an existing group")
         la, lb = dsus[b].size[ra], dsus[b].size[rb]
         size += sm.merge_delta(b, la, lb, merged_groups[b] > 0)
         merged_groups[b] += 1 - (la > 1) - (lb > 1)
@@ -658,6 +576,20 @@ def write_plan_jsonl(plan: MergePlan, path: str) -> None:
             )
 
 
+def _event_from_json(obj, where: str) -> MergeEvent:
+    try:
+        seq, block, score = obj["seq"], obj["block"], obj["score"]
+        left, right = tuple(obj["left"]), tuple(obj["right"])
+        ok = bool(left and right) and type(score) in (int, float) and all(
+            type(v) is int for v in (seq, block, *left, *right))
+    except (TypeError, KeyError):
+        ok = False
+    if not ok:
+        raise MalformedPlan(f"{where}: an event is an object with integer seq and block, "
+                            "non-empty lists of task ids left and right, and a numeric score")
+    return MergeEvent(block_id=block, left=left, right=right, score=float(score), seq=seq)
+
+
 def read_plan_jsonl(
     path: str,
     strategy: str = "min",
@@ -667,27 +599,50 @@ def read_plan_jsonl(
     num_blocks: int | None = None,
     block_keys: tuple[str, ...] = (),
 ) -> MergePlan:
+    """Read and check a plan written by ``write_plan_jsonl``; counts not
+    given are inferred from the events. Raises ``MalformedPlan`` unless
+    every line is an event, ``seq`` runs 0..n-1, blocks and ids are in
+    range, every event joins two whole current groups of its block (so
+    members are sorted and disjoint, with min(left) < min(right)) and, with
+    both counts given, there are B * (M - 1) events.
+    """
     events = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            events.append(
-                MergeEvent(
-                    block_id=int(obj["block"]),
-                    left=tuple(obj["left"]),
-                    right=tuple(obj["right"]),
-                    score=float(obj["score"]),
-                    seq=int(obj["seq"]),
-                )
-            )
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                where = f"{path}:{lineno}"
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedPlan(f"{where}: not JSON ({exc})") from None
+                events.append(_event_from_json(obj, where))
+    except UnicodeDecodeError as exc:
+        raise MalformedPlan(f"{path}: not UTF-8 text ({exc})") from None
     events.sort(key=lambda e: e.seq)
+    if [e.seq for e in events] != list(range(len(events))):
+        raise MalformedPlan(f"{path}: seq must run 0..{len(events) - 1} once each")
+    counts_known = num_tasks is not None and num_blocks is not None
     if num_tasks is None:
-        num_tasks = max((len(e.left) + len(e.right) for e in events), default=1)
+        num_tasks = max((max(e.left + e.right) + 1 for e in events), default=1)
     if num_blocks is None:
         num_blocks = max((e.block_id for e in events), default=-1) + 1
+    group_of: dict[int, dict[int, tuple[int, ...]]] = {}  # block -> task -> its merged group
+    for ev in events:
+        groups = group_of.setdefault(ev.block_id, {})
+        a, b = ev.left[0], ev.right[0]
+        if not (0 <= ev.block_id < num_blocks and 0 <= a < b < num_tasks
+                and groups.get(a, (a,)) == ev.left and groups.get(b, (b,)) == ev.right):
+            raise MalformedPlan(f"{path}: event {ev.seq} does not join two whole groups "
+                                f"of tasks 0..{num_tasks - 1} in a block 0..{num_blocks - 1}")
+        joined = tuple(sorted(ev.left + ev.right))
+        for t in joined:
+            groups[t] = joined
+    if counts_known and len(events) != num_blocks * (num_tasks - 1):
+        raise MalformedPlan(f"{path}: {len(events)} events, expected "
+                            f"{num_blocks} blocks x {num_tasks - 1} merges")
     return MergePlan(
         events=tuple(events),
         strategy=strategy,

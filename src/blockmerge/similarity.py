@@ -5,7 +5,13 @@ Linkage strategies map two groups' member-pair similarities to one score:
 * ``min``  -- lowest cosine over cross pairs (the default driving merging)
 * ``max``  -- highest cosine over cross pairs
 * ``avg``  -- unweighted mean over all cross pairs
-* ``unified`` -- cosine between the plain averages of each group's members
+* ``unified`` -- cosine between the plain averages of each group's members,
+  rounded to float32
+
+``pairwise_block_similarity`` also keeps the block's float64 Gram matrix, so
+the scheduler can score ``unified`` from summed Gram entries;
+``group_similarity`` recomputes every score from scratch (``unified`` from
+the task vectors) and serves the reference scheduler.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ STRATEGIES = ("min", "max", "avg", "unified")
 
 
 def worker_count() -> int:
-    """Parallel workers for block-wise loops, capped by BLOCKMERGE_THREADS."""
+    """Parallel workers for the per-block similarity loop, capped by
+    BLOCKMERGE_THREADS."""
     raw = os.environ.get("BLOCKMERGE_THREADS", "1")
     try:
         return max(1, int(raw))
@@ -46,11 +53,14 @@ def map_blocks(fn, items: Sequence) -> list:
 class SimilarityMatrix:
     """Symmetric M x M float32 cosine matrix for one block, diagonal fixed
     to 1. Tasks whose block vector is exactly zero get similarity 0 to
-    everything and are listed in ``zero_tasks``."""
+    everything and are listed in ``zero_tasks``. ``gram`` holds the float64
+    dot products of the task vectors (what ``unified`` scheduling reads);
+    it is None for matrices built from cosines alone."""
 
     block_id: int
     values: np.ndarray
     zero_tasks: tuple[int, ...] = ()
+    gram: np.ndarray | None = None
 
     @property
     def num_tasks(self) -> int:
@@ -72,9 +82,12 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.clip(np.dot(u64, v64) / (nu * nv), -1.0, 1.0))
 
 
-def pairwise_block_similarity(tv: TaskVectorSet, block_id: int) -> SimilarityMatrix:
+def pairwise_block_similarity(
+    tv: TaskVectorSet, block_id: int, gram: np.ndarray | None = None
+) -> SimilarityMatrix:
     """All-pairs cosine over the block's task vectors (float64 accumulation,
-    result stored float32)."""
+    result stored float32), plus the Gram matrix rebuilt from the float64
+    cosines and norms, written into ``gram`` (M x M float64) when given."""
     x = tv.block_vectors[block_id].astype(np.float64)
     norms = np.sqrt(np.einsum("ij,ij->i", x, x))
     zero = norms == 0.0
@@ -86,15 +99,21 @@ def pairwise_block_similarity(tv: TaskVectorSet, block_id: int) -> SimilarityMat
     s[:, zero] = 0.0
     out = s.astype(np.float32)
     np.fill_diagonal(out, np.float32(1.0))
+    gram = np.outer(norms, norms, out=gram)
+    gram *= s
     return SimilarityMatrix(
         block_id=block_id,
         values=out,
         zero_tasks=tuple(int(i) for i in np.nonzero(zero)[0]),
+        gram=gram,
     )
 
 
 def pairwise_all(tv: TaskVectorSet) -> list[SimilarityMatrix]:
-    return map_blocks(lambda b: pairwise_block_similarity(tv, b), range(len(tv.block_vectors)))
+    """Every block's matrices; the Gram matrices share one (B, M, M) buffer,
+    so the per-block calls keep no heap allocation of their own for them."""
+    grams = np.empty((len(tv.block_vectors), tv.num_tasks, tv.num_tasks))
+    return map_blocks(lambda b: pairwise_block_similarity(tv, b, grams[b]), range(len(grams)))
 
 
 def group_mean(tv: TaskVectorSet, block_id: int, members: Iterable[int]) -> np.ndarray:
@@ -118,7 +137,8 @@ def group_similarity(
     """Linkage score between two disjoint task groups.
 
     min/max/avg read only the precomputed matrix; ``unified`` recomputes the
-    cosine of the two group averages and needs ``tv``.
+    cosine of the two group averages from ``tv`` and rounds it to float32,
+    the grid the other strategies' scores and the plan file use.
     """
     a = sorted(a)
     b = sorted(b)
@@ -129,7 +149,8 @@ def group_similarity(
     if strategy == "unified":
         if tv is None:
             raise ValueError("unified strategy needs the task vectors")
-        return cosine(group_mean(tv, matrix.block_id, a), group_mean(tv, matrix.block_id, b))
+        means = (group_mean(tv, matrix.block_id, a), group_mean(tv, matrix.block_id, b))
+        return float(np.float32(cosine(*means)))
     sub = matrix.values[np.ix_(a, b)]
     if strategy == "min":
         return float(sub.min())

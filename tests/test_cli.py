@@ -266,3 +266,46 @@ def test_malformed_manifest_exits_parse(workspace, field, value):
     assert main(["reconstruct", "--artifact", art_dir, "--task", "0",
                  "--out", str(ws["tmp"] / "x.st")]) == 3
     assert main(["inspect", "--input", art_dir, "--out", str(ws["tmp"] / "report")]) == 3
+
+
+def _planned(ws):
+    plan_dir = str(ws["tmp"] / "plan")
+    assert main(["plan"] + _base_args(ws, ["--algorithm", "ta", "--out", plan_dir])) == 0
+    return plan_dir
+
+
+def _merge_and_inspect(ws, plan_dir):
+    merge = main(["merge"] + _base_args(ws, ["--algorithm", "ta", "--sizes", "2",
+                                             "--plan", os.path.join(plan_dir, "plan.jsonl"),
+                                             "--out", str(ws["tmp"] / "m")]))
+    inspect = main(["inspect", "--input", plan_dir, "--out", str(ws["tmp"] / "report")])
+    return merge, inspect
+
+
+@pytest.mark.parametrize("field,value", [("left", 5), ("block", None), ("block", 1000000),
+                                         ("right", [99])])
+def test_malformed_plan_exits_parse(workspace, field, value):
+    plan_dir = _planned(workspace)
+    path = os.path.join(plan_dir, "plan.jsonl")
+    with open(path) as fh:
+        events = [json.loads(line) for line in fh]
+    events[0][field] = value
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(e) + "\n" for e in events)
+    assert _merge_and_inspect(workspace, plan_dir) == (3, 3)
+
+
+@pytest.mark.parametrize("field,value", [("num_tasks", "4"), ("block_keys", None),
+                                         ("strategy", "median"), ("seed", 0.5), (None, [])])
+def test_malformed_plan_meta_exits_parse(workspace, field, value):
+    plan_dir = _planned(workspace)
+    path = os.path.join(plan_dir, "plan_meta.json")
+    with open(path) as fh:
+        meta = json.load(fh)
+    if field is None:
+        meta = value
+    else:
+        meta[field] = value
+    with open(path, "w") as fh:
+        json.dump(meta, fh)
+    assert _merge_and_inspect(workspace, plan_dir) == (3, 3)

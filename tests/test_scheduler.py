@@ -1,5 +1,6 @@
 """Merge sequencing, global ordering, replay and size accounting."""
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from blockmerge import (
     DisjointSet,
+    MalformedPlan,
     MergerConfig,
     SizeModel,
     block_merge_sequence,
@@ -95,7 +97,7 @@ def test_scores_non_increasing_within_block():
     for strategy in ("min", "max", "avg"):
         tv = synthetic_tv(rng, [32], num_tasks=7)
         mx = pairwise_all(tv)[0]
-        events = block_merge_sequence(mx, strategy, tv)
+        events = block_merge_sequence(mx, strategy)
         scores = [e.score for e in events]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
 
@@ -382,3 +384,116 @@ def test_plan_jsonl_round_trip(tmp_path):
     back = read_plan_jsonl(path, num_tasks=4, num_blocks=2)
     assert plan_signature(back) == plan_signature(plan)
     assert [e.seq for e in back.events] == list(range(len(plan.events)))
+
+
+def _plan_lines(tmp_path, m=4, blocks=3):
+    tv = synthetic_tv(np.random.default_rng(18), [8] * blocks, num_tasks=m)
+    path = str(tmp_path / "plan.jsonl")
+    write_plan_jsonl(compute_merge_plan(tv), path)
+    with open(path, encoding="utf-8") as fh:
+        return tv, path, [json.loads(line) for line in fh]
+
+
+def _write_lines(path, objs):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(o) + "\n" for o in objs)
+
+
+@pytest.mark.parametrize(
+    "line,field,value",
+    [
+        (0, "left", 5), (0, "block", None), (0, "block", 1000000), (0, "right", [99]),
+        (0, "seq", "0"), (0, "seq", 7), (0, "score", "high"), (0, "left", []),
+        (0, "right", [3, 1]), (0, "left", [0, 0]), (0, "block", -1), (0, "left", [True]),
+    ],
+)
+def test_malformed_plan_lines_raise(tmp_path, line, field, value):
+    _, path, objs = _plan_lines(tmp_path)
+    objs[line][field] = value
+    _write_lines(path, objs)
+    with pytest.raises(MalformedPlan):
+        read_plan_jsonl(path, num_tasks=4, num_blocks=3)
+
+
+def test_plan_event_must_join_whole_groups(tmp_path):
+    _, path, objs = _plan_lines(tmp_path)
+    last = [o for o in objs if o["block"] == 0][-1]  # joins all four tasks
+    if len(last["left"]) > 1:
+        last["left"] = last["left"][:1]
+    else:
+        last["right"] = last["right"][:1]
+    _write_lines(path, objs)
+    with pytest.raises(MalformedPlan, match="whole groups"):
+        read_plan_jsonl(path, num_tasks=4, num_blocks=3)
+
+
+def test_malformed_plan_structure_raises(tmp_path):
+    _, path, objs = _plan_lines(tmp_path)
+    _write_lines(path, objs[:-1])  # one merge short of B * (M - 1)
+    with pytest.raises(MalformedPlan, match="expected"):
+        read_plan_jsonl(path, num_tasks=4, num_blocks=3)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("[1, 2]\n")
+    with pytest.raises(MalformedPlan, match="object"):
+        read_plan_jsonl(path)
+    with open(path, "wb") as fh:
+        fh.write(b"\xff{\n")
+    with pytest.raises(MalformedPlan):
+        read_plan_jsonl(path)
+
+
+def test_replay_re_merge_is_malformed_plan():
+    tv = synthetic_tv(np.random.default_rng(19), [8], num_tasks=3)
+    plan = compute_merge_plan(tv)
+    twice = replace(plan, events=plan.events[:1] * 2)
+    with pytest.raises(MalformedPlan, match="re-merges"):
+        replay_to_size(twice, tv, Fraction(0), SizeModel.from_partition(tv.partition))
+
+
+def _json_paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+_PLAN_JUNK = [None, True, -1, 0, 1, 2, 3, 4, 10**12, 0.5, "", "x", [], [0], [1], [0, 1], [1, 0],
+              [[1]], {}, {"0": 0}]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_plan_fails_typed_or_replays(tmp_path_factory, data):
+    """Mutate one position of one event, or drop, repeat or swap lines: the
+    read either raises MalformedPlan or gives a plan that replays to the
+    fully merged state."""
+    tv, path, objs = _plan_lines(tmp_path_factory.mktemp("plan"))
+    i = data.draw(st.integers(0, len(objs) - 1))
+    action = data.draw(st.sampled_from(["set", "delete", "drop", "repeat", "swap"]))
+    if action in ("set", "delete"):
+        where = data.draw(st.sampled_from(list(_json_paths(objs[i]))))
+        junk = data.draw(st.sampled_from(_PLAN_JUNK))
+        if not where:
+            objs[i] = junk
+        else:
+            parent = objs[i]
+            for key in where[:-1]:
+                parent = parent[key]
+            if action == "delete":
+                del parent[where[-1]]
+            else:
+                parent[where[-1]] = junk
+    elif action == "drop":
+        del objs[i]
+    elif action == "repeat":
+        objs.append(objs[i])
+    else:
+        j = data.draw(st.integers(0, len(objs) - 1))
+        objs[i]["seq"], objs[j]["seq"] = objs[j]["seq"], objs[i]["seq"]
+    _write_lines(path, objs)
+    try:
+        plan = read_plan_jsonl(path, num_tasks=4, num_blocks=3)
+    except MalformedPlan:
+        return
+    asg = replay_to_size(plan, tv, Fraction(0), SizeModel.from_partition(tv.partition))
+    assert asg.block_groups == [((0, 1, 2, 3),)] * 3

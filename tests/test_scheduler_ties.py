@@ -7,8 +7,10 @@ same way on both paths.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from blockmerge import compute_merge_plan, naive_greedy_order
+from blockmerge import block_merge_sequence, compute_merge_plan, global_merge_order, naive_greedy_order
+from blockmerge.similarity import SimilarityMatrix
 
 from helpers import plan_signature, synthetic_tv
 
@@ -63,3 +65,79 @@ def test_mixed_degenerate_blocks_match_oracle():
         fast = compute_merge_plan(tv, strategy=strategy)
         slow = naive_greedy_order(tv, strategy=strategy)
         assert plan_signature(fast) == plan_signature(slow), strategy
+
+
+# Exact ties in the matrix itself: the first maximum in (score desc, min id
+# asc, other min id asc) order must win, whichever group was touched last.
+HAND_5 = [
+    [1.0, 0.75, 0.75, 0.25, 0.25],
+    [0.75, 1.0, 0.0, 0.25, 0.0],
+    [0.75, 0.0, 1.0, 0.25, 0.75],
+    [0.25, 0.25, 0.25, 1.0, 0.75],
+    [0.25, 0.0, 0.75, 0.75, 1.0],
+]
+HAND_4 = [
+    [1.0, 0.0, 0.25, 0.5],
+    [0.0, 1.0, 0.75, 0.0],
+    [0.25, 0.75, 1.0, 0.75],
+    [0.5, 0.0, 0.75, 1.0],
+]
+
+
+def _oracle_on(values, strategy):
+    mx = SimilarityMatrix(block_id=0, values=np.array(values, dtype=np.float32))
+    tv = synthetic_tv(np.random.default_rng(0), [4], num_tasks=mx.num_tasks)
+    fast = global_merge_order([block_merge_sequence(mx, strategy)], strategy=strategy)
+    return plan_signature(fast), plan_signature(naive_greedy_order(tv, strategy, matrices=[mx]))
+
+
+@pytest.mark.parametrize("values", [HAND_5, HAND_4], ids=["5x5", "4x4"])
+@pytest.mark.parametrize("strategy", ["min", "max", "avg"])
+def test_hand_tied_matrix_matches_oracle(values, strategy):
+    fast, slow = _oracle_on(values, strategy)
+    assert fast == slow
+
+
+def test_hand_tied_matrix_min_sequence():
+    fast, _ = _oracle_on(HAND_5, "min")
+    assert [(left, right) for _, left, right, _ in fast[:2]] == [((0,), (1,)), ((2,), (4,))]
+
+
+@st.composite
+def quantized_matrices(draw):
+    """Symmetric matrices with entries k/4: exact ties everywhere."""
+    m = draw(st.integers(2, 9))
+    steps = draw(st.lists(st.integers(-4, 4), min_size=m * m, max_size=m * m))
+    a = np.array(steps, dtype=np.float64).reshape(m, m) / 4
+    a = np.triu(a, 1)
+    a = a + a.T
+    np.fill_diagonal(a, 1.0)
+    return a
+
+
+@given(quantized_matrices(), st.sampled_from(["min", "max", "avg"]))
+@settings(max_examples=150, deadline=None)
+def test_quantized_matrices_match_oracle(values, strategy):
+    fast, slow = _oracle_on(values, strategy)
+    assert fast == slow
+
+
+def test_unified_identical_blocks_break_ties_by_block_id():
+    # block 1 holds block 0's vectors with their coordinates permuted: the
+    # same cosines up to float64 rounding, so the same float32 scores
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        tv = synthetic_tv(rng, [16, 16], num_tasks=6)
+        tv.block_vectors[1][:] = tv.block_vectors[0][:, rng.permutation(16)]
+        plan = compute_merge_plan(tv, strategy="unified")
+        per_block = {0: [], 1: []}
+        for pos, ev in enumerate(plan.events):
+            per_block[ev.block_id].append((pos, ev.left, ev.right, ev.score))
+        assert [e[1:] for e in per_block[0]] == [e[1:] for e in per_block[1]]
+        assert all(a[0] < b[0] for a, b in zip(per_block[0], per_block[1])), seed
+
+
+def test_unified_needs_gram():
+    mx = SimilarityMatrix(block_id=0, values=np.eye(3, dtype=np.float32))
+    with pytest.raises(ValueError, match="Gram"):
+        block_merge_sequence(mx, "unified")
