@@ -37,23 +37,23 @@ def build_family(rng, num_tasks=4, layers=2, width=8):
 def main():
     rng = np.random.default_rng(0)
     pretrained, finetuned = build_family(rng)
-    workdir = tempfile.mkdtemp(prefix="blockmerge_demo1_")
+    with tempfile.TemporaryDirectory(prefix="blockmerge_demo1_") as workdir:
+        pre_path = os.path.join(workdir, "pretrained.safetensors")
+        write_archive(pretrained, pre_path)
+        print(f"wrote {pre_path} ({os.path.getsize(pre_path)} bytes, "
+              f"{len(pretrained.tensors)} tensors)")
 
-    pre_path = os.path.join(workdir, "pretrained.safetensors")
-    write_archive(pretrained, pre_path)
-    print(f"wrote {pre_path} ({os.path.getsize(pre_path)} bytes, "
-          f"{len(pretrained.tensors)} tensors)")
+        for k, ckpt in enumerate(finetuned):
+            path = os.path.join(workdir, f"task{k}.safetensors")
+            write_archive(ckpt, path)
+            back = read_archive(path)
+            assert back.same_tensors(ckpt), "round trip must be bit-exact"
+            print(f"wrote {path}; round trip ok, metadata={back.metadata}")
 
-    for k, ckpt in enumerate(finetuned):
-        path = os.path.join(workdir, f"task{k}.safetensors")
-        write_archive(ckpt, path)
-        back = read_archive(path)
-        assert back.same_tensors(ckpt), "round trip must be bit-exact"
-        print(f"wrote {path}; round trip ok, metadata={back.metadata}")
-
-    report = validate_aligned(pretrained, finetuned, exclude=["head.*"])
-    print(f"alignment ok: {report.ok} (mismatches: {report.mismatches})")
-    print(f"\ncheckpoints live in {workdir}; the other demos rebuild their own.")
+        report = validate_aligned(pretrained, finetuned, exclude=["head.*"])
+        print(f"alignment ok: {report.ok} (mismatches: {report.mismatches})")
+        print(f"\ncheckpoints were written to {workdir}, removed on exit; "
+              "the other demos rebuild their own.")
 
 
 if __name__ == "__main__":

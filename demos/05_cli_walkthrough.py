@@ -46,42 +46,42 @@ def build_inputs(workdir, rng, num_tasks=4, layers=2, width=8):
 
 
 def main():
-    workdir = tempfile.mkdtemp(prefix="blockmerge_demo5_")
-    rng = np.random.default_rng(4)
-    pre_path, ft_paths, rules_path = build_inputs(workdir, rng)
-    base = ["--pretrained", pre_path, "--rules", rules_path]
-    for p in ft_paths:
-        base += ["--finetuned", p]
+    with tempfile.TemporaryDirectory(prefix="blockmerge_demo5_") as workdir:
+        rng = np.random.default_rng(4)
+        pre_path, ft_paths, rules_path = build_inputs(workdir, rng)
+        base = ["--pretrained", pre_path, "--rules", rules_path]
+        for p in ft_paths:
+            base += ["--finetuned", p]
 
-    plan_dir = os.path.join(workdir, "plan")
-    print("$ blockmerge plan ...")
-    assert cli(["plan"] + base + ["--out", plan_dir]) == 0
+        plan_dir = os.path.join(workdir, "plan")
+        print("$ blockmerge plan ...")
+        assert cli(["plan"] + base + ["--out", plan_dir]) == 0
 
-    out_dir = os.path.join(workdir, "merged")
-    print("\n$ blockmerge merge --sizes 1,1.75,2.5,4 ...")
-    assert cli(["merge"] + base + [
-        "--plan", os.path.join(plan_dir, "plan.jsonl"),
-        "--sizes", "1,1.75,2.5,4", "--out", out_dir,
-    ]) == 0
+        out_dir = os.path.join(workdir, "merged")
+        print("\n$ blockmerge merge --sizes 1,1.75,2.5,4 ...")
+        assert cli(["merge"] + base + [
+            "--plan", os.path.join(plan_dir, "plan.jsonl"),
+            "--sizes", "1,1.75,2.5,4", "--out", out_dir,
+        ]) == 0
 
-    rebuilt = os.path.join(workdir, "task2.rebuilt.st")
-    print("\n$ blockmerge reconstruct --task 2 ... (from the 4x artifact)")
-    assert cli(["reconstruct", "--artifact", os.path.join(out_dir, "size_4"),
-                "--task", "2", "--out", rebuilt]) == 0
-    same = read_archive(rebuilt).same_tensors(read_archive(ft_paths[2]))
-    print(f"4x artifact reproduces task 2 bit-for-bit: {same}")
+        rebuilt = os.path.join(workdir, "task2.rebuilt.st")
+        print("\n$ blockmerge reconstruct --task 2 ... (from the 4x artifact)")
+        assert cli(["reconstruct", "--artifact", os.path.join(out_dir, "size_4"),
+                    "--task", "2", "--out", rebuilt]) == 0
+        same = read_archive(rebuilt).same_tensors(read_archive(ft_paths[2]))
+        print(f"4x artifact reproduces task 2 bit-for-bit: {same}")
 
-    reports = os.path.join(workdir, "reports")
-    print("\n$ blockmerge inspect ... (1.75x artifact)")
-    assert cli(["inspect", "--input", os.path.join(out_dir, "size_1.75"),
-                "--out", reports]) == 0
-    print("\n$ blockmerge inspect ... (plan)")
-    assert cli(["inspect", "--input", plan_dir, "--out", reports]) == 0
+        reports = os.path.join(workdir, "reports")
+        print("\n$ blockmerge inspect ... (1.75x artifact)")
+        assert cli(["inspect", "--input", os.path.join(out_dir, "size_1.75"),
+                    "--out", reports]) == 0
+        print("\n$ blockmerge inspect ... (plan)")
+        assert cli(["inspect", "--input", plan_dir, "--out", reports]) == 0
 
-    print("\ncluster counts per block at 1.75x:")
-    with open(os.path.join(reports, "clusters_per_block.csv")) as fh:
-        print(fh.read().strip())
-    print(f"\nartifacts and reports left in {workdir}")
+        print("\ncluster counts per block at 1.75x:")
+        with open(os.path.join(reports, "clusters_per_block.csv")) as fh:
+            print(fh.read().strip())
+        print(f"\nartifacts and reports were written to {workdir}, removed on exit")
 
 
 if __name__ == "__main__":

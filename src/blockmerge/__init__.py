@@ -70,7 +70,6 @@ from .scheduler import (
     read_plan_jsonl,
     replay_to_size,
     replay_to_sizes,
-    size_of,
     write_assignment_json,
     write_plan_jsonl,
 )

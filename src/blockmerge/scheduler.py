@@ -381,11 +381,6 @@ class SizeModel:
         return Fraction(delta, self.unit_bytes)
 
 
-def size_of(assignment: GroupAssignment, sm: SizeModel) -> ModelUnits:
-    """Deployed size of an assignment, recomputed from scratch."""
-    return sm.size_of(assignment.block_groups)
-
-
 def replay_to_sizes(
     plan: MergePlan,
     tv: TaskVectorSet,

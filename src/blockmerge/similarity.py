@@ -8,18 +8,17 @@ Linkage strategies map two groups' member-pair similarities to one score:
 * ``unified`` -- cosine between the plain averages of each group's members,
   rounded to float32
 
-``pairwise_block_similarity`` also keeps the block's float64 Gram matrix, so
-the scheduler can score ``unified`` from summed Gram entries;
+``pairwise_block_similarity`` also returns the block's float64 Gram matrix,
+so the scheduler can score ``unified`` from summed Gram entries;
 ``group_similarity`` recomputes every score from scratch (``unified`` from
-the task vectors) and serves the reference scheduler.
+the task vectors) and serves the reference scheduler. Blocks are computed
+one after another, each into arrays of its own.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -27,26 +26,6 @@ from .errors import LengthMismatch, OverlappingGroups
 from .task_space import TaskVectorSet
 
 STRATEGIES = ("min", "max", "avg", "unified")
-
-
-def worker_count() -> int:
-    """Parallel workers for the per-block similarity loop, capped by
-    BLOCKMERGE_THREADS."""
-    raw = os.environ.get("BLOCKMERGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def map_blocks(fn, items: Sequence) -> list:
-    """Apply fn over independent per-block work items, optionally threaded.
-    Output order matches input order regardless of worker count."""
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass
@@ -82,38 +61,32 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.clip(np.dot(u64, v64) / (nu * nv), -1.0, 1.0))
 
 
-def pairwise_block_similarity(
-    tv: TaskVectorSet, block_id: int, gram: np.ndarray | None = None
-) -> SimilarityMatrix:
+def pairwise_block_similarity(tv: TaskVectorSet, block_id: int) -> SimilarityMatrix:
     """All-pairs cosine over the block's task vectors (float64 accumulation,
-    result stored float32), plus the Gram matrix rebuilt from the float64
-    cosines and norms, written into ``gram`` (M x M float64) when given."""
+    result stored float32), plus the M x M float64 Gram matrix rebuilt from
+    the float64 cosines and norms."""
     x = tv.block_vectors[block_id].astype(np.float64)
     norms = np.sqrt(np.einsum("ij,ij->i", x, x))
     zero = norms == 0.0
     safe = np.where(zero, 1.0, norms)
-    xn = x / safe[:, None]
-    s = xn @ xn.T
+    x /= safe[:, None]
+    s = x @ x.T
     np.clip(s, -1.0, 1.0, out=s)
     s[zero, :] = 0.0
     s[:, zero] = 0.0
     out = s.astype(np.float32)
     np.fill_diagonal(out, np.float32(1.0))
-    gram = np.outer(norms, norms, out=gram)
-    gram *= s
     return SimilarityMatrix(
         block_id=block_id,
         values=out,
         zero_tasks=tuple(int(i) for i in np.nonzero(zero)[0]),
-        gram=gram,
+        gram=np.outer(norms, norms) * s,
     )
 
 
 def pairwise_all(tv: TaskVectorSet) -> list[SimilarityMatrix]:
-    """Every block's matrices; the Gram matrices share one (B, M, M) buffer,
-    so the per-block calls keep no heap allocation of their own for them."""
-    grams = np.empty((len(tv.block_vectors), tv.num_tasks, tv.num_tasks))
-    return map_blocks(lambda b: pairwise_block_similarity(tv, b, grams[b]), range(len(grams)))
+    """Every block's matrices, in block order."""
+    return [pairwise_block_similarity(tv, b) for b in range(len(tv.block_vectors))]
 
 
 def group_mean(tv: TaskVectorSet, block_id: int, members: Iterable[int]) -> np.ndarray:

@@ -260,11 +260,11 @@ def test_storage_identity_masked_family_without_merges():
     assert art.size_report.units == dense_sm.size_of(asg.block_groups)
 
 
-def test_manifest_round_trip():
+def test_manifest_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     for algorithm, target in (("ta", 2), ("emr", 0), ("consensus", 0)):
         pre, tasks, part, tv, asg, art = _pipeline(rng, 3, algorithm, target=target)
-        out = f"/tmp/blockmerge_test_artifact_{algorithm}"
+        out = str(tmp_path / algorithm)
         export_manifest(art, out)
         back = load_artifact(out)
         assert back.size_report.units == art.size_report.units
@@ -296,7 +296,7 @@ def test_size_report_matches_scheduler_size_of():
         assert art.size_report.units == sm.size_of(asg.block_groups) == asg.size
 
 
-def test_reconstruction_preserves_interleaved_tensor_order():
+def test_reconstruction_preserves_interleaved_tensor_order(tmp_path):
     rng = np.random.default_rng(15)
     from blockmerge import Checkpoint
     from helpers import grid_values as gv
@@ -316,7 +316,7 @@ def test_reconstruction_preserves_interleaved_tensor_order():
     rebuilt = reconstruct_task(art, 1)
     assert rebuilt.names == names
     assert rebuilt.same_tensors(tasks[1])
-    out = "/tmp/blockmerge_test_order"
+    out = str(tmp_path / "order")
     export_manifest(art, out)
     assert reconstruct_task(load_artifact(out), 1).names == names
 

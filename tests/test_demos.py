@@ -21,3 +21,5 @@ def test_demo_runs(name, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    left = [f for f in os.listdir(tmp_path) if f.startswith("blockmerge_demo")]
+    assert not left, f"{name} left temporary directories behind: {left}"

@@ -21,7 +21,6 @@ from blockmerge import (
     read_plan_jsonl,
     replay_to_size,
     replay_to_sizes,
-    size_of,
     write_plan_jsonl,
 )
 from blockmerge.scheduler import MergeEvent
@@ -304,14 +303,6 @@ def test_replay_to_sizes_equals_per_target_replays(case):
         if asg.applied_events:
             shorter = replace(plan, events=plan.events[: asg.applied_events - 1])
             assert replay_to_size(shorter, tv, Fraction(0), sm).size > target
-
-
-def test_size_of_free_function():
-    tv = synthetic_tv(np.random.default_rng(10), [8, 8], num_tasks=2)
-    plan = compute_merge_plan(tv)
-    sm = SizeModel.from_partition(tv.partition)
-    asg = replay_to_size(plan, tv, Fraction(2), sm)
-    assert size_of(asg, sm) == asg.size
 
 
 # -- k-means baseline --------------------------------------------------------

@@ -1,12 +1,14 @@
 """Cosine matrices and linkage scores."""
 
+import resource
+
 import numpy as np
 import pytest
 
 from blockmerge import LengthMismatch, OverlappingGroups, cosine, group_similarity, pairwise_block_similarity
-from blockmerge.similarity import SimilarityMatrix
+from blockmerge.similarity import SimilarityMatrix, pairwise_all
 
-from helpers import synthetic_tv
+from helpers import buffer_owner, synthetic_tv
 from oracles import cosine_oracle
 
 
@@ -121,16 +123,32 @@ def test_symmetry_all_strategies():
         assert x == y
 
 
-def test_worker_threads_do_not_change_results(monkeypatch):
-    from blockmerge.similarity import pairwise_all
-
+def test_blocks_get_their_own_arrays_and_match_single_block_calls():
     tv = synthetic_tv(np.random.default_rng(10), [16, 8, 32, 4], num_tasks=5)
-    serial = pairwise_all(tv)
-    monkeypatch.setenv("BLOCKMERGE_THREADS", "4")
-    threaded = pairwise_all(tv)
-    for a, b in zip(serial, threaded):
-        assert a.block_id == b.block_id
-        np.testing.assert_array_equal(a.values, b.values)
+    tv.block_vectors[2][3] = 0.0
+    every = pairwise_all(tv)
+    for b, mx in enumerate(every):
+        alone = pairwise_block_similarity(tv, b)
+        assert mx.block_id == alone.block_id == b
+        np.testing.assert_array_equal(mx.values, alone.values)
+        np.testing.assert_array_equal(mx.gram, alone.gram)
+        assert mx.zero_tasks == alone.zero_tasks
+    assert every[2].zero_tasks == (3,)
+    owners = [buffer_owner(mx.gram) for mx in every]
+    for i, a in enumerate(owners):
+        for b in owners[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def test_repeat_pairwise_all_faults_in_no_fresh_pages():
+    # a warm call reuses the heap pages its predecessor freed; memory that
+    # every call maps and first-touches shows up as minor page faults
+    tv = synthetic_tv(np.random.default_rng(12), [6400] * 150, num_tasks=30)
+    pairwise_all(tv)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    pairwise_all(tv)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 5000, f"warm pairwise_all took {faults} minor page faults"
 
 
 def test_min_monotone_containment():
