@@ -59,7 +59,9 @@ def main():
               f"pretrained {rep.pretrained_bytes}, scalars {rep.scalar_bytes} (reported only)")
 
         group = art.groups[0]
-        density = [float(mask.mean()) for mask in group.masks[:3]]
+        d = part.blocks[group.block_id].dim
+        # masks are stored as packed bits, one uint8 row per member
+        density = [float(np.unpackbits(row, count=d).mean()) for row in group.masks[:3]]
         print(f"  block 0 mask density (first 3 tasks): {[f'{x:.2f}' for x in density]}")
         if group.gammas is not None:
             print(f"  block 0 rescalers (first 3): {[f'{g:.3f}' for g in group.gammas[:3]]}")

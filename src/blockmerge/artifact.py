@@ -2,16 +2,18 @@
 
 Dense groups store deployment-ready block weights (pretrained + unified
 task vector; an untrimmed singleton stores its fine-tuned block as is);
-masked groups store the unified task vector, one bit-packed mask per member
-and, for emr, one rescaling scalar per member, alongside one shared copy of
-the pretrained block.
+masked groups store the unified task vector, the members' masks as packed
+bits (one row of ceil(d/8) bytes per member, in member order, the only form
+a mask is kept in) and, for emr, one rescaling scalar per member, alongside
+one shared copy of the pretrained block.
 
-A loaded artifact keeps its float32 payloads and pretrained blocks as views
-into the archive's read buffer. Reconstruction only reads those buffers and
-always returns fresh arrays: each call writes its float32 blocks into one
-new buffer (masked blocks rebuilt as pretrained + masked product, dense
-payloads copied). So an output never aliases the artifact, and
-reconstruction never depends on what was reconstructed before.
+A loaded artifact keeps its float32 payloads, masks and pretrained blocks as
+views into the archive's read buffer. Reconstruction only reads those buffers
+and always returns fresh arrays: each call writes every block into one new
+float32 buffer (masked blocks rebuilt as pretrained + masked product, dense
+payloads copied) and narrows float16 tensors from it. So an output never
+aliases the artifact, and reconstruction never depends on what was
+reconstructed before.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .tensor_store import DTYPES, Checkpoint, joined_view, read_archive, write_a
 
 MANIFEST_NAME = "manifest.json"
 TENSORS_NAME = "tensors.safetensors"
+MANIFEST_VERSION = 2
 
 
 @dataclass
@@ -43,7 +46,7 @@ class StoredGroup:
     payload: str  # "dense" | "masked"
     dense: np.ndarray | None = None  # flat float32 final block weights
     unified: np.ndarray | None = None  # flat float32 unified task vector
-    masks: np.ndarray | None = None  # (len(members), d) bool, member order
+    masks: np.ndarray | None = None  # (len(members), ceil(d/8)) uint8 packed bits, member order
     gammas: np.ndarray | None = None  # (len(members),) float32
 
 
@@ -81,9 +84,6 @@ class MergedArtifact:
     heads: list[dict[str, np.ndarray]]  # per task, tensors outside every block
     size_report: SizeReport
     fingerprint: str = ""
-
-    def group(self, gid: int) -> StoredGroup:
-        return self.groups[gid]
 
 
 @dataclass
@@ -171,8 +171,8 @@ def build_artifact(
                 out = merge_group(cfg, tv, b, members)
                 if cfg.masked:
                     payload = StoredGroup(
-                        gid, b, tuple(sorted(members)), "masked",
-                        unified=out.unified, masks=out.masks, gammas=out.rescalers,
+                        gid, b, tuple(sorted(members)), "masked", unified=out.unified,
+                        masks=np.packbits(out.masks, axis=1), gammas=out.rescalers,
                     )
                 else:
                     payload = StoredGroup(gid, b, tuple(sorted(members)), "dense",
@@ -217,20 +217,18 @@ def build_artifact(
     )
 
 
-def _task_block(artifact: MergedArtifact, task: int, block_id: int,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """One task's flat float32 block, written into ``out`` when it is given.
-    Without ``out``, a dense block is the stored payload itself (the caller
-    must not hand it out) and a masked block a new array. A masked block is
-    built in the operand order pretrained + gamma * (unified * mask)."""
+def _task_block(artifact: MergedArtifact, task: int, block_id: int, out: np.ndarray) -> np.ndarray:
+    """Write one task's flat float32 block into ``out`` and return it. A
+    masked block unpacks the task's mask row and is built in the operand
+    order pretrained + gamma * (unified * mask)."""
     group = artifact.groups[artifact.routing[task][block_id]]
     if group.payload == "dense":
-        if out is None:
-            return group.dense
         np.copyto(out, group.dense)
         return out
     idx = group.members.index(task)
-    out = np.multiply(group.unified, group.masks[idx], out=out)
+    # unpacked bits are 0/1 bytes, so they are a valid bool buffer
+    mask = np.unpackbits(group.masks[idx], count=out.size).view(bool)
+    np.multiply(group.unified, mask, out=out)
     if group.gammas is not None:
         np.multiply(group.gammas[idx], out, out=out)
     return np.add(artifact.pretrained_blocks[block_id], out, out=out)
@@ -241,10 +239,10 @@ def reconstruct_task(artifact: MergedArtifact, task: int) -> Checkpoint:
     against the pretrained buffers, head tensors copied. No output array
     shares memory with the artifact.
 
-    Blocks whose tensors are all float32 are built into one fresh buffer per
-    call and handed out as slices of it: one allocation instead of one per
-    block or tensor, so repeated calls fault in far fewer new pages. Other
-    blocks are narrowed into copies.
+    Every block is built into one fresh float32 buffer per call: one
+    allocation instead of one per block or tensor, so repeated calls fault
+    in far fewer new pages. Float32 tensors are handed out as slices of it;
+    float16 tensors are narrowed from their slice into copies.
 
     Tensor order follows the pretrained archive; heads the pretrained model
     never had are appended at the end.
@@ -252,18 +250,14 @@ def reconstruct_task(artifact: MergedArtifact, task: int) -> Checkpoint:
     if not 0 <= task < artifact.num_tasks:
         raise UnknownTask(f"task {task} not in artifact (0..{artifact.num_tasks - 1})")
     part = artifact.partition
-    in_buffer = [all(code == "F32" for code in block.dtypes) for block in part.blocks]
-    buffer = np.empty(sum(b.dim for b, inb in zip(part.blocks, in_buffer) if inb), np.float32)
+    buffer = np.empty(sum(b.dim for b in part.blocks), np.float32)
     pos = 0
     merged: dict[str, np.ndarray] = {}
-    for block, inb in zip(part.blocks, in_buffer):
-        if inb:
-            flat = _task_block(artifact, task, block.block_id, buffer[pos : pos + block.dim])
-            pos += block.dim
-        else:
-            flat = _task_block(artifact, task, block.block_id)
+    for block in part.blocks:
+        flat = _task_block(artifact, task, block.block_id, buffer[pos : pos + block.dim])
+        pos += block.dim
         for name, offset, n, shape, code in _block_slices(block):
-            merged[name] = flat[offset : offset + n].reshape(shape).astype(DTYPES[code], copy=not inb)
+            merged[name] = flat[offset : offset + n].reshape(shape).astype(DTYPES[code], copy=False)
 
     heads = artifact.heads[task]
     order = part.name_order or (list(part.tensor_to_block) + list(heads))
@@ -299,10 +293,11 @@ def verify_artifact(
     rows: list[tuple[int, str, float]] = []
     per_task: dict[int, float] = {}
     exact = 0
+    scratch = np.empty(max((b.dim for b in part.blocks), default=0), np.float32)
     for task in range(artifact.num_tasks):
         sse = 0.0
         for block in part.blocks:
-            got = _task_block(artifact, task, block.block_id).astype(np.float64)
+            got = _task_block(artifact, task, block.block_id, scratch[: block.dim]).astype(np.float64)
             want = flatten_block(originals[task], block).astype(np.float64)
             l2 = float(np.linalg.norm(got - want))
             rows.append((task, block.key, l2))
@@ -321,9 +316,11 @@ def export_manifest(artifact: MergedArtifact, out_dir: str) -> None:
     """Write ``manifest.json`` plus one archive holding every payload.
 
     Archive names are deterministic: ``pre.<tensor>`` for pretrained blocks,
-    ``g<gid>.<tensor>`` for group payloads, ``mask.g<gid>.t<task>`` for
-    bit-packed masks, ``gamma.g<gid>`` for rescalers and
-    ``head.t<task>.<tensor>`` for per-task head tensors.
+    ``g<gid>.<tensor>`` for group payloads, ``mask.g<gid>`` for a masked
+    group's packed masks (U8, shape ``(n, ceil(d/8))``, rows in member
+    order), ``gamma.g<gid>`` for rescalers and ``head.t<task>.<tensor>`` for
+    per-task head tensors. The manifest is ``version`` 2; load_artifact
+    rejects version 1 (one mask entry per member) and any other.
     """
     part = artifact.partition
     os.makedirs(out_dir, exist_ok=True)
@@ -348,10 +345,9 @@ def export_manifest(artifact: MergedArtifact, out_dir: str) -> None:
             tensors[key] = flat[offset : offset + n].reshape(shape).astype(DTYPES[code], copy=False)
             names.append(key)
         if g.payload == "masked":
-            for row, task in enumerate(g.members):
-                key = f"mask.g{g.group_id}.t{task}"
-                tensors[key] = np.packbits(g.masks[row].astype(np.uint8))
-                names.append(key)
+            key = f"mask.g{g.group_id}"
+            tensors[key] = g.masks
+            names.append(key)
             if g.gammas is not None:
                 key = f"gamma.g{g.group_id}"
                 tensors[key] = g.gammas.astype(np.float32, copy=False)
@@ -371,7 +367,7 @@ def export_manifest(artifact: MergedArtifact, out_dir: str) -> None:
 
     manifest = {
         "format": "blockmerge-artifact",
-        "version": 1,
+        "version": MANIFEST_VERSION,
         "algorithm": artifact.config.algorithm,
         "config": {
             "lam": artifact.config.lam,
@@ -434,6 +430,9 @@ def _check_manifest(manifest) -> None:
         return isinstance(x, (int, float)) and not isinstance(x, bool)
 
     _need(isinstance(manifest, dict), "not a JSON object")
+    version = manifest.get("version")
+    _need(is_int(version) and version == MANIFEST_VERSION, "version {!r} is not {}", version,
+          MANIFEST_VERSION)
     for section, kind in (("blocks", list), ("groups", dict), ("tasks", dict), ("excluded", dict),
                           ("config", dict), ("size_report", dict), ("name_order", list)):
         _need(isinstance(manifest.get(section, [] if section == "name_order" else None), kind),
@@ -505,11 +504,13 @@ def load_artifact(out_dir: str) -> MergedArtifact:
     """Inverse of export_manifest.
 
     The manifest is checked against its schema first, and each tensor it
-    names against the archive as it is loaded (MalformedArtifact). Float32
-    payloads and pretrained blocks stay views into the archive's read buffer
-    (a block of several tensors as one span of it), so a float32 artifact
-    is held once; head tensors and rescalers are copied, so a float16
-    archive's buffer is freed once its blocks have been widened.
+    names against the archive as it is loaded (MalformedArtifact); an emr
+    artifact must hold a rescaler entry for every masked group. Float32
+    payloads, packed masks and pretrained blocks stay views into the
+    archive's read buffer (a block of several tensors as one span of it), so
+    a float32 artifact is held once. Head tensors and rescalers are copied,
+    so a float16 archive without masked groups is freed once its blocks have
+    been widened; with masked groups, the mask views keep its buffer alive.
     """
     path = os.path.join(out_dir, MANIFEST_NAME)
     with open(path, "rb") as fh:
@@ -575,13 +576,9 @@ def load_artifact(out_dir: str) -> MergedArtifact:
         if meta["payload"] == "dense":
             groups[gid] = StoredGroup(gid, b, members, "dense", dense=flat)
         else:
-            packed = np.stack([tensor(f"mask.g{gid}.t{task}", ((block.dim + 7) // 8,), "u")
-                               for task in members])
-            # unpacked bits are 0/1 bytes, so they are a valid bool buffer
-            masks = np.unpackbits(packed, axis=1, count=block.dim).view(bool)
-            gname = f"gamma.g{gid}"
-            gammas = (np.array(tensor(gname, (len(members),), "f"), dtype=np.float32)
-                      if gname in archive.tensors else None)
+            masks = tensor(f"mask.g{gid}", (len(members), (block.dim + 7) // 8), "u")
+            gammas = (np.array(tensor(f"gamma.g{gid}", (len(members),), "f"), dtype=np.float32)
+                      if cfg.has_rescalers else None)
             groups[gid] = StoredGroup(gid, b, members, "masked", unified=flat, masks=masks, gammas=gammas)
 
     pretrained_blocks = {}

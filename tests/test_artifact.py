@@ -21,6 +21,7 @@ from blockmerge import (
     default_transformer_rules,
     export_manifest,
     load_artifact,
+    merge_group,
     partition,
     prepare_task_vectors,
     read_archive,
@@ -93,9 +94,10 @@ def test_emr_masked_reconstruction_matches_formula():
         group = art.groups[gid]
         assert group.payload == "masked"
         idx = group.members.index(1)
+        mask = np.unpackbits(group.masks[idx], count=block.dim).astype(bool)
         want = (
             flatten_block(pre, block)
-            + group.gammas[idx] * (group.unified * group.masks[idx])
+            + group.gammas[idx] * (group.unified * mask)
         )
         got = flatten_block(reconstruct_task(art, 1), block)
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-7)
@@ -466,9 +468,12 @@ def test_loaded_float32_payloads_are_views_of_the_archive(tmp_path, algorithm, t
     back = load_artifact(str(tmp_path / "art"))
     flats = [g.dense if g.payload == "dense" else g.unified for g in back.groups]
     flats += list(back.pretrained_blocks.values())
-    # every float32 block, one tensor or several, is a view of one read buffer
-    assert all(f.base is not None and f.flags.aligned for f in flats)
-    assert len({id(buffer_owner(f)) for f in flats}) == 1
+    masks = [g.masks for g in back.groups if g.payload == "masked"]
+    assert bool(masks) == ("masked" in kinds)
+    # every float32 block, one tensor or several, and every packed mask is a
+    # view of one read buffer: nothing is unpacked or copied at load
+    assert all(f.base is not None and f.flags.aligned for f in flats + masks)
+    assert len({id(buffer_owner(f)) for f in flats + masks}) == 1
     assert all(h.base is None for head in back.heads for h in head.values())  # heads copied
     for k in range(3):
         assert reconstruct_task(back, k).same_tensors(reconstruct_task(art, k))
@@ -536,3 +541,36 @@ def test_manifest_not_json_is_malformed(tmp_path, exported_emr):
     (tmp_path / "manifest.json").write_bytes(b"\xff{")
     with pytest.raises(MalformedArtifact):
         load_artifact(str(tmp_path))
+
+
+def test_emr_artifact_missing_a_rescaler_is_malformed(tmp_path, exported_emr):
+    # emr stores one rescaler entry per masked group; without it the group
+    # would rebuild as pretrained + unified * mask, other bytes than exported
+    src, _ = exported_emr
+    archive = read_archive(os.path.join(src, "tensors.safetensors"))
+    gamma = next(name for name in archive.tensors if name.startswith("gamma.g"))
+    del archive.tensors[gamma]
+    write_archive(archive, str(tmp_path / "tensors.safetensors"))
+    shutil.copy(os.path.join(src, "manifest.json"), tmp_path)
+    with pytest.raises(MalformedArtifact):
+        load_artifact(str(tmp_path))
+
+
+@pytest.mark.parametrize("algorithm", ["emr", "consensus"])
+def test_export_writes_one_packed_mask_entry_per_masked_group(tmp_path, algorithm):
+    rng = np.random.default_rng(34)
+    pre, tasks, part, tv, asg, art = _pipeline(rng, 3, algorithm, target=0, width=5)
+    export_manifest(art, str(tmp_path))
+    archive = read_archive(str(tmp_path / "tensors.safetensors"))
+    masked = [g for g in art.groups if g.payload == "masked"]
+    assert masked
+    assert sorted(n for n in archive.tensors if n.startswith("mask.")) == sorted(
+        f"mask.g{g.group_id}" for g in masked)
+    for g in masked:
+        d = part.blocks[g.block_id].dim
+        want = merge_group(art.config, tv, g.block_id, g.members).masks
+        packed = archive.tensors[f"mask.g{g.group_id}"]
+        assert packed.dtype == np.uint8 and packed.shape == (len(g.members), (d + 7) // 8)
+        np.testing.assert_array_equal(np.unpackbits(packed, axis=1, count=d).astype(bool), want)
+    with open(tmp_path / "manifest.json", encoding="utf-8") as fh:
+        assert json.load(fh)["version"] == 2

@@ -250,7 +250,8 @@ def test_sweep_equals_single_size_runs_and_merges_each_group_once(
         assert _tree_bytes(os.path.join(sweep, entry)) == _tree_bytes(os.path.join(single, entry))
 
 
-@pytest.mark.parametrize("field,value", [("groups", []), ("num_tasks", "4"), ("tasks", {"0": 1})])
+@pytest.mark.parametrize("field,value", [("groups", []), ("num_tasks", "4"), ("tasks", {"0": 1}),
+                                         ("version", 1)])
 def test_malformed_manifest_exits_parse(workspace, field, value):
     ws = workspace
     out_dir = str(ws["tmp"] / "merged")
