@@ -7,6 +7,11 @@ bits (one row of ceil(d/8) bytes per member, in member order, the only form
 a mask is kept in) and, for emr, one rescaling scalar per member, alongside
 one shared copy of the pretrained block.
 
+On disk an artifact is a version 3 manifest, which lists each block's
+groups by their members, plus one archive of payloads named by group id;
+load_artifact derives routing, payload kinds and sizes from them (see
+export_manifest).
+
 A loaded artifact keeps its float32 payloads, masks and pretrained blocks as
 views into the archive's read buffer. Reconstruction only reads those buffers
 and always returns fresh arrays: each call writes every block into one new
@@ -28,14 +33,14 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigMismatch, MalformedArtifact, UnknownTask
-from .mergers import ALGORITHMS, MergerConfig, expected_trim_ratio, merge_group
+from .mergers import ALGORITHMS, CONFIG_NUMBERS, MergerConfig, expected_trim_ratio, merge_group
 from .scheduler import GroupAssignment, SizeModel
 from .task_space import Block, BlockPartition, TaskVectorSet, flatten_block
 from .tensor_store import DTYPES, Checkpoint, joined_view, read_archive, write_archive
 
 MANIFEST_NAME = "manifest.json"
 TENSORS_NAME = "tensors.safetensors"
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 
 
 @dataclass
@@ -105,6 +110,23 @@ def _block_slices(block: Block):
         out.append((name, offset, n, shape, code))
         offset += n
     return out
+
+
+def _size_report(part: BlockPartition, cfg: MergerConfig, block_groups,
+                 heads: list[dict[str, np.ndarray]]) -> SizeReport:
+    """Stored bytes of the grouping (``block_groups[b]`` lists block b's
+    member lists) under ``cfg``, plus the head tensors' bytes."""
+    sm = SizeModel.from_partition(part, cfg)
+    stored = sm.stored_bytes(block_groups)
+    return SizeReport(
+        dense_bytes=stored["dense"],
+        mask_bytes=stored["mask"],
+        pretrained_bytes=stored["pretrained"],
+        scalar_bytes=stored["scalar"],
+        head_bytes=sum(arr.nbytes for h in heads for arr in h.values()),
+        unit_bytes=sm.unit_bytes,
+        units=sm.size_of(block_groups),
+    )
 
 
 def build_artifact(
@@ -192,18 +214,6 @@ def build_artifact(
     elif part.excluded:
         raise ValueError("partition excludes tensors; pass the fine-tuned checkpoints for them")
 
-    sm = SizeModel.from_partition(part, cfg)
-    stored = sm.stored_bytes(assignment.block_groups)
-    head_bytes = sum(arr.nbytes for h in heads for arr in h.values())
-    report = SizeReport(
-        dense_bytes=stored["dense"],
-        mask_bytes=stored["mask"],
-        pretrained_bytes=stored["pretrained"],
-        scalar_bytes=stored["scalar"],
-        head_bytes=head_bytes,
-        unit_bytes=sm.unit_bytes,
-        units=sm.size_of(assignment.block_groups),
-    )
     return MergedArtifact(
         partition=part,
         config=cfg,
@@ -212,7 +222,7 @@ def build_artifact(
         routing=routing,
         pretrained_blocks=pretrained_blocks,
         heads=heads,
-        size_report=report,
+        size_report=_size_report(part, cfg, assignment.block_groups, heads),
         fingerprint=fingerprint or cfg.fingerprint(),
     )
 
@@ -315,49 +325,42 @@ def verify_artifact(
 def export_manifest(artifact: MergedArtifact, out_dir: str) -> None:
     """Write ``manifest.json`` plus one archive holding every payload.
 
+    The manifest is ``version`` 3 and states each fact once. ``groups`` is
+    ``{block_key: [[member ids], ...]}``, the layout of ``groups.json``; a
+    group's id is its running index over ``blocks`` order, then list order,
+    the numbering build_artifact and load_artifact give ``artifact.groups``.
+    Routing, payload kinds, which blocks keep a pretrained copy and the size
+    report all follow from the groups and the algorithm, so load_artifact
+    derives them. ``size_report`` and each block's ``dim`` and ``nbytes``
+    are written for readers of the file; load_artifact recomputes them.
+
     Archive names are deterministic: ``pre.<tensor>`` for pretrained blocks,
     ``g<gid>.<tensor>`` for group payloads, ``mask.g<gid>`` for a masked
     group's packed masks (U8, shape ``(n, ceil(d/8))``, rows in member
     order), ``gamma.g<gid>`` for rescalers and ``head.t<task>.<tensor>`` for
-    per-task head tensors. The manifest is ``version`` 2; load_artifact
-    rejects version 1 (one mask entry per member) and any other.
+    per-task head tensors.
     """
     part = artifact.partition
     os.makedirs(out_dir, exist_ok=True)
     tensors: dict[str, np.ndarray] = {}
 
-    pre_names = []
-    for b in sorted(artifact.pretrained_blocks):
-        block = part.blocks[b]
-        flat = artifact.pretrained_blocks[b]
+    def put_block(prefix: str, block: Block, flat: np.ndarray) -> None:
         for name, offset, n, shape, code in _block_slices(block):
-            key = f"pre.{name}"
-            tensors[key] = flat[offset : offset + n].reshape(shape).astype(DTYPES[code], copy=False)
-            pre_names.append(key)
+            tensors[f"{prefix}.{name}"] = (
+                flat[offset : offset + n].reshape(shape).astype(DTYPES[code], copy=False))
 
-    groups_meta: dict[str, dict] = {}
+    for b in sorted(artifact.pretrained_blocks):
+        put_block("pre", part.blocks[b], artifact.pretrained_blocks[b])
+
+    groups_meta: dict[str, list[list[int]]] = {block.key: [] for block in part.blocks}
     for g in artifact.groups:
         block = part.blocks[g.block_id]
-        flat = g.dense if g.payload == "dense" else g.unified
-        names = []
-        for name, offset, n, shape, code in _block_slices(block):
-            key = f"g{g.group_id}.{name}"
-            tensors[key] = flat[offset : offset + n].reshape(shape).astype(DTYPES[code], copy=False)
-            names.append(key)
+        put_block(f"g{g.group_id}", block, g.dense if g.payload == "dense" else g.unified)
         if g.payload == "masked":
-            key = f"mask.g{g.group_id}"
-            tensors[key] = g.masks
-            names.append(key)
+            tensors[f"mask.g{g.group_id}"] = g.masks
             if g.gammas is not None:
-                key = f"gamma.g{g.group_id}"
-                tensors[key] = g.gammas.astype(np.float32, copy=False)
-                names.append(key)
-        groups_meta[str(g.group_id)] = {
-            "members": list(g.members),
-            "payload": g.payload,
-            "block": block.key,
-            "tensors": names,
-        }
+                tensors[f"gamma.g{g.group_id}"] = g.gammas.astype(np.float32, copy=False)
+        groups_meta[block.key].append(list(g.members))
 
     excluded_meta: dict[str, list[str]] = {}
     for task, head in enumerate(artifact.heads):
@@ -369,18 +372,11 @@ def export_manifest(artifact: MergedArtifact, out_dir: str) -> None:
         "format": "blockmerge-artifact",
         "version": MANIFEST_VERSION,
         "algorithm": artifact.config.algorithm,
-        "config": {
-            "lam": artifact.config.lam,
-            "keep_ratio": artifact.config.keep_ratio,
-            "consensus_threshold": artifact.config.consensus_threshold,
-            "pcb_intra_temp": artifact.config.pcb_intra_temp,
-            "pcb_inter_temp": artifact.config.pcb_inter_temp,
-        },
+        "config": {f: getattr(artifact.config, f) for f in CONFIG_NUMBERS},
         "fingerprint": artifact.fingerprint,
         "num_tasks": artifact.num_tasks,
         "blocks": [
             {
-                "id": b.block_id,
                 "key": b.key,
                 "tensors": b.tensor_names,
                 "shapes": [list(s) for s in b.shapes],
@@ -392,12 +388,7 @@ def export_manifest(artifact: MergedArtifact, out_dir: str) -> None:
         ],
         "name_order": list(part.name_order),
         "excluded": excluded_meta,
-        "tasks": {
-            str(task): {part.blocks[b].key: artifact.routing[task][b] for b in range(part.num_blocks)}
-            for task in range(artifact.num_tasks)
-        },
         "groups": groups_meta,
-        "pretrained": pre_names,
         "size_report": artifact.size_report.as_dict(),
     }
     with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
@@ -406,22 +397,19 @@ def export_manifest(artifact: MergedArtifact, out_dir: str) -> None:
     write_archive(Checkpoint(tensors=tensors), os.path.join(out_dir, TENSORS_NAME))
 
 
-_CONFIG_FIELDS = ("lam", "keep_ratio", "consensus_threshold", "pcb_intra_temp", "pcb_inter_temp")
-_REPORT_FIELDS = ("dense_bytes", "mask_bytes", "pretrained_bytes", "scalar_bytes", "head_bytes",
-                  "unit_bytes")
-
-
 def _need(ok, what: str, *args) -> None:
-    # the message is formatted only on failure: this runs per group and tensor
+    # the message is formatted only on failure: this runs per block and tensor
     if not ok:
         raise MalformedArtifact("manifest: " + what.format(*args))
 
 
-def _check_manifest(manifest) -> None:
+def _check_manifest(manifest) -> list[Block]:
     """Raise MalformedArtifact unless ``manifest`` has every field
-    load_artifact and reconstruct_task read, with the right types and
-    ranges, and routes every (task, block) to a group of that block holding
-    the task. The tensors it names are checked as they are loaded."""
+    load_artifact reads, with the right types and ranges, at least one
+    block, and member lists that hold every task 0..M-1 exactly once in
+    each block. Returns the blocks, with ``dim`` and ``nbytes`` derived from
+    their shapes and dtypes (written values must agree). The tensors the
+    manifest names are checked as they are loaded."""
 
     def is_int(x, lo: int = 0) -> bool:
         return isinstance(x, int) and not isinstance(x, bool) and x >= lo
@@ -433,30 +421,21 @@ def _check_manifest(manifest) -> None:
     version = manifest.get("version")
     _need(is_int(version) and version == MANIFEST_VERSION, "version {!r} is not {}", version,
           MANIFEST_VERSION)
-    for section, kind in (("blocks", list), ("groups", dict), ("tasks", dict), ("excluded", dict),
-                          ("config", dict), ("size_report", dict), ("name_order", list)):
+    for section, kind in (("blocks", list), ("groups", dict), ("excluded", dict),
+                          ("config", dict), ("name_order", list)):
         _need(isinstance(manifest.get(section, [] if section == "name_order" else None), kind),
               "{!r} must be a JSON {}", section, "array" if kind is list else "object")
     _need(manifest.get("algorithm") in ALGORITHMS, "unknown algorithm {!r}", manifest.get("algorithm"))
-    _need(all(is_num(manifest["config"].get(f)) for f in _CONFIG_FIELDS), "config values must be numbers")
+    _need(all(is_num(manifest["config"].get(f)) for f in CONFIG_NUMBERS), "config values must be numbers")
     _need(isinstance(manifest.get("fingerprint"), str), "fingerprint must be a string")
     m = manifest.get("num_tasks")
     _need(is_int(m, 1), "num_tasks must be an integer >= 1, got {!r}", m)
     _need(all(isinstance(n, str) for n in manifest.get("name_order", [])), "name_order must list names")
-    rep = manifest["size_report"]
-    _need(all(is_int(rep.get(f)) for f in _REPORT_FIELDS), "size_report byte counts must be integers")
-    units = rep.get("units")
-    try:
-        units_ok = isinstance(units, str) and Fraction(units) >= 0
-    except (ValueError, ZeroDivisionError):
-        units_ok = False
-    _need(units_ok, "size_report units {!r} is not a fraction string", units)
 
-    blocks = manifest["blocks"]
-    for i, spec in enumerate(blocks):
-        _need(isinstance(spec, dict) and is_int(spec.get("id")) and spec["id"] == i
-              and isinstance(spec.get("key"), str),
-              "block {} must be an object with id {} and a string key", i, i)
+    blocks = []
+    for i, spec in enumerate(manifest["blocks"]):
+        _need(isinstance(spec, dict) and isinstance(spec.get("key"), str),
+              "block {} must be an object with a string key", i)
         names, shapes, codes = spec.get("tensors"), spec.get("shapes"), spec.get("dtypes")
         _need(isinstance(names, list) and isinstance(shapes, list) and isinstance(codes, list)
               and 0 < len(names) == len(shapes) == len(codes)
@@ -464,49 +443,50 @@ def _check_manifest(manifest) -> None:
               and all(isinstance(sh, list) and all(is_int(d) for d in sh) for sh in shapes)
               and all(c in ("F32", "F16") for c in codes),
               "block {} needs parallel tensors/shapes/dtypes lists", i)
-        _need(is_int(spec.get("dim")) and spec["dim"] == sum(math.prod(sh) for sh in shapes)
-              and is_int(spec.get("nbytes")),
-              "block {} dim/nbytes disagree with its shapes", i)
-    key_to_block = {spec["key"]: i for i, spec in enumerate(blocks)}
-    _need(len(key_to_block) == len(blocks), "block keys must be unique")
+        shapes = [tuple(sh) for sh in shapes]
+        dim = sum(math.prod(sh) for sh in shapes)
+        nbytes = sum(math.prod(sh) * DTYPES[c].itemsize for sh, c in zip(shapes, codes))
+        _need(spec.get("dim", dim) == dim and spec.get("nbytes", nbytes) == nbytes,
+              "block {} dim/nbytes disagree with its shapes and dtypes", i)
+        blocks.append(Block(i, spec["key"], list(names), shapes, list(codes), dim, nbytes))
+    _need(sum(b.nbytes for b in blocks) > 0, "blocks must hold at least one parameter")
+    keys = {b.key for b in blocks}
+    _need(len(keys) == len(blocks), "block keys must be unique")
     order = set(manifest.get("name_order", []))
-    _need(not order or all(n in order for spec in blocks for n in spec["tensors"]),
+    _need(not order or all(n in order for b in blocks for n in b.tensor_names),
           "name_order must list every block tensor")
 
     groups = manifest["groups"]
-    _need(set(groups) == {str(g) for g in range(len(groups))}, "group ids must be 0..G-1")
-    for gid, meta in groups.items():
-        _need(isinstance(meta, dict) and isinstance(meta.get("block"), str) and meta["block"] in key_to_block
-              and meta.get("payload") in ("dense", "masked"),
-              "group {} needs a known block and a dense/masked payload", gid)
-        members = meta.get("members")
-        _need(isinstance(members, list) and members and all(is_int(t) and t < m for t in members)
-              and len(set(members)) == len(members),
-              "group {} members must be distinct task ids below {}", gid, m)
+    _need(set(groups) == keys, "groups must have one entry per block")
+    for key, lists in groups.items():
+        # counts first: nothing of size num_tasks is built before they agree
+        _need(isinstance(lists, list) and all(isinstance(g, list) and g for g in lists)
+              and sum(map(len, lists)) == m
+              and all(is_int(t) and t < m for g in lists for t in g)
+              and len({t for g in lists for t in g}) == m,
+              "block {!r} groups must hold every task 0..{} exactly once", key, m - 1)
 
-    routes = manifest["tasks"]
-    _need(len(routes) == m and set(routes) == {str(t) for t in range(m)},
-          "tasks must map every task id 0..M-1")
-    for task, mapping in routes.items():
-        _need(isinstance(mapping, dict) and set(mapping) == set(key_to_block),
-              "task {} must route every block", task)
-        for key, gid in mapping.items():
-            meta = groups.get(str(gid)) if is_int(gid) else None
-            _need(meta is not None and meta["block"] == key and int(task) in meta["members"],
-                  "task {} block {!r} routed to group {!r}, which does not hold it", task, key, gid)
-
+    task_ids = {str(t) for t in range(m)}  # m is bounded by the member lists now
     for task, names in manifest["excluded"].items():
-        _need(task in routes and isinstance(names, list) and all(isinstance(n, str) for n in names),
+        _need(task in task_ids and isinstance(names, list) and all(isinstance(n, str) for n in names),
               "excluded entry {!r} must list head names of a known task", task)
+    return blocks
 
 
 def load_artifact(out_dir: str) -> MergedArtifact:
     """Inverse of export_manifest.
 
     The manifest is checked against its schema first, and each tensor it
-    names against the archive as it is loaded (MalformedArtifact); an emr
-    artifact must hold a rescaler entry for every masked group. Float32
-    payloads, packed masks and pretrained blocks stay views into the
+    names against the archive as it is loaded (MalformedArtifact); a
+    manifest of any version but 3 is malformed. Everything the manifest does
+    not state is derived: the routing from the group members; a group's
+    payload is masked iff the algorithm is masked and the group has two or
+    more members; each block's ``dim`` and ``nbytes`` from its shapes and
+    dtypes; and the size report the way build_artifact computes it (the
+    written ``size_report`` is never read). An emr artifact must hold a
+    rescaler entry for every masked group.
+
+    Float32 payloads, packed masks and pretrained blocks stay views into the
     archive's read buffer (a block of several tensors as one span of it), so
     a float32 artifact is held once. Head tensors and rescalers are copied,
     so a float16 archive without masked groups is freed once its blocks have
@@ -519,7 +499,7 @@ def load_artifact(out_dir: str) -> MergedArtifact:
         manifest = json.loads(raw.decode("utf-8"))
     except ValueError as exc:
         raise MalformedArtifact(f"{path}: not valid JSON: {exc}") from None
-    _check_manifest(manifest)
+    blocks = _check_manifest(manifest)
     archive = read_archive(os.path.join(out_dir, TENSORS_NAME))
 
     def tensor(name: str, shape: tuple[int, ...], kind: str) -> np.ndarray:
@@ -527,34 +507,6 @@ def load_artifact(out_dir: str) -> MergedArtifact:
         _need(arr is not None and arr.shape == shape and arr.dtype.kind == kind,
               "archive lacks tensor {!r} of shape {}", name, shape)
         return arr
-
-    blocks = []
-    tensor_to_block: dict[str, int] = {}
-    for spec in manifest["blocks"]:
-        block = Block(
-            block_id=spec["id"],
-            key=spec["key"],
-            tensor_names=list(spec["tensors"]),
-            shapes=[tuple(s) for s in spec["shapes"]],
-            dtypes=list(spec["dtypes"]),
-            dim=spec["dim"],
-            nbytes=spec["nbytes"],
-        )
-        blocks.append(block)
-        for n in block.tensor_names:
-            tensor_to_block[n] = block.block_id
-    part = BlockPartition(
-        blocks=blocks,
-        tensor_to_block=tensor_to_block,
-        excluded=[],
-        name_order=list(manifest.get("name_order", [])),
-    )
-
-    cfg = MergerConfig(algorithm=manifest["algorithm"],
-                       **{f: manifest["config"][f] for f in _CONFIG_FIELDS})
-
-    key_to_block = {b.key: b.block_id for b in blocks}
-    m = manifest["num_tasks"]
 
     def block_flat(prefix: str, block: Block) -> np.ndarray:
         parts = [tensor(f"{prefix}.{n}", shape, "f").astype(np.float32, copy=False).ravel()
@@ -566,31 +518,37 @@ def load_artifact(out_dir: str) -> MergedArtifact:
         joined = joined_view(parts)
         return joined if joined is not None else np.concatenate(parts)
 
-    groups: list[StoredGroup] = [None] * len(manifest["groups"])  # type: ignore[list-item]
-    for gid_str, meta in manifest["groups"].items():
-        gid = int(gid_str)
-        b = key_to_block[meta["block"]]
-        block = blocks[b]
-        members = tuple(meta["members"])
-        flat = block_flat(f"g{gid}", block)
-        if meta["payload"] == "dense":
-            groups[gid] = StoredGroup(gid, b, members, "dense", dense=flat)
-        else:
-            masks = tensor(f"mask.g{gid}", (len(members), (block.dim + 7) // 8), "u")
-            gammas = (np.array(tensor(f"gamma.g{gid}", (len(members),), "f"), dtype=np.float32)
-                      if cfg.has_rescalers else None)
-            groups[gid] = StoredGroup(gid, b, members, "masked", unified=flat, masks=masks, gammas=gammas)
+    part = BlockPartition(
+        blocks=blocks,
+        tensor_to_block={n: b.block_id for b in blocks for n in b.tensor_names},
+        excluded=[],
+        name_order=list(manifest.get("name_order", [])),
+    )
+    cfg = MergerConfig(algorithm=manifest["algorithm"],
+                       **{f: manifest["config"][f] for f in CONFIG_NUMBERS})
+    m = manifest["num_tasks"]
+    block_groups = [manifest["groups"][b.key] for b in blocks]
 
-    pretrained_blocks = {}
-    masked_block_ids = {g.block_id for g in groups if g.payload == "masked"}
-    for b in sorted(masked_block_ids):
-        pretrained_blocks[b] = block_flat("pre", blocks[b])
-
+    groups: list[StoredGroup] = []
     routing = [[-1] * len(blocks) for _ in range(m)]
-    for task_str, mapping in manifest["tasks"].items():
-        task = int(task_str)
-        for key, gid in mapping.items():
-            routing[task][key_to_block[key]] = gid
+    pretrained_blocks = {}
+    for block, member_lists in zip(blocks, block_groups):
+        b = block.block_id
+        for members in map(tuple, member_lists):
+            gid = len(groups)
+            flat = block_flat(f"g{gid}", block)
+            if cfg.masked and len(members) > 1:
+                masks = tensor(f"mask.g{gid}", (len(members), (block.dim + 7) // 8), "u")
+                gammas = (np.array(tensor(f"gamma.g{gid}", (len(members),), "f"), dtype=np.float32)
+                          if cfg.has_rescalers else None)
+                groups.append(StoredGroup(gid, b, members, "masked", unified=flat, masks=masks,
+                                          gammas=gammas))
+                if b not in pretrained_blocks:
+                    pretrained_blocks[b] = block_flat("pre", block)
+            else:
+                groups.append(StoredGroup(gid, b, members, "dense", dense=flat))
+            for k in members:
+                routing[k][b] = gid
 
     heads: list[dict[str, np.ndarray]] = [{} for _ in range(m)]
     for task_str, names in manifest["excluded"].items():
@@ -600,11 +558,6 @@ def load_artifact(out_dir: str) -> MergedArtifact:
             _need(key in archive.tensors, "archive lacks head tensor {!r}", key)
             heads[task][name] = archive.tensors[key].copy()
 
-    rep = manifest["size_report"]
-    report = SizeReport(
-        **{f: rep[f] for f in _REPORT_FIELDS},
-        units=Fraction(rep["units"]),
-    )
     return MergedArtifact(
         partition=part,
         config=cfg,
@@ -613,6 +566,6 @@ def load_artifact(out_dir: str) -> MergedArtifact:
         routing=routing,
         pretrained_blocks=pretrained_blocks,
         heads=heads,
-        size_report=report,
+        size_report=_size_report(part, cfg, block_groups, heads),
         fingerprint=manifest["fingerprint"],
     )

@@ -19,7 +19,13 @@ from fractions import Fraction
 
 from . import artifact as artifact_mod
 from .errors import BlockMergeError, MalformedPlan, UnknownTask
-from .mergers import ALGORITHMS, MergerConfig, expected_trim_ratio, prepare_task_vectors
+from .mergers import (
+    ALGORITHMS,
+    CONFIG_NUMBERS,
+    MergerConfig,
+    expected_trim_ratio,
+    prepare_task_vectors,
+)
 from .scheduler import (
     ORDER_POLICIES,
     MergePlan,
@@ -68,16 +74,29 @@ class RunConfig:
 
 def _parse_rules_file(path: str | None) -> tuple[str, list[PartitionRule], list[str], dict]:
     """Rules JSON: {"rules": [{"pattern", "block_key"}], "exclude": [...],
-    "merger": {...}}; every section optional. Returns the text as read and
-    the parsed sections."""
+    "merger": {"algorithm", <MergerConfig number fields>}}; every section
+    optional. Returns the text as read and the parsed sections; raises
+    ValueError when a section has the wrong shape."""
     if path is None:
         return "", [], [], {}
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     obj = json.loads(text)
-    rules = [PartitionRule(r["pattern"], r["block_key"]) for r in obj.get("rules", [])]
-    exclude = list(obj.get("exclude", []))
-    merger = dict(obj.get("merger", {}))
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: a rules file is a JSON object")
+    rules, exclude, merger = obj.get("rules", []), obj.get("exclude", []), obj.get("merger", {})
+    if not (isinstance(rules, list) and all(
+            isinstance(r, dict) and isinstance(r.get("pattern"), str)
+            and isinstance(r.get("block_key"), str) for r in rules)):
+        raise ValueError(f"{path}: rules must be a list of {{pattern, block_key}} strings")
+    if not (isinstance(exclude, list) and all(isinstance(p, str) for p in exclude)):
+        raise ValueError(f"{path}: exclude must be a list of name patterns")
+    if not isinstance(merger, dict) or set(merger) - {"algorithm", *CONFIG_NUMBERS}:
+        raise ValueError(f"{path}: merger takes only algorithm and {', '.join(CONFIG_NUMBERS)}")
+    for f in CONFIG_NUMBERS:
+        if f in merger and type(merger[f]) not in (int, float):
+            raise ValueError(f"{path}: merger {f} must be a number, got {merger[f]!r}")
+    rules = [PartitionRule(r["pattern"], r["block_key"]) for r in rules]
     return text, rules, exclude, merger
 
 

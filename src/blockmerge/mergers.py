@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -42,8 +42,6 @@ class MergerConfig:
     lam: float = 1.0
     keep_ratio: float = 1.0
     consensus_threshold: float = 0.6
-    pcb_intra_temp: float = 1.0
-    pcb_inter_temp: float = 1.0
 
     @staticmethod
     def for_algorithm(algorithm: str, **overrides) -> "MergerConfig":
@@ -69,18 +67,12 @@ class MergerConfig:
         return self.algorithm in ("ties", "consensus")
 
     def fingerprint(self) -> str:
-        payload = json.dumps(
-            {
-                "algorithm": self.algorithm,
-                "lam": self.lam,
-                "keep_ratio": self.keep_ratio,
-                "consensus_threshold": self.consensus_threshold,
-                "pcb_intra_temp": self.pcb_intra_temp,
-                "pcb_inter_temp": self.pcb_inter_temp,
-            },
-            sort_keys=True,
-        )
+        payload = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+# MergerConfig's number fields, as manifests and rules files spell them
+CONFIG_NUMBERS = tuple(f.name for f in fields(MergerConfig) if f.name != "algorithm")
 
 
 @dataclass
@@ -196,13 +188,11 @@ def merge_ties(vectors, lam: float = 1.0) -> MergeOutput:
     return MergeOutput(unified=unified.astype(np.float32))
 
 
-def merge_pcb(
-    vectors,
-    keep_ratio: float = 0.1,
-    lam: float = 1.0,
-    intra_temp: float = 1.0,
-    inter_temp: float = 1.0,
-) -> MergeOutput:
+# temperature of PCB's intra- and inter-balancing scores
+_PCB_TEMP = 1.0
+
+
+def merge_pcb(vectors, keep_ratio: float = 0.1, lam: float = 1.0) -> MergeOutput:
     """Competition-balanced merge: intra-balancing (per-member softmax over
     coordinates of scaled squared magnitudes), inter-balancing (mean sigmoid
     of scaled cross-member products), drop to the per-member top
@@ -216,14 +206,14 @@ def merge_pcb(
     sq = v * v
     mx = sq.max(axis=1)
     safe = np.where(mx == 0.0, 1.0, mx)
-    logits = (intra_temp * n) * sq / safe[:, None]
+    logits = (_PCB_TEMP * n) * sq / safe[:, None]
     logits -= logits.max(axis=1, keepdims=True)
     expd = np.exp(logits)
     beta_intra = expd / expd.sum(axis=1, keepdims=True)
 
     beta_inter = np.empty_like(v)
     for k in range(n):
-        z = (inter_temp * n) * (v * v[k][None, :])
+        z = (_PCB_TEMP * n) * (v * v[k][None, :])
         beta_inter[k] = (1.0 / (1.0 + np.exp(-z))).mean(axis=0)
 
     beta = beta_intra * beta_inter
@@ -282,13 +272,7 @@ def merge_group(cfg: MergerConfig, tv: TaskVectorSet, block_id: int, members) ->
     if a == "ties":
         return merge_ties(vectors, lam=cfg.lam)
     if a == "pcb":
-        return merge_pcb(
-            vectors,
-            keep_ratio=cfg.keep_ratio,
-            lam=cfg.lam,
-            intra_temp=cfg.pcb_intra_temp,
-            inter_temp=cfg.pcb_inter_temp,
-        )
+        return merge_pcb(vectors, keep_ratio=cfg.keep_ratio, lam=cfg.lam)
     if a == "emr":
         return merge_emr(vectors)
     if a == "consensus":

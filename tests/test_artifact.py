@@ -30,6 +30,7 @@ from blockmerge import (
     verify_artifact,
     write_archive,
 )
+from blockmerge.artifact import MANIFEST_VERSION
 from blockmerge.scheduler import GroupAssignment
 from blockmerge.task_space import flatten_block
 from blockmerge.tensor_store import Checkpoint
@@ -262,15 +263,22 @@ def test_storage_identity_masked_family_without_merges():
     assert art.size_report.units == dense_sm.size_of(asg.block_groups)
 
 
+def _group_facts(art):
+    return [(g.group_id, g.block_id, g.members, g.payload) for g in art.groups]
+
+
 def test_manifest_round_trip(tmp_path):
     rng = np.random.default_rng(11)
-    for algorithm, target in (("ta", 2), ("emr", 0), ("consensus", 0)):
+    cases = [(a, 2) for a in ("average", "ta", "ties", "pcb", "emr", "consensus")]
+    for algorithm, target in cases + [("emr", 0), ("consensus", 0)]:
         pre, tasks, part, tv, asg, art = _pipeline(rng, 3, algorithm, target=target)
-        out = str(tmp_path / algorithm)
+        out = str(tmp_path / f"{algorithm}_{target}")
         export_manifest(art, out)
         back = load_artifact(out)
-        assert back.size_report.units == art.size_report.units
         assert back.num_tasks == art.num_tasks
+        assert back.routing == art.routing
+        assert _group_facts(back) == _group_facts(art)
+        assert back.size_report == art.size_report
         for k in range(3):
             a = reconstruct_task(art, k)
             b = reconstruct_task(back, k)
@@ -556,6 +564,30 @@ def test_emr_artifact_missing_a_rescaler_is_malformed(tmp_path, exported_emr):
         load_artifact(str(tmp_path))
 
 
+def _with_manifest(tmp_path, src, manifest) -> str:
+    shutil.copy(os.path.join(src, "tensors.safetensors"), tmp_path)
+    with open(tmp_path / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    return str(tmp_path)
+
+
+def test_written_size_report_is_derived_not_read(tmp_path, exported_emr):
+    src, manifest = exported_emr
+    edited = json.loads(json.dumps(manifest))
+    edited["size_report"] = {"units": "1/0", "dense_bytes": -1}
+    back = load_artifact(_with_manifest(tmp_path, src, edited))
+    assert back.size_report == load_artifact(src).size_report
+    assert back.size_report.as_dict() == manifest["size_report"]
+
+
+def test_block_nbytes_disagreeing_with_shapes_is_malformed(tmp_path, exported_emr):
+    src, manifest = exported_emr
+    edited = json.loads(json.dumps(manifest))
+    edited["blocks"][0]["nbytes"] += 2
+    with pytest.raises(MalformedArtifact):
+        load_artifact(_with_manifest(tmp_path, src, edited))
+
+
 @pytest.mark.parametrize("algorithm", ["emr", "consensus"])
 def test_export_writes_one_packed_mask_entry_per_masked_group(tmp_path, algorithm):
     rng = np.random.default_rng(34)
@@ -573,4 +605,4 @@ def test_export_writes_one_packed_mask_entry_per_masked_group(tmp_path, algorith
         assert packed.dtype == np.uint8 and packed.shape == (len(g.members), (d + 7) // 8)
         np.testing.assert_array_equal(np.unpackbits(packed, axis=1, count=d).astype(bool), want)
     with open(tmp_path / "manifest.json", encoding="utf-8") as fh:
-        assert json.load(fh)["version"] == 2
+        assert json.load(fh)["version"] == MANIFEST_VERSION

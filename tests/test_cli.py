@@ -125,6 +125,27 @@ def test_exit_code_parse(workspace, tmp_path):
     assert main(args) == 3
 
 
+@pytest.mark.parametrize("rules", [
+    [],
+    {"rules": {"pattern": "blocks.*", "block_key": "b"}},
+    {"rules": [{"pattern": 1, "block_key": "b"}]},
+    {"exclude": "head.*"},
+    {"merger": []},
+    {"merger": {"foo": 1}},
+    {"merger": {"pcb_intra_temp": 1.0}},
+    {"merger": {"lam": "1.5"}},
+    {"merger": {"keep_ratio": True}},
+])
+def test_rules_file_mistakes_are_config_errors(workspace, tmp_path, capsys, rules):
+    bad_rules = str(tmp_path / "bad.json")
+    with open(bad_rules, "w") as fh:
+        json.dump(rules, fh)
+    args = ["plan"] + _base_args(workspace, ["--out", str(tmp_path / "p")])
+    args[args.index("--rules") + 1] = bad_rules
+    assert main(args) == 3
+    assert "config error" in capsys.readouterr().err
+
+
 def test_exit_code_fingerprint(workspace):
     ws = workspace
     plan_dir = str(ws["tmp"] / "plan")
@@ -250,8 +271,24 @@ def test_sweep_equals_single_size_runs_and_merges_each_group_once(
         assert _tree_bytes(os.path.join(sweep, entry)) == _tree_bytes(os.path.join(single, entry))
 
 
-@pytest.mark.parametrize("field,value", [("groups", []), ("num_tasks", "4"), ("tasks", {"0": 1}),
-                                         ("version", 1)])
+def _task_twice(groups):
+    key = min(groups)
+    groups[key][0].append(groups[key][-1][-1])
+    return groups
+
+
+def _task_left_out(groups):
+    key = min(groups)
+    groups[key][-1].pop()
+    groups[key] = [g for g in groups[key] if g]
+    return groups
+
+
+@pytest.mark.parametrize("field,value", [
+    ("groups", []), ("num_tasks", "4"), ("version", 2), ("version", 1),
+    pytest.param("groups", _task_twice, id="groups-task-twice"),
+    pytest.param("groups", _task_left_out, id="groups-task-left-out"),
+])
 def test_malformed_manifest_exits_parse(workspace, field, value):
     ws = workspace
     out_dir = str(ws["tmp"] / "merged")
@@ -261,7 +298,7 @@ def test_malformed_manifest_exits_parse(workspace, field, value):
     manifest_path = os.path.join(art_dir, "manifest.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    manifest[field] = value
+    manifest[field] = value(manifest[field]) if callable(value) else value
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh)
     assert main(["reconstruct", "--artifact", art_dir, "--task", "0",

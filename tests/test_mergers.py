@@ -160,7 +160,7 @@ def test_pcb_matches_oracle():
         n = int(rng.integers(2, 4))
         d = 16
         vecs = [rng.normal(size=d).astype(np.float32) for _ in range(n)]
-        got = merge_pcb(vecs, keep_ratio=0.5, lam=1.0, intra_temp=1.0, inter_temp=1.0).unified
+        got = merge_pcb(vecs, keep_ratio=0.5, lam=1.0).unified
         want = pcb_oracle(vecs, 0.5, 1.0, 1.0, 1.0)
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
 
