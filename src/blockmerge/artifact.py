@@ -106,7 +106,7 @@ def _block_slices(block: Block):
     offset = 0
     out = []
     for name, shape, code in zip(block.tensor_names, block.shapes, block.dtypes):
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         out.append((name, offset, n, shape, code))
         offset += n
     return out

@@ -8,6 +8,13 @@ unified vector plus per-member masks and reconstruct per task at load time.
 
 Member sums run in ascending task order after canonical sorting, so outputs
 are invariant under permutation of the input members.
+
+Exactness: the sign-elect kernels (ties, emr, consensus) run every
+element-wise pass in float32 on one scratch buffer per call, and every
+reduction over members as a float64 sum in ascending member order; emr's
+per-member float64 row sums add each whole row pairwise, one row widened at a
+time. Their bytes are identical to the earlier kernels that built float64
+(n, d) temporaries, which the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -93,14 +100,17 @@ def ceil_count(ratio: float, n: int) -> int:
 
 
 def _stack(vectors) -> np.ndarray:
+    """Members as a new C-contiguous (n, d) float32 matrix that the kernel
+    owns, so its in-place steps never reach the caller's arrays."""
     if len(vectors) == 0:
         raise EmptyGroup("cannot merge an empty group")
-    mat = np.asarray([np.asarray(v, dtype=np.float32).ravel() for v in vectors], dtype=np.float32)
-    return mat
+    return np.asarray([np.asarray(v, dtype=np.float32).ravel() for v in vectors], dtype=np.float32)
 
 
 def _ascending_sum(mat: np.ndarray) -> np.ndarray:
-    """Sum rows in ascending member order, accumulated in float64."""
+    """Sum rows in ascending member order, accumulated in float64.
+    (``mat.sum(axis=0, dtype=np.float64)`` is not this: on a single column it
+    adds pairwise.)"""
     acc = np.zeros(mat.shape[1], dtype=np.float64)
     for row in mat:
         acc += row
@@ -109,7 +119,10 @@ def _ascending_sum(mat: np.ndarray) -> np.ndarray:
 
 def merge_average(vectors) -> MergeOutput:
     """Elementwise arithmetic mean."""
-    mat = _stack(vectors)
+    return _average(_stack(vectors))
+
+
+def _average(mat: np.ndarray) -> MergeOutput:
     mean = _ascending_sum(mat) / len(mat)
     return MergeOutput(unified=mean.astype(np.float32))
 
@@ -117,8 +130,11 @@ def merge_average(vectors) -> MergeOutput:
 def merge_ta(vectors, lam: float = 1.5) -> MergeOutput:
     """Scaled mean lam * (1/n) * sum; n is the group size, so the scale is
     stable as groups grow."""
-    out = merge_average(vectors)
-    return MergeOutput(unified=np.float32(lam) * out.unified)
+    return _ta(_stack(vectors), lam)
+
+
+def _ta(mat: np.ndarray, lam: float) -> MergeOutput:
+    return MergeOutput(unified=np.float32(lam) * _average(mat).unified)
 
 
 def ties_trim(tv: TaskVectorSet, keep_ratio: float) -> TaskVectorSet:
@@ -167,9 +183,29 @@ def _top_count_mask(mags: np.ndarray, keep: int) -> np.ndarray:
     return mask
 
 
-def _elected_signs(mat: np.ndarray) -> np.ndarray:
+def _elect(mat: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """TIES sign election: float32 +1 where the member sum is >= 0, else -1.
+    Leaves ``mat * eps`` in ``scratch``; the product is exact, so
+    ``scratch > 0`` marks the members that carry the elected sign."""
     total = _ascending_sum(mat)
-    return np.where(total >= 0.0, 1.0, -1.0)
+    eps = np.where(total >= 0.0, np.float32(1.0), np.float32(-1.0))
+    np.multiply(mat, eps, out=scratch)
+    return eps
+
+
+def _keep(mask: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.where(mask, a, 0.0)`` for float32 ``a``, written into ``out`` as
+    the integer product of the mask and ``a``'s bit patterns: one pass, with
+    +0.0 where the mask is off even where ``a`` is infinite."""
+    np.multiply(mask, a.view(np.int32), out=out.view(np.int32))
+    return out
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """float64 sum of each row of a float32 matrix, added pairwise over the
+    whole row as ``a.astype(np.float64).sum(axis=1)`` adds it, but widening
+    one row at a time."""
+    return np.array([row.astype(np.float64).sum() for row in a])
 
 
 def merge_ties(vectors, lam: float = 1.0) -> MergeOutput:
@@ -177,15 +213,26 @@ def merge_ties(vectors, lam: float = 1.0) -> MergeOutput:
     trimmed already). Per coordinate, the sign of the member sum is elected
     (zero counts as +) and the mean is taken over the members that carry
     that sign, skipping zeros."""
-    mat = _stack(vectors)
-    eps = _elected_signs(mat)
-    agree = (mat * eps[None, :]) > 0.0
-    count = agree.sum(axis=0)
-    acc = np.zeros(mat.shape[1], dtype=np.float64)
-    for row, sel in zip(mat, agree):
-        acc += np.where(sel, row.astype(np.float64), 0.0)
-    unified = lam * (acc / np.maximum(count, 1))
-    return MergeOutput(unified=unified.astype(np.float32))
+    return _ties(_stack(vectors), lam)
+
+
+def _ties(mat: np.ndarray, lam: float) -> MergeOutput:
+    return MergeOutput(unified=_disjoint_mean(mat, np.empty_like(mat), lam))
+
+
+def _disjoint_mean(mat: np.ndarray, scratch: np.ndarray, lam: float) -> np.ndarray:
+    """lam times the mean of the members that carry the elected sign,
+    summed in float64 over ascending members; overwrites ``scratch``."""
+    _elect(mat, scratch)
+    agree = scratch > 0.0
+    count = agree.sum(axis=0, dtype=np.int32)
+    np.maximum(count, 1, out=count)
+    _keep(agree, mat, scratch)
+    del agree  # before the float64 accumulator exists, to lower the peak
+    acc = _ascending_sum(scratch)
+    acc /= count
+    acc *= lam
+    return acc.astype(np.float32)
 
 
 # temperature of PCB's intra- and inter-balancing scores
@@ -198,7 +245,10 @@ def merge_pcb(vectors, keep_ratio: float = 0.1, lam: float = 1.0) -> MergeOutput
     of scaled cross-member products), drop to the per-member top
     ceil(keep_ratio * d) coordinates by combined score, then rescale by the
     score-weighted mean."""
-    mat = _stack(vectors)
+    return _pcb(_stack(vectors), keep_ratio, lam)
+
+
+def _pcb(mat: np.ndarray, keep_ratio: float, lam: float) -> MergeOutput:
     n, d = mat.shape
     if n == 1:
         return MergeOutput(unified=np.float32(lam) * mat[0])
@@ -234,14 +284,24 @@ def merge_emr(vectors) -> MergeOutput:
     magnitude among members agreeing with the elected sign; masks select
     coordinates where member and unified agree in sign; rescalers restore
     each member's L1 mass over its masked unified entries."""
-    mat = _stack(vectors)
-    eps = _elected_signs(mat)
-    agree = (mat * eps[None, :]) > 0.0
-    amax = np.where(agree, np.abs(mat), np.float32(0.0)).max(axis=0)
-    unified = (eps * amax).astype(np.float32)
-    masks = (mat * unified[None, :]) > 0.0
-    l1 = np.abs(mat).astype(np.float64).sum(axis=1)
-    kept = np.abs(np.where(masks, unified[None, :], np.float32(0.0))).astype(np.float64).sum(axis=1)
+    return _emr(_stack(vectors))
+
+
+def _emr(mat: np.ndarray) -> MergeOutput:
+    scratch = np.empty_like(mat)
+    eps = _elect(mat, scratch)
+    # the largest agreeing magnitude, +0.0 where no member agrees (fmax skips
+    # the NaN products of non-finite members)
+    top = np.fmax.reduce(scratch, axis=0)
+    unified = np.where(top > 0.0, top, np.float32(0.0))
+    unified *= eps
+    del eps  # before the row sums widen to float64, to lower the peak
+    # the float32 product's underflow to 0 is part of what a mask means
+    np.multiply(mat, unified, out=scratch)
+    masks = scratch > 0.0
+    np.abs(mat, out=scratch)
+    l1 = _row_sums(scratch)
+    kept = _row_sums(_keep(masks, np.abs(unified), scratch))
     gammas = np.where(kept == 0.0, 1.0, l1 / np.where(kept == 0.0, 1.0, kept))
     return MergeOutput(unified=unified, masks=masks, rescalers=gammas.astype(np.float32))
 
@@ -250,10 +310,17 @@ def merge_consensus(vectors, threshold: float = 0.6) -> MergeOutput:
     """Unified vector from the elect+disjoint merge (lam=1); member masks keep
     the coordinates where the member's own magnitude is at least
     ``threshold`` times its distance to the unified value."""
-    mat = _stack(vectors)
-    unified = merge_ties(mat, lam=1.0).unified
-    masks = np.abs(mat) >= np.float32(threshold) * np.abs(unified[None, :] - mat)
-    return MergeOutput(unified=unified, masks=masks)
+    return _consensus(_stack(vectors), threshold)
+
+
+def _consensus(mat: np.ndarray, threshold: float) -> MergeOutput:
+    scratch = np.empty_like(mat)
+    unified = _disjoint_mean(mat, scratch, 1.0)
+    np.subtract(unified, mat, out=scratch)
+    np.abs(scratch, out=scratch)
+    scratch *= np.float32(threshold)
+    np.abs(mat, out=mat)
+    return MergeOutput(unified=unified, masks=mat >= scratch)
 
 
 def merge_group(cfg: MergerConfig, tv: TaskVectorSet, block_id: int, members) -> MergeOutput:
@@ -263,20 +330,23 @@ def merge_group(cfg: MergerConfig, tv: TaskVectorSet, block_id: int, members) ->
     output follow that sorted order.
     """
     members = sorted(members)
-    vectors = [tv.block_vectors[block_id][k] for k in members]
+    if not members:
+        raise EmptyGroup("cannot merge an empty group")
+    # fancy indexing gathers the rows into a new array that the kernel owns
+    mat = np.asarray(tv.block_vectors[block_id][members], dtype=np.float32)
     a = cfg.algorithm
     if a == "average":
-        return merge_average(vectors)
+        return _average(mat)
     if a == "ta":
-        return merge_ta(vectors, lam=cfg.lam)
+        return _ta(mat, cfg.lam)
     if a == "ties":
-        return merge_ties(vectors, lam=cfg.lam)
+        return _ties(mat, cfg.lam)
     if a == "pcb":
-        return merge_pcb(vectors, keep_ratio=cfg.keep_ratio, lam=cfg.lam)
+        return _pcb(mat, cfg.keep_ratio, cfg.lam)
     if a == "emr":
-        return merge_emr(vectors)
+        return _emr(mat)
     if a == "consensus":
-        return merge_consensus(vectors, threshold=cfg.consensus_threshold)
+        return _consensus(mat, cfg.consensus_threshold)
     raise ValueError(f"unknown algorithm {a!r}")
 
 

@@ -2,13 +2,17 @@
 
 Everything here is written with plain Python floats and explicit loops,
 deliberately sharing no code with the package, so the vectorized paths can
-be checked against a second route.
+be checked against a second route. The one exception is the section of
+bitwise references at the end: vectorised kernels kept as they were before
+a rewrite that must not change their output bits.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def cosine_oracle(u, v) -> float:
@@ -133,3 +137,62 @@ def size_oracle(block_groups, block_nbytes, block_dims, masked, scalars=False) -
         if masked and has_multi:
             total += bb
     return Fraction(total, unit)
+
+
+# -- bitwise references -------------------------------------------------------
+# The vectorised ties, emr and consensus kernels as they stood before their
+# float32 rewrite, copied verbatim except that helpers carry a ``_reference``
+# suffix and results are returned as plain arrays. The rewrite must reproduce
+# their unified vectors, masks and rescalers bit for bit.
+
+
+def _stack_reference(vectors) -> np.ndarray:
+    mat = np.asarray([np.asarray(v, dtype=np.float32).ravel() for v in vectors], dtype=np.float32)
+    return mat
+
+
+def _ascending_sum_reference(mat: np.ndarray) -> np.ndarray:
+    acc = np.zeros(mat.shape[1], dtype=np.float64)
+    for row in mat:
+        acc += row
+    return acc
+
+
+def _elected_signs_reference(mat: np.ndarray) -> np.ndarray:
+    total = _ascending_sum_reference(mat)
+    return np.where(total >= 0.0, 1.0, -1.0)
+
+
+def merge_ties_reference(vectors, lam: float = 1.0):
+    """Returns the unified vector."""
+    mat = _stack_reference(vectors)
+    eps = _elected_signs_reference(mat)
+    agree = (mat * eps[None, :]) > 0.0
+    count = agree.sum(axis=0)
+    acc = np.zeros(mat.shape[1], dtype=np.float64)
+    for row, sel in zip(mat, agree):
+        acc += np.where(sel, row.astype(np.float64), 0.0)
+    unified = lam * (acc / np.maximum(count, 1))
+    return unified.astype(np.float32)
+
+
+def merge_emr_reference(vectors):
+    """Returns (unified, masks, rescalers)."""
+    mat = _stack_reference(vectors)
+    eps = _elected_signs_reference(mat)
+    agree = (mat * eps[None, :]) > 0.0
+    amax = np.where(agree, np.abs(mat), np.float32(0.0)).max(axis=0)
+    unified = (eps * amax).astype(np.float32)
+    masks = (mat * unified[None, :]) > 0.0
+    l1 = np.abs(mat).astype(np.float64).sum(axis=1)
+    kept = np.abs(np.where(masks, unified[None, :], np.float32(0.0))).astype(np.float64).sum(axis=1)
+    gammas = np.where(kept == 0.0, 1.0, l1 / np.where(kept == 0.0, 1.0, kept))
+    return unified, masks, gammas.astype(np.float32)
+
+
+def merge_consensus_reference(vectors, threshold: float = 0.6):
+    """Returns (unified, masks)."""
+    mat = _stack_reference(vectors)
+    unified = merge_ties_reference(mat, lam=1.0)
+    masks = np.abs(mat) >= np.float32(threshold) * np.abs(unified[None, :] - mat)
+    return unified, masks
