@@ -139,31 +139,51 @@ def _ta(mat: np.ndarray, lam: float) -> MergeOutput:
 
 def ties_trim(tv: TaskVectorSet, keep_ratio: float) -> TaskVectorSet:
     """Keep, per task, the ceil(keep_ratio * D) largest-magnitude entries
-    across ALL blocks concatenated and zero the rest.
+    across ALL blocks concatenated and write +0.0 over the rest, in place:
+    returns ``tv`` itself with ``trim_ratio`` set.
 
     Trimming is global rather than per block and happens once, before any
     scheduling or merging. Ties at the magnitude threshold are resolved by
-    ascending flat index.
+    ascending flat index. Beyond the set itself it holds one (D,) float32
+    scratch row, which every task reuses, and a few block-sized temporaries.
     """
     if not 0.0 < keep_ratio <= 1.0:
         raise ValueError(f"keep_ratio must be in (0, 1], got {keep_ratio}")
-    if keep_ratio == 1.0:
-        return TaskVectorSet(tv.partition, tv.num_tasks, [v.copy() for v in tv.block_vectors],
-                             trim_ratio=1.0)
     dims = [v.shape[1] for v in tv.block_vectors]
     total = sum(dims)
     keep = ceil_count(keep_ratio, total)
-    trimmed = [np.zeros_like(v) for v in tv.block_vectors]
-    for k in range(tv.num_tasks):
-        flat = np.concatenate([v[k] for v in tv.block_vectors])
-        mags = np.abs(flat)
-        mask = _top_count_mask(mags, keep)
-        offset = 0
-        for b, d in enumerate(dims):
-            sel = mask[offset : offset + d]
-            trimmed[b][k, sel] = tv.block_vectors[b][k, sel]
-            offset += d
-    return TaskVectorSet(tv.partition, tv.num_tasks, trimmed, trim_ratio=keep_ratio)
+    if keep < total:
+        scratch = np.empty(total, dtype=np.float32)
+        chunk = max(dims)
+        for k in range(tv.num_tasks):
+            _trim_task(tv.block_vectors, k, keep, scratch, chunk)
+    tv.trim_ratio = keep_ratio
+    return tv
+
+
+def _trim_task(block_vectors, k: int, keep: int, scratch: np.ndarray, chunk: int) -> None:
+    """Zero all but task ``k``'s ``keep`` largest magnitudes, as
+    ``_top_count_mask`` over its concatenated row would select them."""
+    offset = 0
+    for v in block_vectors:
+        np.abs(v[k], out=scratch[offset : offset + v.shape[1]])
+        offset += v.shape[1]
+    cut = len(scratch) - keep
+    scratch.partition(cut)
+    thresh = scratch[cut]
+    # everything above the threshold sits behind it; count it a chunk at a time
+    above = sum(np.count_nonzero(scratch[i : i + chunk] > thresh)
+                for i in range(cut + 1, len(scratch), chunk))
+    short = keep - above
+    for v in block_vectors:
+        row = v[k]
+        mags = np.abs(row, out=scratch[: row.size])
+        kept = mags > thresh
+        if short > 0:
+            ties = np.flatnonzero(mags == thresh)[:short]
+            kept[ties] = True
+            short -= len(ties)
+        _keep(kept, row, row)
 
 
 def _top_count_mask(mags: np.ndarray, keep: int) -> np.ndarray:
@@ -356,7 +376,8 @@ def expected_trim_ratio(cfg: MergerConfig) -> float | None:
 
 
 def prepare_task_vectors(tv: TaskVectorSet, cfg: MergerConfig) -> TaskVectorSet:
-    """Apply the up-front global trim when the algorithm calls for one."""
+    """Apply the up-front global trim, in place, when the algorithm calls for
+    one; returns ``tv`` itself either way."""
     want = expected_trim_ratio(cfg)
     if want is None or tv.trim_ratio == want:
         return tv

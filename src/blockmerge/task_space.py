@@ -148,7 +148,8 @@ class TaskVectorSet:
     ``block_vectors[b]`` is an (M, d_b) float32 array; row k holds the
     flattened difference of task k's tensors against the pretrained values.
     ``trim_ratio`` records a global magnitude trim applied up front (None
-    means untrimmed).
+    means untrimmed); ``mergers.ties_trim`` applies it in place, to these
+    arrays, and returns the same set.
     """
 
     partition: BlockPartition

@@ -141,9 +141,10 @@ def size_oracle(block_groups, block_nbytes, block_dims, masked, scalars=False) -
 
 # -- bitwise references -------------------------------------------------------
 # The vectorised ties, emr and consensus kernels as they stood before their
-# float32 rewrite, copied verbatim except that helpers carry a ``_reference``
-# suffix and results are returned as plain arrays. The rewrite must reproduce
-# their unified vectors, masks and rescalers bit for bit.
+# float32 rewrite, and the global trim as it stood before it worked in place,
+# copied verbatim except that helpers carry a ``_reference`` suffix and
+# results are returned as plain arrays. The rewrites must reproduce their
+# unified vectors, masks, rescalers and trimmed task vectors bit for bit.
 
 
 def _stack_reference(vectors) -> np.ndarray:
@@ -196,3 +197,40 @@ def merge_consensus_reference(vectors, threshold: float = 0.6):
     unified = merge_ties_reference(mat, lam=1.0)
     masks = np.abs(mat) >= np.float32(threshold) * np.abs(unified[None, :] - mat)
     return unified, masks
+
+
+def _top_count_mask_reference(mags: np.ndarray, keep: int) -> np.ndarray:
+    d = mags.shape[0]
+    if keep >= d:
+        return np.ones(d, dtype=bool)
+    if keep <= 0:
+        return np.zeros(d, dtype=bool)
+    thresh = np.partition(mags, d - keep)[d - keep]
+    mask = mags > thresh
+    short = keep - int(mask.sum())
+    if short > 0:
+        ties = np.nonzero(mags == thresh)[0]
+        mask[ties[:short]] = True
+    return mask
+
+
+def ties_trim_reference(block_vectors, keep_ratio: float) -> list[np.ndarray]:
+    """Returns new trimmed (M, d_b) arrays; the inputs are left as they are."""
+    if not 0.0 < keep_ratio <= 1.0:
+        raise ValueError(f"keep_ratio must be in (0, 1], got {keep_ratio}")
+    if keep_ratio == 1.0:
+        return [v.copy() for v in block_vectors]
+    dims = [v.shape[1] for v in block_vectors]
+    total = sum(dims)
+    keep = ceil_ratio(keep_ratio, total)
+    trimmed = [np.zeros_like(v) for v in block_vectors]
+    for k in range(block_vectors[0].shape[0]):
+        flat = np.concatenate([v[k] for v in block_vectors])
+        mags = np.abs(flat)
+        mask = _top_count_mask_reference(mags, keep)
+        offset = 0
+        for b, d in enumerate(dims):
+            sel = mask[offset : offset + d]
+            trimmed[b][k, sel] = block_vectors[b][k, sel]
+            offset += d
+    return trimmed
