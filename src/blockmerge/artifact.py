@@ -152,9 +152,10 @@ def build_artifact(
     block itself (a view when the block is one float32 tensor): in float32,
     ``pre + (ft - pre)`` is not always ``ft``, and size M must give back the
     inputs bit for bit. Without ``finetuned`` a singleton stores
-    ``pre + vector``, so size M is then only exact on data where that sum
-    rounds back to the input. Trimmed vectors keep ``pre + trimmed vector``,
-    which is what ties/consensus define. Raises
+    ``pre + row``, the task's row built for it alone (``tv.rows``), so size
+    M is then only exact on data where that sum rounds back to the input.
+    Trimmed vectors keep ``pre + trimmed row``, which is what ties/consensus
+    define. Raises
     ConfigMismatch when the task vectors' trim state disagrees with the
     algorithm (ties/consensus need the up-front global trim).
     """
@@ -187,7 +188,7 @@ def build_artifact(
             elif len(members) == 1:
                 k = members[0]
                 dense = (flatten_block(finetuned[k], block) if exact_singletons
-                         else base + tv.block_vectors[b][k])
+                         else base + tv.rows(b, [k])[0])
                 payload = StoredGroup(gid, b, members, "dense", dense=dense)
             else:
                 out = merge_group(cfg, tv, b, members)

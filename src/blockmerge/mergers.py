@@ -139,51 +139,66 @@ def _ta(mat: np.ndarray, lam: float) -> MergeOutput:
 
 def ties_trim(tv: TaskVectorSet, keep_ratio: float) -> TaskVectorSet:
     """Keep, per task, the ceil(keep_ratio * D) largest-magnitude entries
-    across ALL blocks concatenated and write +0.0 over the rest, in place:
-    returns ``tv`` itself with ``trim_ratio`` set.
+    across ALL blocks concatenated; every other entry becomes +0.0. Returns
+    ``tv`` itself with the trim recorded and ``trim_ratio`` set.
 
     Trimming is global rather than per block and happens once, before any
     scheduling or merging. Ties at the magnitude threshold are resolved by
-    ascending flat index. Beyond the set itself it holds one (D,) float32
-    scratch row, which every task reuses, and a few block-sized temporaries.
+    ascending flat index. The trim records, per block, a packed keep-mask
+    row per task plus the kept float32 values in flat order, verbatim (so
+    -0.0 and NaN survive as they were); ``tv.rows`` rebuilds the trimmed
+    rows from them. That is at most M * D / 8 + 4 * keep * M bytes against
+    4 * M * D for dense rows. Beyond them it holds two (D,) float32 scratch
+    rows, which every task reuses, and a few block-sized temporaries. A
+    trim that keeps every entry stores nothing.
     """
     if not 0.0 < keep_ratio <= 1.0:
         raise ValueError(f"keep_ratio must be in (0, 1], got {keep_ratio}")
-    dims = [v.shape[1] for v in tv.block_vectors]
+    dims = tv.partition.block_dims
     total = sum(dims)
     keep = ceil_count(keep_ratio, total)
     if keep < total:
-        scratch = np.empty(total, dtype=np.float32)
-        chunk = max(dims)
+        signed = np.empty(total, dtype=np.float32)
+        mags = np.empty(total, dtype=np.float32)
+        kept = [(np.empty((tv.num_tasks, (d + 7) // 8), dtype=np.uint8), []) for d in dims]
         for k in range(tv.num_tasks):
-            _trim_task(tv.block_vectors, k, keep, scratch, chunk)
+            _trim_task(tv, k, keep, signed, mags, kept)
+        tv._kept = kept
     tv.trim_ratio = keep_ratio
     return tv
 
 
-def _trim_task(block_vectors, k: int, keep: int, scratch: np.ndarray, chunk: int) -> None:
-    """Zero all but task ``k``'s ``keep`` largest magnitudes, as
-    ``_top_count_mask`` over its concatenated row would select them."""
+def _trim_task(tv: TaskVectorSet, k: int, keep: int, signed: np.ndarray, mags: np.ndarray,
+               kept) -> None:
+    """Record task ``k``'s ``keep`` largest magnitudes in ``kept``, as
+    ``_top_count_mask`` over its concatenated row would select them: one
+    pass builds the row into ``signed``, ``mags`` finds the threshold."""
+    dims = tv.partition.block_dims
     offset = 0
-    for v in block_vectors:
-        np.abs(v[k], out=scratch[offset : offset + v.shape[1]])
-        offset += v.shape[1]
-    cut = len(scratch) - keep
-    scratch.partition(cut)
-    thresh = scratch[cut]
+    for b, d in enumerate(dims):
+        tv._fill(b, k, signed[offset : offset + d])
+        offset += d
+    np.abs(signed, out=mags)
+    cut = len(mags) - keep
+    mags.partition(cut)
+    thresh = mags[cut]
     # everything above the threshold sits behind it; count it a chunk at a time
-    above = sum(np.count_nonzero(scratch[i : i + chunk] > thresh)
-                for i in range(cut + 1, len(scratch), chunk))
+    chunk = max(dims)
+    above = sum(np.count_nonzero(mags[i : i + chunk] > thresh)
+                for i in range(cut + 1, len(mags), chunk))
     short = keep - above
-    for v in block_vectors:
-        row = v[k]
-        mags = np.abs(row, out=scratch[: row.size])
-        kept = mags > thresh
+    offset = 0
+    for (packed, values), d in zip(kept, dims):
+        row = signed[offset : offset + d]
+        offset += d
+        row_mags = np.abs(row, out=mags[:d])
+        mask = row_mags > thresh
         if short > 0:
-            ties = np.flatnonzero(mags == thresh)[:short]
-            kept[ties] = True
+            ties = np.flatnonzero(row_mags == thresh)[:short]
+            mask[ties] = True
             short -= len(ties)
-        _keep(kept, row, row)
+        packed[k] = np.packbits(mask)
+        values.append(row[np.flatnonzero(mask)])
 
 
 def _top_count_mask(mags: np.ndarray, keep: int) -> np.ndarray:
@@ -347,13 +362,14 @@ def merge_group(cfg: MergerConfig, tv: TaskVectorSet, block_id: int, members) ->
     """Merge one group of tasks in one block under ``cfg``.
 
     Members are sorted ascending before merging; mask/rescaler rows of the
-    output follow that sorted order.
+    output follow that sorted order. The members' rows are built for this
+    call only (``tv.rows``), so one group's block is all it holds.
     """
     members = sorted(members)
     if not members:
         raise EmptyGroup("cannot merge an empty group")
-    # fancy indexing gathers the rows into a new array that the kernel owns
-    mat = np.asarray(tv.block_vectors[block_id][members], dtype=np.float32)
+    # rows are built into a new array that the kernel owns and may overwrite
+    mat = tv.rows(block_id, members)
     a = cfg.algorithm
     if a == "average":
         return _average(mat)
@@ -376,8 +392,9 @@ def expected_trim_ratio(cfg: MergerConfig) -> float | None:
 
 
 def prepare_task_vectors(tv: TaskVectorSet, cfg: MergerConfig) -> TaskVectorSet:
-    """Apply the up-front global trim, in place, when the algorithm calls for
-    one; returns ``tv`` itself either way."""
+    """Apply the up-front global trim when the algorithm calls for one,
+    recording it on ``tv`` (``ties_trim``); returns ``tv`` itself either
+    way."""
     want = expected_trim_ratio(cfg)
     if want is None or tv.trim_ratio == want:
         return tv

@@ -396,7 +396,7 @@ def replay_to_sizes(
     every snapshot is a prefix of the next; equal targets share one
     assignment.
     """
-    if tv.num_tasks != plan.num_tasks or len(tv.block_vectors) != plan.num_blocks:
+    if tv.num_tasks != plan.num_tasks or tv.partition.num_blocks != plan.num_blocks:
         raise ValueError("plan and task vectors disagree on tasks/blocks")
     wanted = [Fraction(t) for t in targets]
     pending = sorted(set(wanted), reverse=True)
@@ -517,8 +517,8 @@ def kmeans_baseline(
     if sm is None:
         sm = SizeModel.from_partition(tv.partition)
     block_groups = []
-    for b, x in enumerate(tv.block_vectors):
-        labels = _kmeans_block(x, k, np.random.default_rng([seed, b]))
+    for b in range(tv.partition.num_blocks):
+        labels = _kmeans_block(tv.rows(b), k, np.random.default_rng([seed, b]))
         clusters: dict[int, list[int]] = {}
         for task, lab in enumerate(labels):
             clusters.setdefault(int(lab), []).append(task)
@@ -527,7 +527,7 @@ def kmeans_baseline(
         )
     assignment = GroupAssignment(
         block_groups=block_groups,
-        applied_events=sum(tv.num_tasks - k for _ in tv.block_vectors),
+        applied_events=(tv.num_tasks - k) * tv.partition.num_blocks,
         size=Fraction(0),
     )
     assignment.size = sm.size_of(assignment.block_groups)

@@ -12,7 +12,7 @@ Linkage strategies map two groups' member-pair similarities to one score:
 so the scheduler can score ``unified`` from summed Gram entries;
 ``group_similarity`` recomputes every score from scratch (``unified`` from
 the task vectors) and serves the reference scheduler. Blocks are computed
-one after another, each into arrays of its own.
+one after another, each from its rows built for it alone (``tv.rows``).
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def pairwise_block_similarity(tv: TaskVectorSet, block_id: int) -> SimilarityMat
     """All-pairs cosine over the block's task vectors (float64 accumulation,
     result stored float32), plus the M x M float64 Gram matrix rebuilt from
     the float64 cosines and norms."""
-    x = tv.block_vectors[block_id].astype(np.float64)
+    x = tv.rows(block_id).astype(np.float64)
     norms = np.sqrt(np.einsum("ij,ij->i", x, x))
     zero = norms == 0.0
     safe = np.where(zero, 1.0, norms)
@@ -86,17 +86,17 @@ def pairwise_block_similarity(tv: TaskVectorSet, block_id: int) -> SimilarityMat
 
 def pairwise_all(tv: TaskVectorSet) -> list[SimilarityMatrix]:
     """Every block's matrices, in block order."""
-    return [pairwise_block_similarity(tv, b) for b in range(len(tv.block_vectors))]
+    return [pairwise_block_similarity(tv, b) for b in range(tv.partition.num_blocks)]
 
 
 def group_mean(tv: TaskVectorSet, block_id: int, members: Iterable[int]) -> np.ndarray:
     """Plain average of member task vectors, accumulated in float64 in
     ascending task order (the canonical representative for ``unified``)."""
-    members = sorted(members)
-    acc = np.zeros(tv.block_vectors[block_id].shape[1], dtype=np.float64)
-    for k in members:
-        acc += tv.block_vectors[block_id][k]
-    acc /= len(members)
+    rows = tv.rows(block_id, sorted(members))
+    acc = np.zeros(rows.shape[1], dtype=np.float64)
+    for row in rows:
+        acc += row
+    acc /= len(rows)
     return acc
 
 

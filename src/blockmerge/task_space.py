@@ -5,11 +5,17 @@ A *block* is an ordered list of tensor names treated as one unit of merging
 ``b`` of task ``k`` is the flattened float32 difference between the
 fine-tuned and pretrained values of the block's tensors, concatenated in
 block order, row-major per tensor.
+
+Task vectors are built on demand: a ``TaskVectorSet`` refers to the read
+checkpoints (or to the arrays it was built from) and ``rows`` builds one
+block's rows for the members asked for, into a new array the caller owns.
+No stage holds the whole (M, D) set; a global trim keeps only its survivors.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,21 +147,95 @@ def partition(
     )
 
 
-@dataclass
 class TaskVectorSet:
-    """Per-block stacked task vectors.
+    """The task vectors of M tasks over a partition, built one block at a
+    time.
 
-    ``block_vectors[b]`` is an (M, d_b) float32 array; row k holds the
-    flattened difference of task k's tensors against the pretrained values.
+    ``rows(b, members)`` returns block ``b``'s (n, d_b) float32 rows, row i
+    holding the flattened difference of task ``members[i]``'s tensors
+    against the pretrained values. Their source is either the read
+    checkpoints (``compute_task_vectors``) or, for a set built from arrays,
+    the (M, d_b) ``block_vectors`` given here, which become the row source
+    as they are.
+
     ``trim_ratio`` records a global magnitude trim applied up front (None
-    means untrimmed); ``mergers.ties_trim`` applies it in place, to these
-    arrays, and returns the same set.
+    means untrimmed). ``mergers.ties_trim`` records it on the set itself:
+    per block, a packed keep-mask row per task plus the kept values in flat
+    order, from which the trimmed rows are rebuilt. A trim that keeps
+    everything stores nothing.
+
+    ``block_vectors`` is a read-only sequence of each block's (M, d_b)
+    rows: the arrays the set was built from while it is untrimmed, rows
+    built anew on every access otherwise. The pipeline never indexes it.
     """
 
-    partition: BlockPartition
-    num_tasks: int
-    block_vectors: list[np.ndarray]
-    trim_ratio: float | None = None
+    def __init__(self, partition: BlockPartition, num_tasks: int, block_vectors,
+                 trim_ratio: float | None = None):
+        self.partition = partition
+        self.num_tasks = num_tasks
+        self.trim_ratio = trim_ratio
+        self._arrays = None if block_vectors is None else tuple(
+            np.asarray(v, dtype=np.float32) for v in block_vectors)
+        # compute_task_vectors' source: float32 pretrained tensors by name,
+        # and the fine-tuned checkpoints
+        self._base: dict[str, np.ndarray] = {}
+        self._finetuned: list[Checkpoint] = []
+        # set by ties_trim: per block, (M, ceil(d_b / 8)) packed keep masks
+        # and each task's kept values
+        self._kept: list[tuple[np.ndarray, list[np.ndarray]]] | None = None
+
+    @property
+    def block_vectors(self):
+        if self._arrays is not None and self._kept is None:
+            return self._arrays
+        return _BlockRows(self)
+
+    def rows(self, b: int, members=None) -> np.ndarray:
+        """Block ``b``'s task vectors of ``members`` (all tasks when None),
+        in the order given, as a new C-contiguous (n, d_b) float32 array
+        that shares no memory with the set's sources."""
+        members = range(self.num_tasks) if members is None else list(members)
+        d = self.partition.blocks[b].dim
+        if self._kept is None:
+            out = np.empty((len(members), d), dtype=np.float32)
+            for row, k in zip(out, members):
+                self._fill(b, k, row)
+            return out
+        out = np.zeros((len(members), d), dtype=np.float32)
+        packed, values = self._kept[b]
+        for row, k in zip(out, members):
+            # unpacked bits are 0/1 bytes, so they are a valid bool buffer
+            row[np.flatnonzero(np.unpackbits(packed[k], count=d).view(bool))] = values[k]
+        return out
+
+    def _fill(self, b: int, k: int, out: np.ndarray) -> None:
+        """Write task ``k``'s untrimmed row of block ``b`` into ``out``."""
+        if self._arrays is not None:
+            np.copyto(out, self._arrays[b][k])
+            return
+        tensors = self._finetuned[k].tensors
+        offset = 0
+        for name in self.partition.blocks[b].tensor_names:
+            base = self._base[name]
+            end = offset + base.size
+            np.subtract(tensors[name].ravel(), base, out=out[offset:end], dtype=np.float32)
+            offset = end
+
+
+class _BlockRows(Sequence):
+    """``TaskVectorSet.block_vectors`` of a set whose rows are built on
+    demand: item ``b`` is a new read-only array of all tasks' rows."""
+
+    def __init__(self, tv: TaskVectorSet):
+        self._tv = tv
+
+    def __len__(self) -> int:
+        return self._tv.partition.num_blocks
+
+    def __getitem__(self, b: int) -> np.ndarray:
+        out = self._tv.rows(range(len(self))[b])
+        out.flags.writeable = False
+        return out
 
 
 def flatten_block(ckpt: Checkpoint, block: Block) -> np.ndarray:
@@ -172,24 +252,23 @@ def compute_task_vectors(
     finetuned: list[Checkpoint],
     part: BlockPartition,
 ) -> TaskVectorSet:
-    """Differences fine-tuned minus pretrained, widened to float32 before
-    subtracting so float16 archives lose nothing in the difference. Each
-    tensor is subtracted straight into its slice of the block's rows."""
+    """The task vectors of ``finetuned`` against ``pretrained``, after
+    checking that they align on every mergeable tensor.
+
+    The set holds no (M, d_b) arrays: it refers to the checkpoints, and
+    ``rows`` subtracts each tensor straight into its slice of a block's
+    rows, widened to float32 before subtracting so float16 archives lose
+    nothing in the difference. Float32 pretrained tensors are held as
+    views; a float16 one is widened to float32 once, here.
+    """
     report = validate_aligned(pretrained, finetuned, exclude=None)
     mergeable = set(part.tensor_to_block)
     bad = [m for m in report.mismatches if m[0] in mergeable]
     if bad:
         raise AlignmentError(f"checkpoints not aligned on mergeable tensors: {bad[:5]}", report)
 
-    block_vectors = []
-    for block in part.blocks:
-        rows = np.empty((len(finetuned), block.dim), dtype=np.float32)
-        offset = 0
-        for name in block.tensor_names:
-            base = pretrained.tensors[name].astype(np.float32, copy=False).ravel()
-            cols = slice(offset, offset + base.size)
-            for k, ckpt in enumerate(finetuned):
-                np.subtract(ckpt.tensors[name].ravel(), base, out=rows[k, cols], dtype=np.float32)
-            offset += base.size
-        block_vectors.append(rows)
-    return TaskVectorSet(partition=part, num_tasks=len(finetuned), block_vectors=block_vectors)
+    tv = TaskVectorSet(partition=part, num_tasks=len(finetuned), block_vectors=None)
+    tv._base = {name: pretrained.tensors[name].astype(np.float32, copy=False).ravel()
+                for block in part.blocks for name in block.tensor_names}
+    tv._finetuned = list(finetuned)
+    return tv

@@ -49,9 +49,9 @@ class Checkpoint:
 
     Insertion order of ``tensors`` is the archive header order. Arrays are
     little-endian and C-contiguous. The tensors of a loaded checkpoint are
-    views into one shared read buffer, and code that derives arrays from
-    them (task vectors, artifact payloads) may keep views too, so treat a
-    loaded checkpoint as immutable.
+    views into one shared read buffer, and code that keeps them (task
+    vector sets, artifact payloads) may keep views too, so treat a loaded
+    checkpoint as immutable.
     """
 
     tensors: dict[str, np.ndarray] = field(default_factory=dict)

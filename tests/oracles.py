@@ -234,3 +234,22 @@ def ties_trim_reference(block_vectors, keep_ratio: float) -> list[np.ndarray]:
             trimmed[b][k, sel] = block_vectors[b][k, sel]
             offset += d
     return trimmed
+
+
+def task_vectors_reference(pretrained, finetuned, part) -> list[np.ndarray]:
+    """Every block's dense (M, d_b) float32 task vectors, computed up front
+    as ``compute_task_vectors`` did before rows were built on demand (the
+    alignment check left out): each tensor subtracted straight into its
+    slice of the block's rows."""
+    block_vectors = []
+    for block in part.blocks:
+        rows = np.empty((len(finetuned), block.dim), dtype=np.float32)
+        offset = 0
+        for name in block.tensor_names:
+            base = pretrained.tensors[name].astype(np.float32, copy=False).ravel()
+            cols = slice(offset, offset + base.size)
+            for k, ckpt in enumerate(finetuned):
+                np.subtract(ckpt.tensors[name].ravel(), base, out=rows[k, cols], dtype=np.float32)
+            offset += base.size
+        block_vectors.append(rows)
+    return block_vectors

@@ -1,5 +1,6 @@
-"""The in-place global trim against its earlier copying form, bit for bit;
-what it does to the set it is given; and its peak memory."""
+"""The global trim against its earlier copying form, bit for bit; what it
+records on the set it is given and leaves of the set's sources; and its peak
+memory."""
 
 import hashlib
 import tracemalloc
@@ -58,11 +59,12 @@ def assert_trim_matches_reference(blocks, keep_ratio: float):
     tv = tv_of(blocks)
     want = ties_trim_reference(tv.block_vectors, keep_ratio)
     arrays = list(tv.block_vectors)
+    source = [v.tobytes() for v in arrays]
     out = ties_trim(tv, keep_ratio)
     assert out is tv and out.trim_ratio == keep_ratio
-    assert all(a is b for a, b in zip(out.block_vectors, arrays))
     # tobytes, so the sign of a zero and the payload of a NaN count
-    assert [v.tobytes() for v in out.block_vectors] == [v.tobytes() for v in want]
+    assert [tv.rows(b).tobytes() for b in range(len(arrays))] == [v.tobytes() for v in want]
+    assert [v.tobytes() for v in arrays] == source  # the row source is not written
 
 
 @st.composite
@@ -107,9 +109,12 @@ def test_trim_ties_straddle_block_boundaries():
 def test_trim_keeps_the_set_and_its_arrays():
     tv = synthetic_tv(np.random.default_rng(40), [5, 11], num_tasks=3)
     arrays = list(tv.block_vectors)
+    source = [v.tobytes() for v in arrays]
+    want = ties_trim_reference(arrays, 0.1)
     assert prepare_task_vectors(tv, MergerConfig.for_algorithm("ties")) is tv
     assert tv.trim_ratio == 0.1
-    assert all(a is b for a, b in zip(tv.block_vectors, arrays))
+    assert [v.tobytes() for v in arrays] == source
+    assert [tv.rows(b).tobytes() for b in range(2)] == [v.tobytes() for v in want]
     assert sum(np.count_nonzero(v) for v in tv.block_vectors) == 3 * ceil_count(0.1, 16)
 
 
@@ -168,10 +173,12 @@ def test_prepare_trims_through_the_module_global(monkeypatch):
 DIMS = [20_000 + 3_001 * i for i in range(12)]  # D = 438 066, uneven widths
 
 
-def _bound(dims) -> int:
-    # one task's float32 scratch row plus a few block-sized temporaries: a
-    # second copy of the set (8 tasks x 4 bytes) does not fit
-    return 4 * sum(dims) + 16 * max(dims) + (64 << 10)
+def _bound(dims, num_tasks=8, keep_ratio=0.1) -> int:
+    # two float32 scratch rows, a few block-sized temporaries and the
+    # survivors the trim records (packed keep masks and kept values): a
+    # dense copy of the set (8 tasks x 4 bytes) does not fit
+    survivors = num_tasks * (sum((d + 7) // 8 for d in dims) + 4 * ceil_count(keep_ratio, sum(dims)))
+    return 8 * sum(dims) + 16 * max(dims) + survivors + (64 << 10)
 
 
 def _grid_tv(seed: int):
