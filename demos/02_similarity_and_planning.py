@@ -12,7 +12,6 @@ from blockmerge import (
     compute_merge_plan,
     compute_task_vectors,
     default_transformer_rules,
-    naive_greedy_order,
     pairwise_block_similarity,
     partition,
 )
@@ -66,13 +65,6 @@ def main():
     pair01 = sum(1 for pair in first_pairs.values() if pair == ((0,), (1,)))
     print(f"\nblocks whose first merge is the lookalike pair (0, 1): "
           f"{pair01} of {part.num_blocks}")
-
-    oracle = naive_greedy_order(tv, strategy="min")
-    same = all(
-        (a.block_id, a.left, a.right) == (b.block_id, b.left, b.right)
-        for a, b in zip(plan.events, oracle.events)
-    )
-    print(f"per-block greedy + heap order equals the cubic greedy oracle: {same}")
 
     for policy in ("left_to_right", "right_to_left", "random"):
         alt = compute_merge_plan(tv, order_policy=policy, seed=7)

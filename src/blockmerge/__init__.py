@@ -11,11 +11,9 @@ from .errors import (
     ConfigMismatch,
     EmptyGroup,
     EmptyPartition,
-    LengthMismatch,
     MalformedArtifact,
     MalformedHeader,
     MalformedPlan,
-    OverlappingGroups,
     TruncatedData,
     UnknownTask,
     UnsupportedDtype,
@@ -37,8 +35,6 @@ from .task_space import (
 )
 from .similarity import (
     SimilarityMatrix,
-    cosine,
-    group_similarity,
     pairwise_all,
     pairwise_block_similarity,
 )
@@ -66,7 +62,6 @@ from .scheduler import (
     compute_merge_plan,
     global_merge_order,
     kmeans_baseline,
-    naive_greedy_order,
     read_plan_jsonl,
     replay_to_size,
     replay_to_sizes,
@@ -83,7 +78,6 @@ from .artifact import (
     load_artifact,
     reconstruct_task,
     verify_artifact,
-    write_reconstruction_csv,
 )
 
 __version__ = "0.1.0"

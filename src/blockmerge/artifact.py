@@ -284,17 +284,6 @@ def reconstruct_task(artifact: MergedArtifact, task: int) -> Checkpoint:
     return Checkpoint(tensors=tensors)
 
 
-def write_reconstruction_csv(report: ReconstructionReport, path: str) -> None:
-    """Per-(task, block) distances as CSV rows ``task, block_key, l2, exact``."""
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["task", "block_key", "l2", "exact"])
-        for task, key, l2 in report.rows:
-            writer.writerow([task, key, repr(l2), int(l2 == 0.0)])
-
-
 def verify_artifact(
     artifact: MergedArtifact, originals: list[Checkpoint]
 ) -> ReconstructionReport:

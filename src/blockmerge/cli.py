@@ -252,9 +252,6 @@ def _read_plan(plan_path: str, fingerprint: str | None = None) -> MergePlan:
         raise SystemExit(EXIT_FINGERPRINT)
     return read_plan_jsonl(
         plan_path,
-        strategy=meta["strategy"],
-        order_policy=meta["order"],
-        seed=meta["seed"],
         num_tasks=meta["num_tasks"],
         num_blocks=meta["num_blocks"],
         block_keys=tuple(meta["block_keys"]),

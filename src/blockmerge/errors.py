@@ -34,16 +34,6 @@ class EmptyPartition(BlockMergeError):
     """Every tensor was excluded; nothing left to merge."""
 
 
-# -- similarity --------------------------------------------------------------
-
-class LengthMismatch(BlockMergeError):
-    """Vectors of unequal length passed to a pairwise operation."""
-
-
-class OverlappingGroups(BlockMergeError):
-    """Group-to-group similarity requested for non-disjoint task sets."""
-
-
 # -- mergers -----------------------------------------------------------------
 
 class EmptyGroup(BlockMergeError):

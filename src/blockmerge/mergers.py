@@ -140,65 +140,18 @@ def _ta(mat: np.ndarray, lam: float) -> MergeOutput:
 def ties_trim(tv: TaskVectorSet, keep_ratio: float) -> TaskVectorSet:
     """Keep, per task, the ceil(keep_ratio * D) largest-magnitude entries
     across ALL blocks concatenated; every other entry becomes +0.0. Returns
-    ``tv`` itself with the trim recorded and ``trim_ratio`` set.
+    ``tv`` itself with the trim recorded (``TaskVectorSet.keep_largest``)
+    and ``trim_ratio`` set.
 
     Trimming is global rather than per block and happens once, before any
     scheduling or merging. Ties at the magnitude threshold are resolved by
-    ascending flat index. The trim records, per block, a packed keep-mask
-    row per task plus the kept float32 values in flat order, verbatim (so
-    -0.0 and NaN survive as they were); ``tv.rows`` rebuilds the trimmed
-    rows from them. That is at most M * D / 8 + 4 * keep * M bytes against
-    4 * M * D for dense rows. Beyond them it holds two (D,) float32 scratch
-    rows, which every task reuses, and a few block-sized temporaries. A
-    trim that keeps every entry stores nothing.
+    ascending flat index.
     """
     if not 0.0 < keep_ratio <= 1.0:
         raise ValueError(f"keep_ratio must be in (0, 1], got {keep_ratio}")
-    dims = tv.partition.block_dims
-    total = sum(dims)
-    keep = ceil_count(keep_ratio, total)
-    if keep < total:
-        signed = np.empty(total, dtype=np.float32)
-        mags = np.empty(total, dtype=np.float32)
-        kept = [(np.empty((tv.num_tasks, (d + 7) // 8), dtype=np.uint8), []) for d in dims]
-        for k in range(tv.num_tasks):
-            _trim_task(tv, k, keep, signed, mags, kept)
-        tv._kept = kept
+    tv.keep_largest(ceil_count(keep_ratio, tv.partition.total_dim))
     tv.trim_ratio = keep_ratio
     return tv
-
-
-def _trim_task(tv: TaskVectorSet, k: int, keep: int, signed: np.ndarray, mags: np.ndarray,
-               kept) -> None:
-    """Record task ``k``'s ``keep`` largest magnitudes in ``kept``, as
-    ``_top_count_mask`` over its concatenated row would select them: one
-    pass builds the row into ``signed``, ``mags`` finds the threshold."""
-    dims = tv.partition.block_dims
-    offset = 0
-    for b, d in enumerate(dims):
-        tv._fill(b, k, signed[offset : offset + d])
-        offset += d
-    np.abs(signed, out=mags)
-    cut = len(mags) - keep
-    mags.partition(cut)
-    thresh = mags[cut]
-    # everything above the threshold sits behind it; count it a chunk at a time
-    chunk = max(dims)
-    above = sum(np.count_nonzero(mags[i : i + chunk] > thresh)
-                for i in range(cut + 1, len(mags), chunk))
-    short = keep - above
-    offset = 0
-    for (packed, values), d in zip(kept, dims):
-        row = signed[offset : offset + d]
-        offset += d
-        row_mags = np.abs(row, out=mags[:d])
-        mask = row_mags > thresh
-        if short > 0:
-            ties = np.flatnonzero(row_mags == thresh)[:short]
-            mask[ties] = True
-            short -= len(ties)
-        packed[k] = np.packbits(mask)
-        values.append(row[np.flatnonzero(mask)])
 
 
 def _top_count_mask(mags: np.ndarray, keep: int) -> np.ndarray:

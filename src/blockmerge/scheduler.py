@@ -10,8 +10,6 @@ for greedy, concatenation for left-/right-to-left, seeded uniform interleave
 for random), and ``replay_to_size`` walks the plan with one union-find per
 block, tracking the deployed size in exact rationals until the target is
 reached; ``replay_to_sizes`` does so for a whole size sweep in one walk.
-``naive_greedy_order`` is the cubic, vector-based reference scheduler the
-fast path is tested against.
 
 Sizes are expressed in *model units*: stored bytes divided by the bytes of
 one full fine-tuned mergeable parameter set.
@@ -30,7 +28,7 @@ import numpy as np
 
 from .errors import MalformedPlan
 from .mergers import MergerConfig
-from .similarity import STRATEGIES, SimilarityMatrix, group_similarity, pairwise_all
+from .similarity import STRATEGIES, SimilarityMatrix, pairwise_all
 from .task_space import BlockPartition, TaskVectorSet
 
 ModelUnits = Fraction
@@ -90,9 +88,6 @@ class MergeEvent:
 @dataclass(frozen=True)
 class MergePlan:
     events: tuple[MergeEvent, ...]
-    strategy: str
-    order_policy: str
-    seed: int | None
     num_tasks: int
     num_blocks: int
     block_keys: tuple[str, ...] = ()
@@ -182,7 +177,6 @@ def global_merge_order(
     sequences: list[list[MergeEvent]],
     policy: str = "greedy",
     seed: int | None = None,
-    strategy: str = "min",
     block_keys: tuple[str, ...] = (),
     num_tasks: int | None = None,
 ) -> MergePlan:
@@ -227,9 +221,6 @@ def global_merge_order(
     m = num_tasks if num_tasks is not None else (max((len(s) for s in sequences), default=0) + 1)
     return MergePlan(
         events=events,
-        strategy=strategy,
-        order_policy=policy,
-        seed=seed,
         num_tasks=m,
         num_blocks=len(sequences),
         block_keys=tuple(block_keys),
@@ -251,50 +242,8 @@ def compute_merge_plan(
         sequences,
         policy=order_policy,
         seed=seed,
-        strategy=strategy,
         block_keys=tuple(tv.partition.block_keys),
         num_tasks=tv.num_tasks,
-    )
-
-
-def naive_greedy_order(
-    tv: TaskVectorSet,
-    strategy: str = "min",
-    matrices: list[SimilarityMatrix] | None = None,
-) -> MergePlan:
-    """Reference scheduler: at every step scan all (block, group pair)
-    candidates and apply the best under the canonical tie-break. Cubic in M
-    and vector-based for ``unified``; used as the testing oracle for the
-    per-block greedy loop and the heap."""
-    if matrices is None:
-        matrices = pairwise_all(tv)
-    state: list[list[tuple[int, ...]]] = [
-        [(k,) for k in range(tv.num_tasks)] for _ in matrices
-    ]
-    events: list[MergeEvent] = []
-    total = sum(max(0, tv.num_tasks - 1) for _ in matrices)
-    for seq in range(total):
-        best: MergeEvent | None = None
-        for b, groups in enumerate(state):
-            for i in range(len(groups)):
-                for j in range(i + 1, len(groups)):
-                    s = group_similarity(matrices[b], groups[i], groups[j], strategy, tv)
-                    ev = _pair_event(b, groups[i], groups[j], s)
-                    if best is None or ev.key() < best.key():
-                        best = ev
-        events.append(replace(best, seq=seq))
-        groups = state[best.block_id]
-        groups.remove(best.left)
-        groups.remove(best.right)
-        groups.append(tuple(sorted(best.left + best.right)))
-    return MergePlan(
-        events=tuple(events),
-        strategy=strategy,
-        order_policy="greedy",
-        seed=None,
-        num_tasks=tv.num_tasks,
-        num_blocks=len(matrices),
-        block_keys=tuple(tv.partition.block_keys),
     )
 
 
@@ -587,9 +536,6 @@ def _event_from_json(obj, where: str) -> MergeEvent:
 
 def read_plan_jsonl(
     path: str,
-    strategy: str = "min",
-    order_policy: str = "greedy",
-    seed: int | None = None,
     num_tasks: int | None = None,
     num_blocks: int | None = None,
     block_keys: tuple[str, ...] = (),
@@ -640,9 +586,6 @@ def read_plan_jsonl(
                             f"{num_blocks} blocks x {num_tasks - 1} merges")
     return MergePlan(
         events=tuple(events),
-        strategy=strategy,
-        order_policy=order_policy,
-        seed=seed,
         num_tasks=num_tasks,
         num_blocks=num_blocks,
         block_keys=block_keys,

@@ -1,4 +1,4 @@
-"""Per-block cosine similarity matrices and group linkage scores.
+"""Per-block cosine similarity matrices and the group linkage strategies.
 
 Linkage strategies map two groups' member-pair similarities to one score:
 
@@ -9,20 +9,17 @@ Linkage strategies map two groups' member-pair similarities to one score:
   rounded to float32
 
 ``pairwise_block_similarity`` also returns the block's float64 Gram matrix,
-so the scheduler can score ``unified`` from summed Gram entries;
-``group_similarity`` recomputes every score from scratch (``unified`` from
-the task vectors) and serves the reference scheduler. Blocks are computed
-one after another, each from its rows built for it alone (``tv.rows``).
+so the scheduler can score ``unified`` from summed Gram entries. Blocks are
+computed one after another, each from its rows built for it alone
+(``tv.rows``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .errors import LengthMismatch, OverlappingGroups
 from .task_space import TaskVectorSet
 
 STRATEGIES = ("min", "max", "avg", "unified")
@@ -44,21 +41,6 @@ class SimilarityMatrix:
     @property
     def num_tasks(self) -> int:
         return self.values.shape[0]
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1]; zero-norm inputs yield 0."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape != v.shape or u.ndim != 1:
-        raise LengthMismatch(f"cosine needs equal-length flat vectors, got {u.shape} and {v.shape}")
-    u64 = u.astype(np.float64, copy=False)
-    v64 = v.astype(np.float64, copy=False)
-    nu = float(np.dot(u64, u64)) ** 0.5
-    nv = float(np.dot(v64, v64)) ** 0.5
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.clip(np.dot(u64, v64) / (nu * nv), -1.0, 1.0))
 
 
 def pairwise_block_similarity(tv: TaskVectorSet, block_id: int) -> SimilarityMatrix:
@@ -87,48 +69,3 @@ def pairwise_block_similarity(tv: TaskVectorSet, block_id: int) -> SimilarityMat
 def pairwise_all(tv: TaskVectorSet) -> list[SimilarityMatrix]:
     """Every block's matrices, in block order."""
     return [pairwise_block_similarity(tv, b) for b in range(tv.partition.num_blocks)]
-
-
-def group_mean(tv: TaskVectorSet, block_id: int, members: Iterable[int]) -> np.ndarray:
-    """Plain average of member task vectors, accumulated in float64 in
-    ascending task order (the canonical representative for ``unified``)."""
-    rows = tv.rows(block_id, sorted(members))
-    acc = np.zeros(rows.shape[1], dtype=np.float64)
-    for row in rows:
-        acc += row
-    acc /= len(rows)
-    return acc
-
-
-def group_similarity(
-    matrix: SimilarityMatrix,
-    a: Iterable[int],
-    b: Iterable[int],
-    strategy: str = "min",
-    tv: TaskVectorSet | None = None,
-) -> float:
-    """Linkage score between two disjoint task groups.
-
-    min/max/avg read only the precomputed matrix; ``unified`` recomputes the
-    cosine of the two group averages from ``tv`` and rounds it to float32,
-    the grid the other strategies' scores and the plan file use.
-    """
-    a = sorted(a)
-    b = sorted(b)
-    if not a or not b:
-        raise ValueError("groups must be non-empty")
-    if set(a) & set(b):
-        raise OverlappingGroups(f"groups overlap: {sorted(set(a) & set(b))}")
-    if strategy == "unified":
-        if tv is None:
-            raise ValueError("unified strategy needs the task vectors")
-        means = (group_mean(tv, matrix.block_id, a), group_mean(tv, matrix.block_id, b))
-        return float(np.float32(cosine(*means)))
-    sub = matrix.values[np.ix_(a, b)]
-    if strategy == "min":
-        return float(sub.min())
-    if strategy == "max":
-        return float(sub.max())
-    if strategy == "avg":
-        return float(np.mean(sub.astype(np.float64)))
-    raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")

@@ -159,10 +159,10 @@ class TaskVectorSet:
     as they are.
 
     ``trim_ratio`` records a global magnitude trim applied up front (None
-    means untrimmed). ``mergers.ties_trim`` records it on the set itself:
-    per block, a packed keep-mask row per task plus the kept values in flat
-    order, from which the trimmed rows are rebuilt. A trim that keeps
-    everything stores nothing.
+    means untrimmed; ``mergers.ties_trim`` sets it). ``keep_largest``
+    records that trim on the set itself: per block, a packed keep-mask row
+    per task plus the kept values in flat order, from which the trimmed rows
+    are rebuilt. A trim that keeps everything stores nothing.
 
     ``block_vectors`` is a read-only sequence of each block's (M, d_b)
     rows: the arrays the set was built from while it is untrimmed, rows
@@ -180,7 +180,7 @@ class TaskVectorSet:
         # and the fine-tuned checkpoints
         self._base: dict[str, np.ndarray] = {}
         self._finetuned: list[Checkpoint] = []
-        # set by ties_trim: per block, (M, ceil(d_b / 8)) packed keep masks
+        # set by keep_largest: per block, (M, ceil(d_b / 8)) packed keep masks
         # and each task's kept values
         self._kept: list[tuple[np.ndarray, list[np.ndarray]]] | None = None
 
@@ -207,6 +207,62 @@ class TaskVectorSet:
             # unpacked bits are 0/1 bytes, so they are a valid bool buffer
             row[np.flatnonzero(np.unpackbits(packed[k], count=d).view(bool))] = values[k]
         return out
+
+    def keep_largest(self, keep: int) -> None:
+        """Trim every task to its ``keep`` largest magnitudes across all
+        blocks concatenated, ties at the threshold broken by ascending flat
+        index; every other entry reads back as +0.0.
+
+        Records, per block, a packed keep-mask row per task plus the kept
+        float32 values in flat order, verbatim (so -0.0 and NaN survive as
+        they were); ``rows`` rebuilds the trimmed rows from them. That is at
+        most M * D / 8 + 4 * keep * M bytes against 4 * M * D for dense rows.
+        Beyond them it holds two (D,) float32 scratch rows, which every task
+        reuses, and a few block-sized temporaries. Keeping every entry
+        records nothing.
+        """
+        dims = self.partition.block_dims
+        total = sum(dims)
+        if keep >= total:
+            return
+        signed = np.empty(total, dtype=np.float32)
+        mags = np.empty(total, dtype=np.float32)
+        kept = [(np.empty((self.num_tasks, (d + 7) // 8), dtype=np.uint8), []) for d in dims]
+        for k in range(self.num_tasks):
+            self._keep_task(k, keep, signed, mags, kept)
+        self._kept = kept
+
+    def _keep_task(self, k: int, keep: int, signed: np.ndarray, mags: np.ndarray,
+                   kept) -> None:
+        """Record task ``k``'s ``keep`` largest magnitudes in ``kept``: one
+        pass builds its concatenated row into ``signed``, ``mags`` finds the
+        threshold."""
+        dims = self.partition.block_dims
+        offset = 0
+        for b, d in enumerate(dims):
+            self._fill(b, k, signed[offset : offset + d])
+            offset += d
+        np.abs(signed, out=mags)
+        cut = len(mags) - keep
+        mags.partition(cut)
+        thresh = mags[cut]
+        # everything above the threshold sits behind it; count it a chunk at a time
+        chunk = max(dims)
+        above = sum(np.count_nonzero(mags[i : i + chunk] > thresh)
+                    for i in range(cut + 1, len(mags), chunk))
+        short = keep - above
+        offset = 0
+        for (packed, values), d in zip(kept, dims):
+            row = signed[offset : offset + d]
+            offset += d
+            row_mags = np.abs(row, out=mags[:d])
+            mask = row_mags > thresh
+            if short > 0:
+                ties = np.flatnonzero(row_mags == thresh)[:short]
+                mask[ties] = True
+                short -= len(ties)
+            packed[k] = np.packbits(mask)
+            values.append(row[np.flatnonzero(mask)])
 
     def _fill(self, b: int, k: int, out: np.ndarray) -> None:
         """Write task ``k``'s untrimmed row of block ``b`` into ``out``."""

@@ -2,17 +2,25 @@
 
 Everything here is written with plain Python floats and explicit loops,
 deliberately sharing no code with the package, so the vectorized paths can
-be checked against a second route. The one exception is the section of
-bitwise references at the end: vectorised kernels kept as they were before
-a rewrite that must not change their output bits.
+be checked against a second route. The two exceptions are the sections at
+the end: bitwise references, vectorised kernels kept as they were before a
+rewrite that must not change their output bits; and vectorised references,
+the cubic greedy scheduler and its linkage scores, which build on the
+package's similarity matrices and plan types.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
+
+from blockmerge.scheduler import MergeEvent, MergePlan
+from blockmerge.similarity import STRATEGIES, SimilarityMatrix, pairwise_all
+from blockmerge.task_space import TaskVectorSet
 
 
 def cosine_oracle(u, v) -> float:
@@ -253,3 +261,109 @@ def task_vectors_reference(pretrained, finetuned, part) -> list[np.ndarray]:
             offset += base.size
         block_vectors.append(rows)
     return block_vectors
+
+
+# -- vectorised references ----------------------------------------------------
+# The cubic greedy scheduler that the per-block greedy loop and the global
+# heap must equal event for event, with the linkage scores it recomputes from
+# scratch (``unified`` from the task vectors, not the Gram matrix).
+
+
+def cosine(u: np.ndarray, v: np.ndarray) -> float:
+    """Cosine similarity in [-1, 1]; zero-norm inputs yield 0."""
+    u = np.asarray(u)
+    v = np.asarray(v)
+    if u.shape != v.shape or u.ndim != 1:
+        raise ValueError(f"cosine needs equal-length flat vectors, got {u.shape} and {v.shape}")
+    u64 = u.astype(np.float64, copy=False)
+    v64 = v.astype(np.float64, copy=False)
+    nu = float(np.dot(u64, u64)) ** 0.5
+    nv = float(np.dot(v64, v64)) ** 0.5
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(np.clip(np.dot(u64, v64) / (nu * nv), -1.0, 1.0))
+
+
+def group_mean(tv: TaskVectorSet, block_id: int, members: Iterable[int]) -> np.ndarray:
+    """Plain average of member task vectors, accumulated in float64 in
+    ascending task order (the canonical representative for ``unified``)."""
+    rows = tv.rows(block_id, sorted(members))
+    acc = np.zeros(rows.shape[1], dtype=np.float64)
+    for row in rows:
+        acc += row
+    acc /= len(rows)
+    return acc
+
+
+def group_similarity(
+    matrix: SimilarityMatrix,
+    a: Iterable[int],
+    b: Iterable[int],
+    strategy: str = "min",
+    tv: TaskVectorSet | None = None,
+) -> float:
+    """Linkage score between two disjoint task groups.
+
+    min/max/avg read only the precomputed matrix; ``unified`` recomputes the
+    cosine of the two group averages from ``tv`` and rounds it to float32,
+    the grid the other strategies' scores and the plan file use.
+    """
+    a = sorted(a)
+    b = sorted(b)
+    if not a or not b:
+        raise ValueError("groups must be non-empty")
+    if set(a) & set(b):
+        raise ValueError(f"groups overlap: {sorted(set(a) & set(b))}")
+    if strategy == "unified":
+        if tv is None:
+            raise ValueError("unified strategy needs the task vectors")
+        means = (group_mean(tv, matrix.block_id, a), group_mean(tv, matrix.block_id, b))
+        return float(np.float32(cosine(*means)))
+    sub = matrix.values[np.ix_(a, b)]
+    if strategy == "min":
+        return float(sub.min())
+    if strategy == "max":
+        return float(sub.max())
+    if strategy == "avg":
+        return float(np.mean(sub.astype(np.float64)))
+    raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+
+
+def naive_greedy_order(
+    tv: TaskVectorSet,
+    strategy: str = "min",
+    matrices: list[SimilarityMatrix] | None = None,
+) -> MergePlan:
+    """Reference scheduler: at every step scan all (block, group pair)
+    candidates and apply the best under the canonical tie-break. Cubic in M
+    and vector-based for ``unified``; used as the testing oracle for the
+    per-block greedy loop and the heap."""
+    if matrices is None:
+        matrices = pairwise_all(tv)
+    state: list[list[tuple[int, ...]]] = [
+        [(k,) for k in range(tv.num_tasks)] for _ in matrices
+    ]
+    events: list[MergeEvent] = []
+    total = sum(max(0, tv.num_tasks - 1) for _ in matrices)
+    for seq in range(total):
+        best: MergeEvent | None = None
+        for b, groups in enumerate(state):
+            for i in range(len(groups)):
+                for j in range(i + 1, len(groups)):
+                    s = group_similarity(matrices[b], groups[i], groups[j], strategy, tv)
+                    left, right = sorted((tuple(sorted(groups[i])), tuple(sorted(groups[j]))),
+                                         key=lambda g: g[0])
+                    ev = MergeEvent(block_id=b, left=left, right=right, score=float(s))
+                    if best is None or ev.key() < best.key():
+                        best = ev
+        events.append(replace(best, seq=seq))
+        groups = state[best.block_id]
+        groups.remove(best.left)
+        groups.remove(best.right)
+        groups.append(tuple(sorted(best.left + best.right)))
+    return MergePlan(
+        events=tuple(events),
+        num_tasks=tv.num_tasks,
+        num_blocks=len(matrices),
+        block_keys=tuple(tv.partition.block_keys),
+    )

@@ -26,7 +26,6 @@ from blockmerge import (
     merge_pcb,
     merge_ta,
     merge_ties,
-    naive_greedy_order,
     partition,
     prepare_task_vectors,
     reconstruct_task,
@@ -43,6 +42,7 @@ from oracles import (
     average_oracle,
     consensus_oracle,
     emr_oracle,
+    naive_greedy_order,
     pcb_oracle,
     ta_oracle,
     ties_oracle,
@@ -183,8 +183,7 @@ def test_criterion_4_averaging_sse_monotone():
         violations = 0
         for k in range(len(plan.events) + 1):
             sub = plan.__class__(
-                events=plan.events[:k], strategy=plan.strategy,
-                order_policy=plan.order_policy, seed=plan.seed,
+                events=plan.events[:k],
                 num_tasks=plan.num_tasks, num_blocks=plan.num_blocks,
                 block_keys=plan.block_keys,
             )

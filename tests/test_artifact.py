@@ -229,20 +229,6 @@ def test_verify_zero_merge_all_exact():
     assert report.exact_blocks == 3 * part.num_blocks
 
 
-def test_reconstruction_report_csv(tmp_path):
-    from blockmerge import write_reconstruction_csv
-
-    rng = np.random.default_rng(16)
-    pre, tasks, part, tv, asg, art = _pipeline(rng, 2, "average", target=2)
-    report = verify_artifact(art, tasks)
-    path = str(tmp_path / "recon.csv")
-    write_reconstruction_csv(report, path)
-    lines = open(path).read().strip().splitlines()
-    assert lines[0] == "task,block_key,l2,exact"
-    assert len(lines) == 1 + 2 * part.num_blocks
-    assert all(line.endswith(",0.0,1") for line in lines[1:])  # zero-merge: exact
-
-
 def test_verify_full_average_sse_matches_direct_oracle():
     rng = np.random.default_rng(9)
     pre, tasks, part, tv, asg, art = _pipeline(rng, 4, "average", target=1)

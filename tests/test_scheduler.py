@@ -17,7 +17,6 @@ from blockmerge import (
     compute_merge_plan,
     global_merge_order,
     kmeans_baseline,
-    naive_greedy_order,
     read_plan_jsonl,
     replay_to_size,
     replay_to_sizes,
@@ -27,7 +26,7 @@ from blockmerge.scheduler import MergeEvent
 from blockmerge.similarity import SimilarityMatrix, pairwise_all
 
 from helpers import plan_signature, synthetic_tv
-from oracles import size_oracle
+from oracles import naive_greedy_order, size_oracle
 
 
 def _matrix(values, block_id=0):
@@ -121,7 +120,7 @@ def test_all_equal_similarities_tiebreak():
         ((0, 1), (2,)),
         ((0, 1, 2), (3,)),
     ]
-    fast = global_merge_order([block_merge_sequence(mx, "min")], strategy="min")
+    fast = global_merge_order([block_merge_sequence(mx, "min")])
     assert plan_signature(fast) == plan_signature(plan)
 
 
@@ -200,8 +199,7 @@ def test_replay_incremental_size_matches_scratch_dense_and_masked():
         for k in range(len(plan.events) + 1):
             prefix = plan.events[:k]
             sub = plan.__class__(
-                events=prefix, strategy=plan.strategy, order_policy=plan.order_policy,
-                seed=plan.seed, num_tasks=plan.num_tasks, num_blocks=plan.num_blocks,
+                events=prefix, num_tasks=plan.num_tasks, num_blocks=plan.num_blocks,
                 block_keys=plan.block_keys,
             )
             asg = replay_to_size(sub, tv, Fraction(0), sm)
@@ -222,8 +220,7 @@ def test_dense_fractional_steps():
     sizes = []
     for k in range(len(plan.events) + 1):
         sub = plan.__class__(
-            events=plan.events[:k], strategy=plan.strategy, order_policy=plan.order_policy,
-            seed=plan.seed, num_tasks=plan.num_tasks, num_blocks=plan.num_blocks,
+            events=plan.events[:k], num_tasks=plan.num_tasks, num_blocks=plan.num_blocks,
         )
         sizes.append(replay_to_size(sub, tv, Fraction(0), sm).size)
     for prev, cur, ev in zip(sizes, sizes[1:], plan.events):
@@ -238,8 +235,7 @@ def test_replay_groups_match_set_union_simulation():
     sm = SizeModel.from_partition(tv.partition)
     for k in (0, 3, 7, len(plan.events)):
         sub = plan.__class__(
-            events=plan.events[:k], strategy=plan.strategy, order_policy=plan.order_policy,
-            seed=plan.seed, num_tasks=plan.num_tasks, num_blocks=plan.num_blocks,
+            events=plan.events[:k], num_tasks=plan.num_tasks, num_blocks=plan.num_blocks,
         )
         asg = replay_to_size(sub, tv, Fraction(0), sm)
         sets = [[{t} for t in range(6)] for _ in range(3)]
