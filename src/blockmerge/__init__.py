@@ -75,6 +75,7 @@ from .artifact import (
     StoredGroup,
     build_artifact,
     export_manifest,
+    export_sweep,
     load_artifact,
     reconstruct_task,
     verify_artifact,

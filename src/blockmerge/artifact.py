@@ -10,7 +10,11 @@ one shared copy of the pretrained block.
 On disk an artifact is a version 3 manifest, which lists each block's
 groups by their members, plus one archive of payloads named by group id;
 load_artifact derives routing, payload kinds and sizes from them (see
-export_manifest).
+export_manifest). The archive's layout follows from the groups alone
+(_archive_layout), so a size sweep (export_sweep) writes every size's
+header first and then its payloads block by block, never holding a whole
+size in memory; build_artifact and export_manifest build and write one size
+in memory, with the same payloads and bytes.
 
 A loaded artifact keeps its float32 payloads, masks and pretrained blocks as
 views into the archive's read buffer. Reconstruction only reads those buffers
@@ -26,9 +30,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 import numpy as np
 
@@ -36,7 +39,15 @@ from .errors import ConfigMismatch, MalformedArtifact, UnknownTask
 from .mergers import ALGORITHMS, CONFIG_NUMBERS, MergerConfig, expected_trim_ratio, merge_group
 from .scheduler import GroupAssignment, SizeModel
 from .task_space import Block, BlockPartition, TaskVectorSet, flatten_block
-from .tensor_store import DTYPES, Checkpoint, joined_view, read_archive, write_archive
+from .tensor_store import (
+    DTYPES,
+    Checkpoint,
+    StreamedArchive,
+    dtype_code,
+    joined_view,
+    read_archive,
+    write_archive,
+)
 
 MANIFEST_NAME = "manifest.json"
 TENSORS_NAME = "tensors.safetensors"
@@ -129,6 +140,121 @@ def _size_report(part: BlockPartition, cfg: MergerConfig, block_groups,
     )
 
 
+def _block_arrays(block: Block, flat: np.ndarray) -> list[np.ndarray]:
+    """A flat float32 block as its tensors in block order, each in its own
+    shape and archive dtype (views where nothing is narrowed)."""
+    return [flat[offset : offset + n].reshape(shape).astype(DTYPES[code], copy=False)
+            for _, offset, n, shape, code in _block_slices(block)]
+
+
+def _payload_arrays(block: Block, g: StoredGroup) -> list[np.ndarray]:
+    """One group's archive entries in archive order: its block tensors,
+    then, for a masked group, its packed masks and rescalers."""
+    if g.payload == "dense":
+        return _block_arrays(block, g.dense)
+    arrays = _block_arrays(block, g.unified) + [g.masks]
+    if g.gammas is not None:
+        arrays.append(g.gammas.astype(np.float32, copy=False))
+    return arrays
+
+
+def _archive_layout(part: BlockPartition, cfg: MergerConfig, block_groups,
+                    heads: list[dict[str, np.ndarray]]):
+    """The archive of an artifact, from its groups alone: the entries
+    ``(name, dtype code, shape)`` in archive order, and the ``(begin, end)``
+    data-section range of each span of them, keyed in archive order.
+
+    The spans are ``("pre", b)`` for each block holding a masked group (the
+    pretrained block, its tensors named ``pre.<tensor>``), then
+    ``("groups", b)`` for every block: its groups in group-id order, each
+    ``g<gid>.<tensor>`` then, when masked, ``mask.g<gid>`` (U8, shape
+    ``(n, ceil(d/8))``, rows in member order) and, for emr,
+    ``gamma.g<gid>`` (F32, ``(n,)``). Group ids run over blocks, then list
+    order. Last comes ``("heads", -1)``: ``head.t<task>.<tensor>`` for each
+    task's tensors outside the partition.
+    """
+    entries: list[tuple[str, str, tuple[int, ...]]] = []
+    spans: dict[tuple[str, int], tuple[int, int]] = {}
+    pos = 0
+
+    def span(key, items) -> None:
+        nonlocal pos
+        begin = pos
+        for name, code, shape in items:
+            entries.append((name, code, shape))
+            pos += math.prod(shape) * DTYPES[code].itemsize
+        spans[key] = (begin, pos)
+
+    def block_entries(prefix: str, block: Block):
+        return [(f"{prefix}.{name}", code, shape)
+                for name, shape, code in zip(block.tensor_names, block.shapes, block.dtypes)]
+
+    for block, groups in zip(part.blocks, block_groups):
+        if cfg.masked and any(len(g) > 1 for g in groups):
+            span(("pre", block.block_id), block_entries("pre", block))
+    gid = 0
+    for block, groups in zip(part.blocks, block_groups):
+        items = []
+        for members in groups:
+            items += block_entries(f"g{gid}", block)
+            if cfg.masked and len(members) > 1:
+                items.append((f"mask.g{gid}", "U8", (len(members), (block.dim + 7) // 8)))
+                if cfg.has_rescalers:
+                    items.append((f"gamma.g{gid}", "F32", (len(members),)))
+            gid += 1
+        span(("groups", block.block_id), items)
+    span(("heads", -1), [(f"head.t{task}.{name}", dtype_code(arr), arr.shape)
+                         for task, head in enumerate(heads) for name, arr in head.items()])
+    return entries, spans
+
+
+def _checked_heads(tv: TaskVectorSet, cfg: MergerConfig, finetuned, assignments):
+    """Check the inputs of a build before anything is merged or written,
+    and return each task's tensors outside the partition (its head).
+
+    Raises ConfigMismatch when the task vectors' trim state disagrees with
+    the algorithm (ties/consensus need the up-front global trim), and
+    ValueError when an assignment has the wrong block count, the fine-tuned
+    checkpoints are not one per task, or the partition excludes tensors and
+    no fine-tuned checkpoints supply them."""
+    part = tv.partition
+    if tv.trim_ratio != expected_trim_ratio(cfg):
+        raise ConfigMismatch(
+            f"task vectors trimmed at {tv.trim_ratio!r} but {cfg.algorithm} expects "
+            f"{expected_trim_ratio(cfg)!r}"
+        )
+    if any(len(a.block_groups) != part.num_blocks for a in assignments):
+        raise ValueError("assignment and partition disagree on block count")
+    m = tv.num_tasks
+    if finetuned is None:
+        if part.excluded:
+            raise ValueError("partition excludes tensors; pass the fine-tuned checkpoints for them")
+        return [{} for _ in range(m)]
+    if len(finetuned) != m:
+        raise ValueError(f"expected {m} fine-tuned checkpoints, got {len(finetuned)}")
+    return [{name: arr for name, arr in ckpt.tensors.items() if name not in part.tensor_to_block}
+            for ckpt in finetuned]
+
+
+def _group_payload(gid: int, cfg: MergerConfig, tv: TaskVectorSet, block: Block,
+                   base: np.ndarray, members, exact: list[Checkpoint] | None) -> StoredGroup:
+    """The stored payload of one group of ``block`` (``base`` is its flat
+    pretrained block): a singleton's own block, or the group merged under
+    ``cfg``. ``exact`` is the fine-tuned checkpoints when a singleton stores
+    its fine-tuned block as is (see build_artifact), None otherwise."""
+    b = block.block_id
+    if len(members) == 1:
+        k = members[0]
+        dense = flatten_block(exact[k], block) if exact is not None else base + tv.rows(b, [k])[0]
+        return StoredGroup(gid, b, members, "dense", dense=dense)
+    out = merge_group(cfg, tv, b, members)
+    members = tuple(sorted(members))
+    if cfg.masked:
+        return StoredGroup(gid, b, members, "masked", unified=out.unified,
+                           masks=np.packbits(out.masks, axis=1), gammas=out.rescalers)
+    return StoredGroup(gid, b, members, "dense", dense=base + out.unified)
+
+
 def build_artifact(
     assignment: GroupAssignment,
     tv: TaskVectorSet,
@@ -136,15 +262,10 @@ def build_artifact(
     cfg: MergerConfig,
     finetuned: list[Checkpoint] | None = None,
     fingerprint: str = "",
-    reuse: Mapping[tuple[int, tuple[int, ...]], StoredGroup] | None = None,
 ) -> MergedArtifact:
     """Merge every multi-member group of the assignment under ``cfg`` and
-    assemble the stored payloads.
-
-    ``reuse`` maps ``(block_id, members)`` to payloads already built for the
-    same inputs and ``cfg`` (e.g. the previous size of a sweep); a group
-    found there shares its arrays under a new group id instead of being
-    merged again.
+    assemble the stored payloads of one size in memory (export_sweep writes
+    many sizes without holding any).
 
     ``finetuned`` supplies the per-task tensors outside the partition (task
     heads); it is required whenever such tensors exist. With ``finetuned``
@@ -159,21 +280,11 @@ def build_artifact(
     ConfigMismatch when the task vectors' trim state disagrees with the
     algorithm (ties/consensus need the up-front global trim).
     """
+    heads = _checked_heads(tv, cfg, finetuned, [assignment])
     part = tv.partition
-    if tv.trim_ratio != expected_trim_ratio(cfg):
-        raise ConfigMismatch(
-            f"task vectors trimmed at {tv.trim_ratio!r} but {cfg.algorithm} expects "
-            f"{expected_trim_ratio(cfg)!r}"
-        )
-    if len(assignment.block_groups) != part.num_blocks:
-        raise ValueError("assignment and partition disagree on block count")
-
-    m = tv.num_tasks
-    if finetuned is not None and len(finetuned) != m:
-        raise ValueError(f"expected {m} fine-tuned checkpoints, got {len(finetuned)}")
-    exact_singletons = finetuned is not None and tv.trim_ratio is None
+    exact = finetuned if tv.trim_ratio is None else None
     groups: list[StoredGroup] = []
-    routing = [[-1] * part.num_blocks for _ in range(m)]
+    routing = [[-1] * part.num_blocks for _ in range(tv.num_tasks)]
     pretrained_blocks: dict[int, np.ndarray] = {}
 
     for block in part.blocks:
@@ -181,44 +292,17 @@ def build_artifact(
         base = flatten_block(pretrained, block)
         block_groups = assignment.block_groups[b]
         for members in block_groups:
-            gid = len(groups)
-            known = reuse.get((b, tuple(sorted(members)))) if reuse else None
-            if known is not None:
-                payload = replace(known, group_id=gid)
-            elif len(members) == 1:
-                k = members[0]
-                dense = (flatten_block(finetuned[k], block) if exact_singletons
-                         else base + tv.rows(b, [k])[0])
-                payload = StoredGroup(gid, b, members, "dense", dense=dense)
-            else:
-                out = merge_group(cfg, tv, b, members)
-                if cfg.masked:
-                    payload = StoredGroup(
-                        gid, b, tuple(sorted(members)), "masked", unified=out.unified,
-                        masks=np.packbits(out.masks, axis=1), gammas=out.rescalers,
-                    )
-                else:
-                    payload = StoredGroup(gid, b, tuple(sorted(members)), "dense",
-                                          dense=base + out.unified)
-            groups.append(payload)
+            g = _group_payload(len(groups), cfg, tv, block, base, members, exact)
+            groups.append(g)
             for k in members:
-                routing[k][b] = gid
+                routing[k][b] = g.group_id
         if cfg.masked and any(len(g) > 1 for g in block_groups):
             pretrained_blocks[b] = base
-
-    heads: list[dict[str, np.ndarray]] = [{} for _ in range(m)]
-    if finetuned is not None:
-        for k, ckpt in enumerate(finetuned):
-            heads[k] = {
-                name: arr for name, arr in ckpt.tensors.items() if name not in part.tensor_to_block
-            }
-    elif part.excluded:
-        raise ValueError("partition excludes tensors; pass the fine-tuned checkpoints for them")
 
     return MergedArtifact(
         partition=part,
         config=cfg,
-        num_tasks=m,
+        num_tasks=tv.num_tasks,
         groups=groups,
         routing=routing,
         pretrained_blocks=pretrained_blocks,
@@ -312,59 +396,15 @@ def verify_artifact(
 # Export / load
 # ---------------------------------------------------------------------------
 
-def export_manifest(artifact: MergedArtifact, out_dir: str) -> None:
-    """Write ``manifest.json`` plus one archive holding every payload.
-
-    The manifest is ``version`` 3 and states each fact once. ``groups`` is
-    ``{block_key: [[member ids], ...]}``, the layout of ``groups.json``; a
-    group's id is its running index over ``blocks`` order, then list order,
-    the numbering build_artifact and load_artifact give ``artifact.groups``.
-    Routing, payload kinds, which blocks keep a pretrained copy and the size
-    report all follow from the groups and the algorithm, so load_artifact
-    derives them. ``size_report`` and each block's ``dim`` and ``nbytes``
-    are written for readers of the file; load_artifact recomputes them.
-
-    Archive names are deterministic: ``pre.<tensor>`` for pretrained blocks,
-    ``g<gid>.<tensor>`` for group payloads, ``mask.g<gid>`` for a masked
-    group's packed masks (U8, shape ``(n, ceil(d/8))``, rows in member
-    order), ``gamma.g<gid>`` for rescalers and ``head.t<task>.<tensor>`` for
-    per-task head tensors.
-    """
-    part = artifact.partition
-    os.makedirs(out_dir, exist_ok=True)
-    tensors: dict[str, np.ndarray] = {}
-
-    def put_block(prefix: str, block: Block, flat: np.ndarray) -> None:
-        for name, offset, n, shape, code in _block_slices(block):
-            tensors[f"{prefix}.{name}"] = (
-                flat[offset : offset + n].reshape(shape).astype(DTYPES[code], copy=False))
-
-    for b in sorted(artifact.pretrained_blocks):
-        put_block("pre", part.blocks[b], artifact.pretrained_blocks[b])
-
-    groups_meta: dict[str, list[list[int]]] = {block.key: [] for block in part.blocks}
-    for g in artifact.groups:
-        block = part.blocks[g.block_id]
-        put_block(f"g{g.group_id}", block, g.dense if g.payload == "dense" else g.unified)
-        if g.payload == "masked":
-            tensors[f"mask.g{g.group_id}"] = g.masks
-            if g.gammas is not None:
-                tensors[f"gamma.g{g.group_id}"] = g.gammas.astype(np.float32, copy=False)
-        groups_meta[block.key].append(list(g.members))
-
-    excluded_meta: dict[str, list[str]] = {}
-    for task, head in enumerate(artifact.heads):
-        excluded_meta[str(task)] = list(head)
-        for name, arr in head.items():
-            tensors[f"head.t{task}.{name}"] = arr
-
-    manifest = {
+def _manifest(part: BlockPartition, cfg: MergerConfig, num_tasks: int, block_groups,
+              heads: list[dict[str, np.ndarray]], size_report: SizeReport, fingerprint: str) -> dict:
+    return {
         "format": "blockmerge-artifact",
         "version": MANIFEST_VERSION,
-        "algorithm": artifact.config.algorithm,
-        "config": {f: getattr(artifact.config, f) for f in CONFIG_NUMBERS},
-        "fingerprint": artifact.fingerprint,
-        "num_tasks": artifact.num_tasks,
+        "algorithm": cfg.algorithm,
+        "config": {f: getattr(cfg, f) for f in CONFIG_NUMBERS},
+        "fingerprint": fingerprint,
+        "num_tasks": num_tasks,
         "blocks": [
             {
                 "key": b.key,
@@ -377,14 +417,147 @@ def export_manifest(artifact: MergedArtifact, out_dir: str) -> None:
             for b in part.blocks
         ],
         "name_order": list(part.name_order),
-        "excluded": excluded_meta,
-        "groups": groups_meta,
-        "size_report": artifact.size_report.as_dict(),
+        "excluded": {str(task): list(head) for task, head in enumerate(heads)},
+        "groups": {block.key: [list(g) for g in groups]
+                   for block, groups in zip(part.blocks, block_groups)},
+        "size_report": size_report.as_dict(),
     }
-    with open(os.path.join(out_dir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+
+
+def _write_json(obj, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def export_manifest(artifact: MergedArtifact, out_dir: str) -> None:
+    """Write one archive holding every payload (``tensors.safetensors``),
+    then ``manifest.json``.
+
+    The manifest is ``version`` 3 and states each fact once. ``groups`` is
+    ``{block_key: [[member ids], ...]}``, the layout of ``groups.json``; a
+    group's id is its running index over ``blocks`` order, then list order,
+    the numbering build_artifact and load_artifact give ``artifact.groups``.
+    Routing, payload kinds, which blocks keep a pretrained copy and the size
+    report all follow from the groups and the algorithm, so load_artifact
+    derives them. ``size_report`` and each block's ``dim`` and ``nbytes``
+    are written for readers of the file; load_artifact recomputes them. The
+    JSON is compact, with sorted keys.
+
+    Archive names and order are those of _archive_layout.
+    """
+    part = artifact.partition
+    by_block: list[list[StoredGroup]] = [[] for _ in part.blocks]
+    for g in artifact.groups:
+        by_block[g.block_id].append(g)
+    block_groups = [[g.members for g in groups] for groups in by_block]
+    entries, spans = _archive_layout(part, artifact.config, block_groups, artifact.heads)
+    arrays: list[np.ndarray] = []
+    for kind, b in spans:
+        if kind == "pre":
+            arrays += _block_arrays(part.blocks[b], artifact.pretrained_blocks[b])
+        elif kind == "groups":
+            arrays += [a for g in by_block[b] for a in _payload_arrays(part.blocks[b], g)]
+        else:
+            arrays += [arr for head in artifact.heads for arr in head.values()]
+    os.makedirs(out_dir, exist_ok=True)
+    tensors = {name: arr for (name, _, _), arr in zip(entries, arrays, strict=True)}
     write_archive(Checkpoint(tensors=tensors), os.path.join(out_dir, TENSORS_NAME))
+    _write_json(_manifest(part, artifact.config, artifact.num_tasks, block_groups, artifact.heads,
+                          artifact.size_report, artifact.fingerprint),
+                os.path.join(out_dir, MANIFEST_NAME))
+
+
+@dataclass
+class SweepSize:
+    """What export_sweep did for one size."""
+
+    merged: int  # groups merged for this size
+    reused: int  # groups whose payload the previous size had built
+    units: Fraction  # achieved size, as in the size report
+
+
+def export_sweep(
+    assignments: list[GroupAssignment],
+    out_dirs: list[str],
+    tv: TaskVectorSet,
+    pretrained: Checkpoint,
+    cfg: MergerConfig,
+    finetuned: list[Checkpoint] | None = None,
+    fingerprint: str = "",
+) -> list[SweepSize]:
+    """Write the artifact of every assignment into its directory in one
+    block-major pass, holding no size's payloads as a whole.
+
+    The files are those build_artifact + export_manifest would write for
+    each assignment, byte for byte. Every archive's layout follows from its
+    groups (_archive_layout), so each header is written first. Then, block
+    by block, each size's groups of that block are built in the order the
+    assignments are given, each written at its offset as one span, and the
+    block is dropped. A group whose members the previous size also grouped
+    in this block shares that payload instead of merging again: pass the
+    sizes largest first, so every smaller size only coarsens the last.
+
+    Each archive is written as ``tensors.safetensors.partial`` and renamed
+    into place once every archive is complete; ``manifest.json`` is written
+    after that (a stale one is removed before the rename). On failure the
+    partial files are removed. The inputs are checked as build_artifact
+    checks them, before any file is created.
+    """
+    heads = _checked_heads(tv, cfg, finetuned, assignments)
+    if len(out_dirs) != len(assignments):
+        raise ValueError(f"{len(assignments)} assignments but {len(out_dirs)} output directories")
+    part = tv.partition
+    exact = finetuned if tv.trim_ratio is None else None
+    layouts = [_archive_layout(part, cfg, a.block_groups, heads) for a in assignments]
+    merged = [0] * len(assignments)
+    reused = [0] * len(assignments)
+    archives: list[StreamedArchive] = []
+    try:
+        for out_dir, (entries, _) in zip(out_dirs, layouts):
+            os.makedirs(out_dir, exist_ok=True)
+            archives.append(StreamedArchive(os.path.join(out_dir, TENSORS_NAME), entries))
+        for block in part.blocks:
+            b = block.block_id
+            base = flatten_block(pretrained, block)
+            known: dict[tuple[int, ...], StoredGroup] = {}  # the previous size's payloads
+            for i, (asg, (_, spans), archive) in enumerate(zip(assignments, layouts, archives)):
+                payloads = {}
+                for members in asg.block_groups[b]:
+                    g = known.get(members)
+                    if g is not None:
+                        reused[i] += 1
+                    else:
+                        # group ids are the layout's; the payload's own is not read
+                        g = _group_payload(-1, cfg, tv, block, base, members, exact)
+                        merged[i] += len(members) > 1
+                    payloads[members] = g
+                archive.write(spans["groups", b],
+                              [a for g in payloads.values() for a in _payload_arrays(block, g)])
+                if ("pre", b) in spans:
+                    archive.write(spans["pre", b], _block_arrays(block, base))
+                known = payloads
+        head_arrays = [arr for head in heads for arr in head.values()]
+        for (_, spans), archive in zip(layouts, archives):
+            archive.write(spans["heads", -1], head_arrays)
+        for out_dir, archive in zip(out_dirs, archives):
+            try:
+                os.unlink(os.path.join(out_dir, MANIFEST_NAME))
+            except FileNotFoundError:
+                pass
+            archive.commit()
+    except BaseException:
+        for archive in archives:
+            archive.discard()
+        raise
+
+    fingerprint = fingerprint or cfg.fingerprint()
+    done = []
+    for i, (asg, out_dir) in enumerate(zip(assignments, out_dirs)):
+        report = _size_report(part, cfg, asg.block_groups, heads)
+        _write_json(_manifest(part, cfg, tv.num_tasks, asg.block_groups, heads, report, fingerprint),
+                    os.path.join(out_dir, MANIFEST_NAME))
+        done.append(SweepSize(merged[i], reused[i], report.units))
+    return done
 
 
 def _need(ok, what: str, *args) -> None:

@@ -268,9 +268,13 @@ def _size_dir_token(size: Fraction) -> str:
 
 
 def cmd_merge(args) -> int:
-    """Replay the plan once for every distinct size, then build the sizes
-    largest first: a smaller size only coarsens a larger one, so each group
-    shared with the previous size reuses its payload instead of merging."""
+    """Replay the plan once for every distinct size, then stream the whole
+    sweep to disk in one block-major pass (``artifact.export_sweep``): every
+    size's archive header first, then block by block each size's payloads,
+    largest size first, so each group a smaller size shares with the larger
+    one reuses its payload instead of merging. No size is held in memory as
+    a whole. Archives become ``tensors.safetensors`` only once all are
+    complete; ``manifest.json`` and ``groups.json`` follow."""
     config = _build_config(args)
     if not config.sizes:
         print("--sizes is required for merge", file=sys.stderr)
@@ -283,31 +287,20 @@ def cmd_merge(args) -> int:
         plan = compute_merge_plan(tv, strategy=config.strategy,
                                   order_policy=config.order_policy, seed=config.seed)
     sm = SizeModel.from_partition(part, config.merger)
-    os.makedirs(config.out, exist_ok=True)
     targets = sorted(set(config.sizes), reverse=True)
-    reuse: dict = {}
-    for target, assignment in zip(targets, replay_to_sizes(plan, tv, targets, sm)):
-        keys = [(b, g) for b, groups in enumerate(assignment.block_groups) for g in groups]
-        reused = sum(key in reuse for key in keys)
-        merged = sum(len(g) > 1 and (b, g) not in reuse for b, g in keys)
-        art = artifact_mod.build_artifact(
-            assignment, tv, pretrained, config.merger,
-            finetuned=finetuned, fingerprint=fingerprint, reuse=reuse,
-        )
-        # the next, smaller size needs only this size's payloads; dropping
-        # the rest before the export keeps the peak at one artifact's worth
-        reuse = {(g.block_id, g.members): g for g in art.groups}
-        out_dir = os.path.join(config.out, f"size_{_size_dir_token(target)}")
-        artifact_mod.export_manifest(art, out_dir)
+    assignments = replay_to_sizes(plan, tv, targets, sm)
+    out_dirs = [os.path.join(config.out, f"size_{_size_dir_token(t)}") for t in targets]
+    written = artifact_mod.export_sweep(assignments, out_dirs, tv, pretrained, config.merger,
+                                        finetuned=finetuned, fingerprint=fingerprint)
+    for target, assignment, out_dir, done in zip(targets, assignments, out_dirs, written):
         write_assignment_json(assignment, part.block_keys, os.path.join(out_dir, "groups.json"))
-        achieved = art.size_report.units
+        achieved = done.units
         print(
             f"target {float(target):g}: achieved {float(achieved):.6g} "
             f"({achieved.numerator}/{achieved.denominator}) after "
-            f"{assignment.applied_events} events, groups merged {merged}, reused {reused} "
-            f"-> {out_dir}"
+            f"{assignment.applied_events} events, groups merged {done.merged}, "
+            f"reused {done.reused} -> {out_dir}"
         )
-        del art
     return 0
 
 

@@ -486,14 +486,14 @@ def kmeans_baseline(
 def write_assignment_json(
     assignment: GroupAssignment, block_keys: Sequence[str], path: str
 ) -> None:
-    """Export the per-block task grouping as {block_key: [[task ids], ...]}."""
+    """Export the per-block task grouping as {block_key: [[task ids], ...]},
+    compact JSON with sorted keys."""
     obj = {
         key: [list(g) for g in groups]
         for key, groups in zip(block_keys, assignment.block_groups)
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 # ---------------------------------------------------------------------------

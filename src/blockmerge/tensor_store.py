@@ -13,6 +13,11 @@ order (a tensor at an offset that is not a multiple of its item size is
 moved up by a few gap bytes, so every array is aligned). The buffer lives as
 long as any of its views; ``joined_view`` spans consecutive tensors of one
 dtype with one view.
+
+Writing is either whole (``write_archive``, in header order) or streamed
+(``StreamedArchive``): the header goes first, computed from names, dtypes
+and shapes alone, and spans of the data section follow at their offsets in
+any order, into a partial file renamed into place once complete.
 """
 
 from __future__ import annotations
@@ -209,28 +214,94 @@ def _parse_header(path: str, raw: bytes, data_len: int):
     return entries, metadata
 
 
+def archive_header(entries, metadata: dict[str, str] | None = None) -> bytes:
+    """The 8-byte length prefix and header JSON of an archive whose data
+    section holds ``entries``, ``(name, dtype code, shape)`` in order, back
+    to back."""
+    header: dict[str, object] = {}
+    if metadata is not None:
+        header["__metadata__"] = dict(metadata)
+    offset = 0
+    for name, code, shape in entries:
+        end = offset + math.prod(shape) * DTYPES[code].itemsize
+        header[name] = {"dtype": code, "shape": list(shape), "data_offsets": [offset, end]}
+        offset = end
+    payload = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    return struct.pack("<Q", len(payload)) + payload
+
+
 def write_archive(checkpoint: Checkpoint, path: str) -> None:
     """Serialize a Checkpoint; reading the file back yields an equal Checkpoint."""
-    header: dict[str, object] = {}
-    if checkpoint.metadata is not None:
-        header["__metadata__"] = dict(checkpoint.metadata)
-    arrays = []
-    offset = 0
-    for name, arr in checkpoint.tensors.items():
-        arr = _canonical(arr)
-        arrays.append(arr)
-        header[name] = {
-            "dtype": dtype_code(arr),
-            "shape": list(arr.shape),
-            "data_offsets": [offset, offset + arr.nbytes],
-        }
-        offset += arr.nbytes
-    payload = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    arrays = {name: _canonical(arr) for name, arr in checkpoint.tensors.items()}
+    header = archive_header([(name, dtype_code(arr), arr.shape) for name, arr in arrays.items()],
+                            checkpoint.metadata)
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(payload)))
-        fh.write(payload)
-        for arr in arrays:
+        fh.write(header)
+        for arr in arrays.values():
             fh.write(arr)  # canonical arrays are C-contiguous: written via the buffer protocol
+
+
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
+
+
+class StreamedArchive:
+    """An archive written out of order: the header first, from the entries
+    alone, then spans of the data section at their offsets, in any order.
+
+    The file is written as ``<path>.partial``; ``commit`` closes it and
+    renames it to ``path``, so ``path`` only ever names a complete archive.
+    ``discard`` closes and removes the partial file.
+    """
+
+    def __init__(self, path: str, entries):
+        self.path = path
+        self._partial = path + ".partial"
+        header = archive_header(entries)
+        self._data_start = len(header)
+        self._fd = os.open(self._partial, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+        try:
+            self._pwrite([np.frombuffer(header, np.uint8)], 0)
+        except BaseException:
+            self.discard()
+            raise
+
+    def write(self, span: tuple[int, int], arrays) -> None:
+        """Write ``arrays`` back to back over ``span``, a ``(begin, end)``
+        range of the data section, which they must fill exactly."""
+        begin, end = span
+        if sum(np.asarray(a).nbytes for a in arrays) != end - begin:
+            raise ValueError(f"{self._partial}: arrays do not fill data span [{begin}, {end})")
+        self._pwrite(arrays, self._data_start + begin)
+
+    def _pwrite(self, arrays, offset: int) -> None:
+        # one pwritev per IOV_MAX buffers; a short write resumes where it stopped
+        views = [memoryview(_canonical(a).reshape(-1).view(np.uint8)) for a in arrays]
+        views = [v for v in views if v.nbytes]
+        i = 0
+        while i < len(views):
+            n = os.pwritev(self._fd, views[i : i + _IOV_MAX], offset)
+            if n == 0:
+                raise OSError(f"{self._partial}: write made no progress")
+            offset += n
+            while i < len(views) and n >= views[i].nbytes:
+                n -= views[i].nbytes
+                i += 1
+            if n:
+                views[i] = views[i][n:]
+
+    def commit(self) -> None:
+        os.close(self._fd)
+        self._fd = -1
+        os.replace(self._partial, self.path)
+
+    def discard(self) -> None:
+        if self._fd >= 0:
+            os.close(self._fd)
+            self._fd = -1
+        try:
+            os.unlink(self._partial)
+        except FileNotFoundError:
+            pass
 
 
 @dataclass

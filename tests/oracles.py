@@ -2,25 +2,31 @@
 
 Everything here is written with plain Python floats and explicit loops,
 deliberately sharing no code with the package, so the vectorized paths can
-be checked against a second route. The two exceptions are the sections at
-the end: bitwise references, vectorised kernels kept as they were before a
-rewrite that must not change their output bits; and vectorised references,
-the cubic greedy scheduler and its linkage scores, which build on the
-package's similarity matrices and plan types.
+be checked against a second route. The exceptions are the sections at the
+end: bitwise references, vectorised kernels kept as they were before a
+rewrite that must not change their output bits; vectorised references, the
+cubic greedy scheduler and its linkage scores, which build on the package's
+similarity matrices and plan types; and the sweep reference, the size sweep
+as it was written before it streamed, one in-memory artifact per size.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
 from dataclasses import replace
 from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
-from blockmerge.scheduler import MergeEvent, MergePlan
+from blockmerge.artifact import MANIFEST_VERSION, _block_slices, build_artifact
+from blockmerge.mergers import CONFIG_NUMBERS
+from blockmerge.scheduler import MergeEvent, MergePlan, write_assignment_json
 from blockmerge.similarity import STRATEGIES, SimilarityMatrix, pairwise_all
 from blockmerge.task_space import TaskVectorSet
+from blockmerge.tensor_store import DTYPES, Checkpoint, write_archive
 
 
 def cosine_oracle(u, v) -> float:
@@ -367,3 +373,78 @@ def naive_greedy_order(
         num_blocks=len(matrices),
         block_keys=tuple(tv.partition.block_keys),
     )
+
+
+# -- sweep reference ----------------------------------------------------------
+# The size sweep as ``blockmerge merge`` wrote it before it streamed: per
+# size, one in-memory artifact (build_artifact, no payloads shared across
+# sizes, since the kernels are deterministic) and its export, whose archive
+# tensors are assembled here as export_manifest assembled them, with its
+# manifest in the compact JSON encoding.
+
+
+def export_manifest_reference(artifact, out_dir: str) -> None:
+    part = artifact.partition
+    os.makedirs(out_dir, exist_ok=True)
+    tensors: dict[str, np.ndarray] = {}
+
+    def put_block(prefix: str, block, flat: np.ndarray) -> None:
+        for name, offset, n, shape, code in _block_slices(block):
+            tensors[f"{prefix}.{name}"] = (
+                flat[offset : offset + n].reshape(shape).astype(DTYPES[code], copy=False))
+
+    for b in sorted(artifact.pretrained_blocks):
+        put_block("pre", part.blocks[b], artifact.pretrained_blocks[b])
+
+    groups_meta: dict[str, list[list[int]]] = {block.key: [] for block in part.blocks}
+    for g in artifact.groups:
+        block = part.blocks[g.block_id]
+        put_block(f"g{g.group_id}", block, g.dense if g.payload == "dense" else g.unified)
+        if g.payload == "masked":
+            tensors[f"mask.g{g.group_id}"] = g.masks
+            if g.gammas is not None:
+                tensors[f"gamma.g{g.group_id}"] = g.gammas.astype(np.float32, copy=False)
+        groups_meta[block.key].append(list(g.members))
+
+    excluded_meta: dict[str, list[str]] = {}
+    for task, head in enumerate(artifact.heads):
+        excluded_meta[str(task)] = list(head)
+        for name, arr in head.items():
+            tensors[f"head.t{task}.{name}"] = arr
+
+    manifest = {
+        "format": "blockmerge-artifact",
+        "version": MANIFEST_VERSION,
+        "algorithm": artifact.config.algorithm,
+        "config": {f: getattr(artifact.config, f) for f in CONFIG_NUMBERS},
+        "fingerprint": artifact.fingerprint,
+        "num_tasks": artifact.num_tasks,
+        "blocks": [
+            {
+                "key": b.key,
+                "tensors": b.tensor_names,
+                "shapes": [list(s) for s in b.shapes],
+                "dtypes": b.dtypes,
+                "dim": b.dim,
+                "nbytes": b.nbytes,
+            }
+            for b in part.blocks
+        ],
+        "name_order": list(part.name_order),
+        "excluded": excluded_meta,
+        "groups": groups_meta,
+        "size_report": artifact.size_report.as_dict(),
+    }
+    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n")
+    write_archive(Checkpoint(tensors=tensors), os.path.join(out_dir, "tensors.safetensors"))
+
+
+def sweep_reference(assignments, out_dirs, tv, pretrained, cfg, finetuned=None,
+                    fingerprint: str = "") -> None:
+    """What ``export_sweep`` plus the ``groups.json`` of ``blockmerge merge``
+    must write, size by size."""
+    for asg, out_dir in zip(assignments, out_dirs):
+        art = build_artifact(asg, tv, pretrained, cfg, finetuned=finetuned, fingerprint=fingerprint)
+        export_manifest_reference(art, out_dir)
+        write_assignment_json(asg, tv.partition.block_keys, os.path.join(out_dir, "groups.json"))

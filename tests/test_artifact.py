@@ -20,6 +20,7 @@ from blockmerge import (
     compute_task_vectors,
     default_transformer_rules,
     export_manifest,
+    export_sweep,
     load_artifact,
     merge_group,
     partition,
@@ -27,9 +28,11 @@ from blockmerge import (
     read_archive,
     reconstruct_task,
     replay_to_size,
+    replay_to_sizes,
     verify_artifact,
     write_archive,
 )
+import blockmerge.artifact as artifact_mod
 from blockmerge.artifact import MANIFEST_VERSION
 from blockmerge.scheduler import GroupAssignment
 from blockmerge.task_space import flatten_block
@@ -170,7 +173,9 @@ def test_repeat_reconstruction_bit_identical_non_dyadic_rescalers():
         assert reconstruct_task(art, k).same_tensors(first[k]), f"task {k} drifted"
 
 
-def test_reuse_shares_payloads_and_matches_fresh_build():
+def test_reuse_shares_payloads_and_matches_fresh_build(tmp_path, monkeypatch):
+    # a sweep builds a smaller size from the larger size's payloads where
+    # their groups agree, and writes what a fresh build of each size writes
     rng = np.random.default_rng(16)
     pre, tasks = toy_model(rng, 4, layers=2, width=4)
     part = partition(pre, default_transformer_rules(), exclude=["head.*"])
@@ -178,28 +183,37 @@ def test_reuse_shares_payloads_and_matches_fresh_build():
     cfg = MergerConfig.for_algorithm("emr")
     sm = SizeModel.from_partition(part, cfg)
     plan = compute_merge_plan(tv)
-    large = build_artifact(replay_to_size(plan, tv, Fraction(3), sm), tv, pre, cfg, finetuned=tasks)
-    reuse = {(g.block_id, g.members): g for g in large.groups}
-    small_asg = replay_to_size(plan, tv, Fraction(0), sm)
-    small = build_artifact(small_asg, tv, pre, cfg, finetuned=tasks, reuse=reuse)
-    fresh = build_artifact(small_asg, tv, pre, cfg, finetuned=tasks)
-    assert [g.group_id for g in small.groups] == list(range(len(small.groups)))
-    shared = 0
-    for got, want in zip(small.groups, fresh.groups):
-        assert (got.block_id, got.members, got.payload) == (want.block_id, want.members, want.payload)
-        for field in ("dense", "unified", "masks", "gammas"):
-            a, b = getattr(got, field), getattr(want, field)
-            assert (a is None) == (b is None)
-            if a is not None:
-                np.testing.assert_array_equal(a, b)
-        known = reuse.get((got.block_id, got.members))
-        if known is not None:
-            shared += 1
-            assert (got.unified if got.payload == "masked" else got.dense) is (
-                known.unified if known.payload == "masked" else known.dense)
+    asgs = replay_to_sizes(plan, tv, [Fraction(3), Fraction(0)], sm)
+    calls = []
+
+    def counting(cfg, tv, b, members):
+        calls.append((b, tuple(sorted(members))))
+        return merge_group(cfg, tv, b, members)
+
+    monkeypatch.setattr(artifact_mod, "merge_group", counting)
+    dirs = [str(tmp_path / "large"), str(tmp_path / "small")]
+    large, small = export_sweep(asgs, dirs, tv, pre, cfg, finetuned=tasks)
+    monkeypatch.undo()
+
+    keys = [{(b, g) for b, groups in enumerate(a.block_groups) for g in groups} for a in asgs]
+    shared = keys[0] & keys[1]
     assert shared, "fixture should keep some groups from the larger size"
-    assert small.routing == fresh.routing
-    assert small.pretrained_blocks.keys() == fresh.pretrained_blocks.keys()
+    assert small.reused == len(shared)
+    # a shared group is never merged again
+    assert len(calls) == len(set(calls)) == large.merged + small.merged
+    assert set(calls) == {key for key in keys[0] | keys[1] if len(key[1]) > 1}
+
+    for asg, got in zip(asgs, dirs):
+        fresh = build_artifact(asg, tv, pre, cfg, finetuned=tasks)
+        want = str(tmp_path / "fresh" / os.path.basename(got))
+        export_manifest(fresh, want)
+        for name in ("tensors.safetensors", "manifest.json"):
+            with open(os.path.join(got, name), "rb") as fa, open(os.path.join(want, name), "rb") as fb:
+                assert fa.read() == fb.read(), (got, name)
+        loaded = load_artifact(got)
+        assert [g.group_id for g in loaded.groups] == list(range(len(fresh.groups)))
+        assert loaded.routing == fresh.routing
+        assert loaded.pretrained_blocks.keys() == fresh.pretrained_blocks.keys()
 
 
 def test_config_mismatch_on_trim_state():

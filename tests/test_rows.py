@@ -1,7 +1,8 @@
 """Task vectors built on demand: ``TaskVectorSet.rows`` against the dense
 sets computed up front before, bit for bit; rows never alias the read
-checkpoints, and whole sweeps leave them as they were; the plan and merge
-stages hold one block's rows, not the whole (M, D) set."""
+checkpoints, and whole sweeps leave them as they were; the plan stage holds
+one block's rows, not the whole (M, D) set, and the streamed merge sweep
+holds neither that set nor any size's payloads."""
 
 import hashlib
 import os
@@ -18,10 +19,10 @@ from blockmerge import (
     MergerConfig,
     PartitionRule,
     SizeModel,
-    build_artifact,
     compute_merge_plan,
     compute_task_vectors,
     default_transformer_rules,
+    export_sweep,
     partition,
     prepare_task_vectors,
     read_archive,
@@ -164,10 +165,9 @@ def test_full_sweeps_leave_the_checkpoints_untouched(tmp_path, dtype):
         tv = prepare_task_vectors(compute_task_vectors(pre, tasks, part), cfg)
         sm = SizeModel.from_partition(part, cfg)
         targets = [Fraction(s) for s in range(len(tasks), 0, -1)]
-        reuse = {}
-        for asg in replay_to_sizes(compute_merge_plan(tv), tv, targets, sm):
-            art = build_artifact(asg, tv, pre, cfg, finetuned=tasks, reuse=reuse)
-            reuse = {(g.block_id, g.members): g for g in art.groups}
+        out_dirs = [str(tmp_path / algorithm / str(t)) for t in targets]
+        export_sweep(replay_to_sizes(compute_merge_plan(tv), tv, targets, sm), out_dirs, tv, pre, cfg,
+                     finetuned=tasks)
     assert _hashes([pre] + tasks) == before
 
 
@@ -204,22 +204,6 @@ def _traced(fn):
         tracemalloc.stop()
 
 
-def _payload_bytes(arts, inputs) -> int:
-    """Bytes the artifacts own: every distinct buffer behind their arrays
-    that is not one of the input checkpoints'."""
-    owners = {}
-    for art in arts:
-        arrays = list(art.pretrained_blocks.values())
-        for g in art.groups:
-            arrays += [a for a in (g.dense, g.unified, g.masks, g.gammas) if a is not None]
-        for a in arrays:
-            owners[id(buffer_owner(a))] = buffer_owner(a)
-    for ck in inputs:
-        for a in ck.tensors.values():
-            owners.pop(id(buffer_owner(a)), None)
-    return sum(o.nbytes for o in owners.values())
-
-
 # one block's rows in float32 and float64 (similarity) or a group's rows, a
 # scratch matrix and masks (merge), plus the float32 copy of a float16
 # pretrained model and the trim's two (D,) scratch rows: the whole set
@@ -242,21 +226,22 @@ def test_plan_stage_peak_memory_is_bounded(algorithm, dtype):
 
 
 @pytest.mark.parametrize("algorithm,dtype", CASES)
-def test_merge_stage_peak_memory_is_bounded(algorithm, dtype):
+def test_merge_stage_peak_memory_is_bounded(tmp_path, algorithm, dtype):
+    # the streamed sweep writes every size block by block: what it holds
+    # beyond the inputs is a group's working set and one block's payloads of
+    # two sizes, never an artifact, so there is no allowance for payloads
     pre, tasks, part = _inputs(dtype)
     cfg = MergerConfig.for_algorithm(algorithm)
     sm = SizeModel.from_partition(part, cfg)
     plan = compute_merge_plan(prepare_task_vectors(compute_task_vectors(pre, tasks, part), cfg))
+    targets = [Fraction(M), Fraction(M, 2), Fraction(1)]
 
     def merge_stage():
         tv = prepare_task_vectors(compute_task_vectors(pre, tasks, part), cfg)
-        arts, reuse = [], {}
-        for asg in replay_to_sizes(plan, tv, [Fraction(M), Fraction(M, 2), Fraction(1)], sm):
-            arts.append(build_artifact(asg, tv, pre, cfg, finetuned=tasks, reuse=reuse))
-            reuse = {(g.block_id, g.members): g for g in arts[-1].groups}
-        return arts
+        export_sweep(replay_to_sizes(plan, tv, targets, sm),
+                     [str(tmp_path / str(t)) for t in targets], tv, pre, cfg, finetuned=tasks)
 
-    peak, arts = _traced(merge_stage)
-    # what the three artifacts store is output, not working memory
-    bound = 5 * UNIT + _survivors(cfg) + _payload_bytes(arts, [pre] + tasks) + SLACK
+    peak, _ = _traced(merge_stage)
+    widened = sum(DIMS) * 4 if dtype == np.float16 else 0  # the set's float32 pretrained copy
+    bound = 4 * UNIT + _survivors(cfg) + widened + SLACK
     assert peak <= bound, f"peak {peak / UNIT:.2f} units > {bound / UNIT:.2f}"

@@ -1,6 +1,7 @@
 """Archive format round trips, typed failures, alignment checks."""
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -16,7 +17,8 @@ from blockmerge import (
     validate_aligned,
     write_archive,
 )
-from blockmerge.tensor_store import joined_view
+import blockmerge.tensor_store as tensor_store
+from blockmerge.tensor_store import StreamedArchive, dtype_code, joined_view
 
 from helpers import buffer_owner
 
@@ -245,3 +247,40 @@ def test_joined_view_spans_consecutive_tensors_only(tmp_path):
     assert joined_view([t["a"].ravel(), t["d"]]) is None  # not adjacent
     assert joined_view([t["b"], t["c"]]) is None  # dtypes differ
     assert joined_view([t["a"].ravel(), t["b"].copy()]) is None  # another buffer
+
+
+def test_streamed_archive_equals_write_archive_despite_short_writes(tmp_path, monkeypatch):
+    # spans written out of order, each write cut to 3 bytes, at most two
+    # buffers per call: the file still equals the whole-archive writer's
+    tensors = {"a": np.arange(3, dtype=np.float32), "b": np.full((2, 3), -0.5, np.float16),
+               "c": np.arange(5, dtype=np.uint8), "d": np.array(7.25, np.float32)}
+    write_archive(Checkpoint(tensors), str(tmp_path / "whole"))
+    real = os.pwritev
+    calls = []
+
+    def short(fd, buffers, offset):
+        calls.append(len(buffers))
+        assert len(calls) < 1000, "the writer stopped making progress"
+        return real(fd, [bytes(buffers[0])[:3]], offset)
+
+    monkeypatch.setattr(os, "pwritev", short)
+    monkeypatch.setattr(tensor_store, "_IOV_MAX", 2)
+    path = str(tmp_path / "streamed")
+    archive = StreamedArchive(path, [(n, dtype_code(a), a.shape) for n, a in tensors.items()])
+    archive.write((24, 33), [tensors["c"], tensors["d"]])
+    archive.write((0, 24), [tensors["a"], tensors["b"]])
+    assert not os.path.exists(path) and os.path.exists(path + ".partial")
+    archive.commit()
+    assert max(calls) == 2 and len(calls) > 10
+    with open(path, "rb") as got, open(tmp_path / "whole", "rb") as want:
+        assert got.read() == want.read()
+    assert not os.path.exists(path + ".partial")
+
+
+def test_streamed_archive_rejects_a_span_its_arrays_do_not_fill(tmp_path):
+    path = str(tmp_path / "x")
+    archive = StreamedArchive(path, [("a", "F32", (3,))])
+    with pytest.raises(ValueError, match="do not fill"):
+        archive.write((0, 12), [np.zeros(2, np.float32)])
+    archive.discard()
+    assert os.listdir(tmp_path) == []
