@@ -5,27 +5,42 @@ UTF-8 JSON object mapping tensor name -> {"dtype", "shape", "data_offsets"};
 the rest is raw row-major little-endian tensor data. ``data_offsets`` are
 relative to the first byte after the header and must tile the data section
 contiguously in header order. An optional ``__metadata__`` string map is
-preserved opaquely.
+preserved opaquely. The header JSON written here is padded with trailing
+spaces so that the data section starts at a multiple of 8 (the safetensors
+convention); any header length is read.
 
-Reading is zero-copy past one read: the data section lands in a single
-buffer and the tensors of a loaded checkpoint are views into it, in header
-order (a tensor at an offset that is not a multiple of its item size is
-moved up by a few gap bytes, so every array is aligned). The buffer lives as
-long as any of its views; ``joined_view`` spans consecutive tensors of one
-dtype with one view.
+Reading copies nothing where it can avoid it. When every tensor's file
+offset is a multiple of its item size, as in every archive written here,
+the file is mapped read-only and every tensor is a view of that one
+mapping, so a read costs the header parse plus the pages a caller touches.
+Any other archive is read in one sequential pass into one buffer, with a
+few gap bytes before each tensor whose offset is skewed, so every array is
+aligned. Either way the tensors of a loaded checkpoint are read-only views
+of one buffer, in header order, which lives as long as any of its views;
+``joined_view`` spans consecutive tensors of one dtype with one view.
+
+A mapped archive must be replaced, never modified in place: truncating a
+mapped file makes the next access to a lost page fail with SIGBUS, not an
+exception. Both writers replace: they write ``<path>.partial`` and rename
+it over ``path``, so a checkpoint read from ``path`` keeps its bytes. On
+Python < 3.13 each live mapping also holds one duplicated file descriptor
+until its last view is freed, so the number of archives held at once is
+bounded by the process's descriptor limit.
 
 Writing is either whole (``write_archive``, in header order) or streamed
 (``StreamedArchive``): the header goes first, computed from names, dtypes
 and shapes alone, and spans of the data section follow at their offsets in
-any order, into a partial file renamed into place once complete.
+any order.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import struct
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,9 +69,10 @@ class Checkpoint:
 
     Insertion order of ``tensors`` is the archive header order. Arrays are
     little-endian and C-contiguous. The tensors of a loaded checkpoint are
-    views into one shared read buffer, and code that keeps them (task
-    vector sets, artifact payloads) may keep views too, so treat a loaded
-    checkpoint as immutable.
+    read-only views of one buffer, a mapping of the file or one read of its
+    data section (see read_archive), and code that keeps them (task vector
+    sets, artifact payloads) may keep views too. Writing into one raises
+    ValueError; build a new checkpoint instead.
     """
 
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
@@ -89,14 +105,16 @@ def _canonical(arr: np.ndarray) -> np.ndarray:
 
 
 def read_archive(path: str) -> Checkpoint:
-    """Parse an archive file into a Checkpoint.
+    """Parse an archive file into a Checkpoint of read-only views.
 
-    The header is validated first; the data section is then read in one
-    sequential pass into one buffer, and every tensor is a view into it.
-    Where a tensor's offset is not a multiple of its item size (an
-    odd-length F16 or U8 tensor comes before it), the read leaves a gap of
-    a few bytes in the buffer, so every array is aligned. Raises
-    MalformedHeader, UnsupportedDtype or TruncatedData; never reads past the
+    The header is validated first. Then, when every tensor's file offset is
+    a multiple of its item size, the file is mapped read-only and every
+    tensor is a view of the mapping, which spans the file; no data byte is
+    read until a caller touches it. Otherwise the data section is read in
+    one sequential pass into one buffer, leaving a gap of a few bytes before
+    each skewed tensor (an odd-length F16 or U8 tensor comes before it), so
+    every array is aligned. Raises MalformedHeader, UnsupportedDtype or
+    TruncatedData before anything is mapped; never reads or maps past the
     declared extents.
     """
     with open(path, "rb") as fh:
@@ -107,24 +125,35 @@ def read_archive(path: str) -> Checkpoint:
         (header_len,) = struct.unpack("<Q", prefix)
         if header_len > file_size - 8:
             raise MalformedHeader(f"{path}: header length {header_len} exceeds file size")
-        data_len = file_size - 8 - header_len
+        data_start = 8 + header_len
+        data_len = file_size - data_start
         entries, metadata = _parse_header(path, fh.read(header_len), data_len)
-        starts, runs, pad = _aligned_layout(entries)
-        data = np.empty(data_len + pad, dtype=np.uint8)
-        buf = memoryview(data)
-        got = 0
-        for start, n in runs:
-            read = fh.readinto(buf[start : start + n])
-            got += read
-            if read < n:
-                break
-    if got != data_len:
-        raise TruncatedData(f"{path}: data section ends at {got}, expected {data_len}")
+        if all((data_start + begin) % dtype.itemsize == 0 for _, dtype, _, begin, _ in entries):
+            data = np.frombuffer(
+                mmap.mmap(fh.fileno(), file_size, access=mmap.ACCESS_READ, **_UNTRACKED_FD), np.uint8)
+            starts = [data_start + begin for _, _, _, begin, _ in entries]
+        else:
+            starts, runs, pad = _aligned_layout(entries)
+            data = np.empty(data_len + pad, dtype=np.uint8)
+            buf = memoryview(data)
+            got = 0
+            for start, n in runs:
+                read = fh.readinto(buf[start : start + n])
+                got += read
+                if read < n:
+                    break
+            if got != data_len:
+                raise TruncatedData(f"{path}: data section ends at {got}, expected {data_len}")
+            data.flags.writeable = False
 
     tensors: dict[str, np.ndarray] = {}
     for (name, dtype, shape, begin, end), start in zip(entries, starts):
         tensors[name] = data[start : start + end - begin].view(dtype).reshape(shape)
     return Checkpoint(tensors=tensors, metadata=metadata, source_path=path)
+
+
+# a mapping needs no descriptor of its own; before 3.13, mmap always keeps one
+_UNTRACKED_FD = {"trackfd": False} if sys.version_info >= (3, 13) else {}
 
 
 def joined_view(arrays: list[np.ndarray]) -> np.ndarray | None:
@@ -217,7 +246,9 @@ def _parse_header(path: str, raw: bytes, data_len: int):
 def archive_header(entries, metadata: dict[str, str] | None = None) -> bytes:
     """The 8-byte length prefix and header JSON of an archive whose data
     section holds ``entries``, ``(name, dtype code, shape)`` in order, back
-    to back."""
+    to back. The compact JSON is padded with trailing spaces to end at a
+    multiple of 8 bytes, so a tensor whose data offset is a multiple of its
+    item size is aligned in the file too."""
     header: dict[str, object] = {}
     if metadata is not None:
         header["__metadata__"] = dict(metadata)
@@ -227,18 +258,27 @@ def archive_header(entries, metadata: dict[str, str] | None = None) -> bytes:
         header[name] = {"dtype": code, "shape": list(shape), "data_offsets": [offset, end]}
         offset = end
     payload = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    payload += b" " * (-(8 + len(payload)) % 8)  # the data section starts 8-aligned
     return struct.pack("<Q", len(payload)) + payload
 
 
 def write_archive(checkpoint: Checkpoint, path: str) -> None:
-    """Serialize a Checkpoint; reading the file back yields an equal Checkpoint."""
-    arrays = {name: _canonical(arr) for name, arr in checkpoint.tensors.items()}
-    header = archive_header([(name, dtype_code(arr), arr.shape) for name, arr in arrays.items()],
-                            checkpoint.metadata)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for arr in arrays.values():
-            fh.write(arr)  # canonical arrays are C-contiguous: written via the buffer protocol
+    """Serialize a Checkpoint; reading the file back yields an equal Checkpoint.
+
+    Written as ``<path>.partial`` and renamed over ``path`` once complete
+    (StreamedArchive), so a checkpoint read from ``path`` earlier keeps its
+    bytes, and a failed write leaves ``path`` as it was and no partial file.
+    """
+    arrays = [_canonical(arr) for arr in checkpoint.tensors.values()]
+    archive = StreamedArchive(path, [(name, dtype_code(arr), arr.shape)
+                                     for name, arr in zip(checkpoint.tensors, arrays)],
+                              checkpoint.metadata)
+    try:
+        archive.write((0, sum(arr.nbytes for arr in arrays)), arrays)
+        archive.commit()
+    except BaseException:
+        archive.discard()
+        raise
 
 
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
@@ -249,14 +289,15 @@ class StreamedArchive:
     alone, then spans of the data section at their offsets, in any order.
 
     The file is written as ``<path>.partial``; ``commit`` closes it and
-    renames it to ``path``, so ``path`` only ever names a complete archive.
-    ``discard`` closes and removes the partial file.
+    renames it to ``path``, so ``path`` only ever names a complete archive
+    and an archive mapped from ``path`` is never truncated under its
+    readers. ``discard`` closes and removes the partial file.
     """
 
-    def __init__(self, path: str, entries):
+    def __init__(self, path: str, entries, metadata: dict[str, str] | None = None):
         self.path = path
         self._partial = path + ".partial"
-        header = archive_header(entries)
+        header = archive_header(entries, metadata)
         self._data_start = len(header)
         self._fd = os.open(self._partial, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
         try:

@@ -1,8 +1,11 @@
 """Archive format round trips, typed failures, alignment checks."""
 
+import gc
 import json
+import mmap
 import os
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,16 +14,27 @@ from hypothesis import given, settings, strategies as st
 from blockmerge import (
     Checkpoint,
     MalformedHeader,
+    MergerConfig,
+    SizeModel,
     TruncatedData,
     UnsupportedDtype,
+    build_artifact,
+    compute_merge_plan,
+    compute_task_vectors,
+    default_transformer_rules,
+    export_manifest,
+    export_sweep,
+    partition,
+    prepare_task_vectors,
     read_archive,
+    replay_to_sizes,
     validate_aligned,
     write_archive,
 )
 import blockmerge.tensor_store as tensor_store
 from blockmerge.tensor_store import StreamedArchive, dtype_code, joined_view
 
-from helpers import buffer_owner
+from helpers import buffer_owner, toy_model
 
 
 def rt(ckpt, tmp_path, name="a.safetensors"):
@@ -32,8 +46,23 @@ def rt(ckpt, tmp_path, name="a.safetensors"):
 def test_empty_checkpoint_layout(tmp_path):
     path, back = rt(Checkpoint(), tmp_path)
     raw = open(path, "rb").read()
-    assert raw == struct.pack("<Q", 2) + b"{}"
+    assert raw == struct.pack("<Q", 8) + b"{}      "
     assert back.tensors == {}
+
+
+def test_toy_archive_bytes(tmp_path):
+    # the compact header JSON, padded with spaces to end at a multiple of 8
+    ck = Checkpoint(tensors={"w": np.array([1.0, -2.0], np.float32), "m": np.array([5, 6, 7], np.uint8)},
+                    metadata={"k": "v"})
+    header = (b'{"__metadata__":{"k":"v"},"w":{"dtype":"F32","shape":[2],"data_offsets":[0,8]},'
+              b'"m":{"dtype":"U8","shape":[3],"data_offsets":[8,11]}}    ')
+    assert len(header) == 136
+    want = struct.pack("<Q", 136) + header + b"\x00\x00\x80?\x00\x00\x00\xc0\x05\x06\x07"
+    assert tensor_store.archive_header([(n, dtype_code(a), a.shape) for n, a in ck.tensors.items()],
+                                       ck.metadata) == want[:-11]
+    path, back = rt(ck, tmp_path)
+    assert open(path, "rb").read() == want
+    assert back.same_tensors(ck)
 
 
 def test_f16_data_section_size(tmp_path):
@@ -141,13 +170,27 @@ def checkpoints(draw):
     return Checkpoint(tensors=tensors)
 
 
+def _mapped(arr) -> bool:
+    """Whether ``arr`` is a view of a file mapping."""
+    base = buffer_owner(arr).base
+    return isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
+
+
 @given(checkpoints())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_round_trip_property(tmp_path_factory, ck):
     tmp = tmp_path_factory.mktemp("rt")
     path = str(tmp / "c.st")
     write_archive(ck, path)
-    assert read_archive(path).same_tensors(ck)
+    back = read_archive(path)
+    assert back.same_tensors(ck)
+    assert all(arr.flags.aligned and not arr.flags.writeable for arr in back.tensors.values())
+    # mapped exactly when every data offset is a multiple of its item size
+    offset, aligned = 0, True
+    for arr in ck.tensors.values():
+        aligned &= offset % arr.itemsize == 0
+        offset += arr.nbytes
+    assert {_mapped(arr) for arr in back.tensors.values()} <= {aligned}
 
 
 @given(st.binary(min_size=0, max_size=64))
@@ -203,11 +246,13 @@ def test_tensors_are_views_into_one_read_buffer(tmp_path):
         "c": np.arange(16, dtype=np.uint8),
         "d": rng.normal(size=5).astype(np.float32),
     })
-    _, back = rt(ck, tmp_path)
+    path, back = rt(ck, tmp_path)
     owners = {id(buffer_owner(arr)) for arr in back.tensors.values()}
     assert len(owners) == 1
+    # every offset is aligned, so the one owner is a read-only mapping of the whole file
     buffer = buffer_owner(back.tensors["a"])
-    assert buffer.dtype == np.uint8 and buffer.nbytes == sum(a.nbytes for a in ck.tensors.values())
+    assert buffer.dtype == np.uint8 and buffer.nbytes == os.path.getsize(path)
+    assert _mapped(buffer) and not buffer.flags.writeable
     assert back.same_tensors(ck)
 
 
@@ -284,3 +329,135 @@ def test_streamed_archive_rejects_a_span_its_arrays_do_not_fill(tmp_path):
         archive.write((0, 12), [np.zeros(2, np.float32)])
     archive.discard()
     assert os.listdir(tmp_path) == []
+
+
+def _header_and_data(path):
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    (n,) = struct.unpack("<Q", raw[:8])
+    return raw[8 : 8 + n], raw[8 + n :]
+
+
+def _write_each_way(tmp_path):
+    """Archive paths written by write_archive, StreamedArchive,
+    export_manifest and export_sweep."""
+    lead = {"odd": np.arange(3, dtype=np.float16), "w": np.ones((2, 3), np.float32)}
+    paths = [str(tmp_path / "whole"), str(tmp_path / "streamed")]
+    write_archive(Checkpoint(lead, metadata={"k": "v"}), paths[0])
+    streamed = StreamedArchive(paths[1], [(n, dtype_code(a), a.shape) for n, a in lead.items()])
+    streamed.write((0, 30), list(lead.values()))
+    streamed.commit()
+    pre, tasks = toy_model(np.random.default_rng(5), 3, layers=1, width=5)
+    part = partition(pre, default_transformer_rules(), exclude=["head.*"])
+    cfg = MergerConfig.for_algorithm("emr")
+    tv = prepare_task_vectors(compute_task_vectors(pre, tasks, part), cfg)
+    sizes = [Fraction(2), Fraction(1)]
+    assignments = replay_to_sizes(compute_merge_plan(tv), tv, sizes, SizeModel.from_partition(part, cfg))
+    export_manifest(build_artifact(assignments[0], tv, pre, cfg, finetuned=tasks), str(tmp_path / "one"))
+    sweep = [str(tmp_path / f"sweep{i}") for i in range(len(sizes))]
+    export_sweep(assignments, sweep, tv, pre, cfg, finetuned=tasks)
+    dirs = [str(tmp_path / "one")] + sweep
+    return paths + [os.path.join(d, "tensors.safetensors") for d in dirs]
+
+
+def test_every_writer_pads_the_compact_header_to_an_8_aligned_data_section(tmp_path):
+    for path in _write_each_way(tmp_path):
+        header, data = _header_and_data(path)
+        assert (8 + len(header)) % 8 == 0
+        compact = header.rstrip(b" ")
+        assert len(header) - len(compact) < 8
+        assert compact == json.dumps(json.loads(header), separators=(",", ":")).encode("utf-8")
+        back = read_archive(path)
+        assert data == b"".join(arr.tobytes() for arr in back.tensors.values())
+
+
+def test_loaded_tensors_are_read_only_on_both_paths(tmp_path):
+    rng = np.random.default_rng(6)
+    aligned = {"a": rng.normal(size=(2, 3)).astype(np.float32), "s": np.float32(2.5).reshape(()),
+               "m": np.arange(8, dtype=np.uint8), "e": np.zeros(0, np.float16)}
+    skewed = {"m": np.arange(3, dtype=np.uint8), "a": rng.normal(size=4).astype(np.float32),
+              "h": np.ones(3, np.float16)}
+    for name, tensors in (("aligned", aligned), ("skewed", skewed)):
+        _, back = rt(Checkpoint(tensors), tmp_path, name)
+        assert {_mapped(arr) for arr in back.tensors.values()} == {name == "aligned"}
+        for arr in back.tensors.values():
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+        assert back.same_tensors(Checkpoint(tensors))
+
+
+def test_archive_with_an_odd_data_start_is_read_aligned(tmp_path):
+    # another writer's compact header may leave the data section at an odd
+    # file offset; such an archive is read, not mapped, with the same bytes
+    rng = np.random.default_rng(7)
+    tensors = {"w": rng.normal(size=(3, 5)).astype(np.float32), "h": rng.normal(size=4).astype(np.float16),
+               "m": np.arange(6, dtype=np.uint8), "v": rng.normal(size=2).astype(np.float32)}
+    header, offset = {}, 0
+    for name, arr in tensors.items():
+        header[name] = {"dtype": dtype_code(arr), "shape": list(arr.shape),
+                        "data_offsets": [offset, offset + arr.nbytes]}
+        offset += arr.nbytes
+    payload = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    payload += b" " * ((1 - len(payload)) % 2)  # 8 + len(payload) is odd
+    path = tmp_path / "odd.st"
+    path.write_bytes(struct.pack("<Q", len(payload)) + payload
+                     + b"".join(arr.tobytes() for arr in tensors.values()))
+    assert (8 + len(payload)) % 2 == 1
+    back = read_archive(str(path))
+    assert back.same_tensors(Checkpoint(tensors))
+    assert all(arr.flags.aligned and not _mapped(arr) for arr in back.tensors.values())
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_dropped_archives_release_their_descriptors_and_mappings(tmp_path):
+    path = str(tmp_path / "m.st")
+    write_archive(Checkpoint({"a": np.arange(1024, dtype=np.float32)}), path)
+
+    def maps_of_path():
+        with open("/proc/self/maps") as fh:
+            return sum(path in line for line in fh)
+
+    gc.collect()
+    fds = len(os.listdir("/proc/self/fd"))
+    assert maps_of_path() == 0
+    held = [read_archive(path) for _ in range(200)]
+    assert all(_mapped(ck.tensors["a"]) for ck in held)
+    assert maps_of_path() >= 1
+    del held
+    gc.collect()
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert maps_of_path() == 0
+
+
+def test_write_replaces_a_file_that_a_loaded_checkpoint_maps(tmp_path):
+    path = str(tmp_path / "p.st")
+    first = Checkpoint({"a": np.arange(4096, dtype=np.float32), "b": np.ones(3, np.float16)})
+    write_archive(first, path)
+    loaded = read_archive(path)
+    assert _mapped(loaded.tensors["a"])
+    second = Checkpoint({"c": np.zeros(2, np.float32)})
+    write_archive(second, path)  # truncating in place would make the next touch of `a` SIGBUS
+    assert loaded.same_tensors(first)
+    assert read_archive(path).same_tensors(second)
+    assert os.listdir(tmp_path) == ["p.st"]
+
+
+def test_failed_write_leaves_the_old_file_and_no_partial(tmp_path, monkeypatch):
+    path = str(tmp_path / "p.st")
+    write_archive(Checkpoint({"a": np.arange(5, dtype=np.float32)}), path)
+    before = open(path, "rb").read()
+    real = os.pwritev
+    calls = []
+
+    def fail_second(fd, buffers, offset):
+        calls.append(offset)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        return real(fd, buffers, offset)
+
+    monkeypatch.setattr(os, "pwritev", fail_second)
+    with pytest.raises(OSError, match="No space"):
+        write_archive(Checkpoint({"a": np.zeros(5, np.float32), "b": np.ones(7, np.float16)}), path)
+    assert len(calls) == 2  # the header went out, the data did not
+    assert open(path, "rb").read() == before
+    assert os.listdir(tmp_path) == ["p.st"]
