@@ -17,7 +17,8 @@ size in memory; build_artifact and export_manifest build and write one size
 in memory, with the same payloads and bytes.
 
 A loaded artifact keeps its float32 payloads, masks and pretrained blocks as
-views into the archive's read buffer. Reconstruction only reads those buffers
+read-only views of the archive's buffer, a mapping of the file for every
+archive written here. Reconstruction only reads those buffers
 and always returns fresh arrays: each call writes every block into one new
 float32 buffer (masked blocks rebuilt as pretrained + masked product, dense
 payloads copied) and narrows float16 tensors from it. So an output never
@@ -649,11 +650,15 @@ def load_artifact(out_dir: str) -> MergedArtifact:
     written ``size_report`` is never read). An emr artifact must hold a
     rescaler entry for every masked group.
 
-    Float32 payloads, packed masks and pretrained blocks stay views into the
-    archive's read buffer (a block of several tensors as one span of it), so
-    a float32 artifact is held once. Head tensors and rescalers are copied,
-    so a float16 archive without masked groups is freed once its blocks have
-    been widened; with masked groups, the mask views keep its buffer alive.
+    Float32 payloads, packed masks and pretrained blocks stay views of the
+    archive's buffer (a block of several tensors as one span of it), so a
+    float32 artifact is held once. The archives export_manifest and
+    export_sweep write are mapped (read_archive), so loading reads the
+    header, the heads and the rescalers; a payload's pages are read when a
+    reconstruction first touches them. Head tensors and rescalers are
+    copied, so a float16 archive without masked groups is freed once its
+    blocks have been widened; with masked groups, the mask views keep its
+    buffer alive.
     """
     path = os.path.join(out_dir, MANIFEST_NAME)
     with open(path, "rb") as fh:
@@ -677,7 +682,7 @@ def load_artifact(out_dir: str) -> MergedArtifact:
         if len(parts) == 1:
             return parts[0]
         # export writes a block's tensors back to back, so float32 ones are
-        # one span of the read buffer; anything else is joined into a copy
+        # one span of the archive's buffer; anything else is joined into a copy
         joined = joined_view(parts)
         return joined if joined is not None else np.concatenate(parts)
 

@@ -104,6 +104,10 @@ def _canonical(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+# a mapping needs no descriptor of its own; before 3.13, mmap always keeps one
+_UNTRACKED_FD = {"trackfd": False} if sys.version_info >= (3, 13) else {}
+
+
 def read_archive(path: str) -> Checkpoint:
     """Parse an archive file into a Checkpoint of read-only views.
 
@@ -150,10 +154,6 @@ def read_archive(path: str) -> Checkpoint:
     for (name, dtype, shape, begin, end), start in zip(entries, starts):
         tensors[name] = data[start : start + end - begin].view(dtype).reshape(shape)
     return Checkpoint(tensors=tensors, metadata=metadata, source_path=path)
-
-
-# a mapping needs no descriptor of its own; before 3.13, mmap always keeps one
-_UNTRACKED_FD = {"trackfd": False} if sys.version_info >= (3, 13) else {}
 
 
 def joined_view(arrays: list[np.ndarray]) -> np.ndarray | None:

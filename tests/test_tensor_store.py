@@ -61,7 +61,7 @@ def test_toy_archive_bytes(tmp_path):
     assert tensor_store.archive_header([(n, dtype_code(a), a.shape) for n, a in ck.tensors.items()],
                                        ck.metadata) == want[:-11]
     path, back = rt(ck, tmp_path)
-    assert open(path, "rb").read() == want
+    assert (tmp_path / "a.safetensors").read_bytes() == want
     assert back.same_tensors(ck)
 
 
@@ -388,10 +388,11 @@ def test_loaded_tensors_are_read_only_on_both_paths(tmp_path):
 
 def test_archive_with_an_odd_data_start_is_read_aligned(tmp_path):
     # another writer's compact header may leave the data section at an odd
-    # file offset; such an archive is read, not mapped, with the same bytes
+    # file offset; such an archive is read, not mapped, with the same bytes,
+    # though every data offset is a multiple of its item size
     rng = np.random.default_rng(7)
     tensors = {"w": rng.normal(size=(3, 5)).astype(np.float32), "h": rng.normal(size=4).astype(np.float16),
-               "m": np.arange(6, dtype=np.uint8), "v": rng.normal(size=2).astype(np.float32)}
+               "v": rng.normal(size=2).astype(np.float32), "m": np.arange(5, dtype=np.uint8)}
     header, offset = {}, 0
     for name, arr in tensors.items():
         header[name] = {"dtype": dtype_code(arr), "shape": list(arr.shape),
@@ -443,9 +444,9 @@ def test_write_replaces_a_file_that_a_loaded_checkpoint_maps(tmp_path):
 
 
 def test_failed_write_leaves_the_old_file_and_no_partial(tmp_path, monkeypatch):
-    path = str(tmp_path / "p.st")
-    write_archive(Checkpoint({"a": np.arange(5, dtype=np.float32)}), path)
-    before = open(path, "rb").read()
+    path = tmp_path / "p.st"
+    write_archive(Checkpoint({"a": np.arange(5, dtype=np.float32)}), str(path))
+    before = path.read_bytes()
     real = os.pwritev
     calls = []
 
@@ -457,7 +458,7 @@ def test_failed_write_leaves_the_old_file_and_no_partial(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "pwritev", fail_second)
     with pytest.raises(OSError, match="No space"):
-        write_archive(Checkpoint({"a": np.zeros(5, np.float32), "b": np.ones(7, np.float16)}), path)
+        write_archive(Checkpoint({"a": np.zeros(5, np.float32), "b": np.ones(7, np.float16)}), str(path))
     assert len(calls) == 2  # the header went out, the data did not
-    assert open(path, "rb").read() == before
+    assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["p.st"]
