@@ -52,7 +52,6 @@ from .mergers import (
     ties_trim,
 )
 from .scheduler import (
-    DisjointSet,
     GroupAssignment,
     MergeEvent,
     MergePlan,

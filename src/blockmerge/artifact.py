@@ -52,6 +52,7 @@ from .tensor_store import (
 
 MANIFEST_NAME = "manifest.json"
 TENSORS_NAME = "tensors.safetensors"
+GROUPS_NAME = "groups.json"  # written by the CLI's merge next to each manifest
 MANIFEST_VERSION = 3
 
 
@@ -106,7 +107,6 @@ class MergedArtifact:
 @dataclass
 class ReconstructionReport:
     rows: list[tuple[int, str, float]]  # (task, block_key, l2)
-    per_task_total: dict[int, float]
     exact_blocks: int
 
     @property
@@ -376,21 +376,17 @@ def verify_artifact(
     fine-tuned values; exact_blocks counts bit-exact (zero-distance) blocks."""
     part = artifact.partition
     rows: list[tuple[int, str, float]] = []
-    per_task: dict[int, float] = {}
     exact = 0
     scratch = np.empty(max((b.dim for b in part.blocks), default=0), np.float32)
     for task in range(artifact.num_tasks):
-        sse = 0.0
         for block in part.blocks:
             got = _task_block(artifact, task, block.block_id, scratch[: block.dim]).astype(np.float64)
             want = flatten_block(originals[task], block).astype(np.float64)
             l2 = float(np.linalg.norm(got - want))
             rows.append((task, block.key, l2))
-            sse += l2 * l2
             if l2 == 0.0:
                 exact += 1
-        per_task[task] = sse ** 0.5
-    return ReconstructionReport(rows=rows, per_task_total=per_task, exact_blocks=exact)
+    return ReconstructionReport(rows=rows, exact_blocks=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +496,10 @@ def export_sweep(
 
     Each archive is written as ``tensors.safetensors.partial`` and renamed
     into place once every archive is complete; ``manifest.json`` is written
-    after that (a stale one is removed before the rename). On failure the
-    partial files are removed. The inputs are checked as build_artifact
-    checks them, before any file is created.
+    after that. A stale manifest and a stale ``groups.json`` are removed
+    before the rename, so no earlier run's groups sit next to the new
+    archive. On failure the partial files are removed. The inputs are
+    checked as build_artifact checks them, before any file is created.
     """
     heads = _checked_heads(tv, cfg, finetuned, assignments)
     if len(out_dirs) != len(assignments):
@@ -541,10 +538,11 @@ def export_sweep(
         for (_, spans), archive in zip(layouts, archives):
             archive.write(spans["heads", -1], head_arrays)
         for out_dir, archive in zip(out_dirs, archives):
-            try:
-                os.unlink(os.path.join(out_dir, MANIFEST_NAME))
-            except FileNotFoundError:
-                pass
+            for stale in (MANIFEST_NAME, GROUPS_NAME):
+                try:
+                    os.unlink(os.path.join(out_dir, stale))
+                except FileNotFoundError:
+                    pass
             archive.commit()
     except BaseException:
         for archive in archives:

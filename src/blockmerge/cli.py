@@ -293,7 +293,8 @@ def cmd_merge(args) -> int:
     written = artifact_mod.export_sweep(assignments, out_dirs, tv, pretrained, config.merger,
                                         finetuned=finetuned, fingerprint=fingerprint)
     for target, assignment, out_dir, done in zip(targets, assignments, out_dirs, written):
-        write_assignment_json(assignment, part.block_keys, os.path.join(out_dir, "groups.json"))
+        write_assignment_json(assignment, part.block_keys,
+                              os.path.join(out_dir, artifact_mod.GROUPS_NAME))
         achieved = done.units
         print(
             f"target {float(target):g}: achieved {float(achieved):.6g} "

@@ -7,9 +7,10 @@ min/max/avg update cosine rows, ``unified`` updates Gram-matrix sums (the
 Lance-Williams style of update), so no strategy reads the task vectors.
 Global ordering interleaves the per-block sequences (min-heap of block heads
 for greedy, concatenation for left-/right-to-left, seeded uniform interleave
-for random), and ``replay_to_size`` walks the plan with one union-find per
-block, tracking the deployed size in exact rationals until the target is
-reached; ``replay_to_sizes`` does so for a whole size sweep in one walk.
+for random), and ``replay_to_size`` walks the plan keeping each block's
+current groups as the plan reader checks them (``_join``), tracking the
+deployed size in exact rationals until the target is reached;
+``replay_to_sizes`` does so for a whole size sweep in one walk.
 
 Sizes are expressed in *model units*: stored bytes divided by the bytes of
 one full fine-tuned mergeable parameter set.
@@ -34,39 +35,6 @@ from .task_space import BlockPartition, TaskVectorSet
 ModelUnits = Fraction
 
 ORDER_POLICIES = ("greedy", "left_to_right", "right_to_left", "random")
-
-
-class DisjointSet:
-    """Union-find with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:  # path compression
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> int:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return ri
-        if self.size[ri] < self.size[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        self.size[ri] += self.size[rj]
-        return ri
-
-    def groups(self) -> tuple[tuple[int, ...], ...]:
-        """Partition as tuples of member ids, each sorted, ordered by min member."""
-        by_root: dict[int, list[int]] = {}
-        for i in range(len(self.parent)):
-            by_root.setdefault(self.find(i), []).append(i)
-        return tuple(tuple(sorted(g)) for g in sorted(by_root.values(), key=lambda g: g[0]))
 
 
 @dataclass(frozen=True)
@@ -330,6 +298,23 @@ class SizeModel:
         return Fraction(delta, self.unit_bytes)
 
 
+def _join(groups: dict[int, tuple[int, ...]], ev: MergeEvent, num_tasks: int) -> bool:
+    """Apply ``ev`` to one block's ``task -> merged group`` map (a task not
+    in it is alone) if it joins two whole current groups of tasks
+    0..num_tasks-1 with min(left) < min(right); return whether it did. The
+    map is left unchanged otherwise."""
+    if not (ev.left and ev.right):
+        return False
+    a, b = ev.left[0], ev.right[0]
+    if not (0 <= a < b < num_tasks and groups.get(a, (a,)) == ev.left
+            and groups.get(b, (b,)) == ev.right):
+        return False
+    joined = tuple(sorted(ev.left + ev.right))
+    for t in joined:
+        groups[t] = joined
+    return True
+
+
 def replay_to_sizes(
     plan: MergePlan,
     tv: TaskVectorSet,
@@ -343,23 +328,26 @@ def replay_to_sizes(
     target (or the fully merged state when the plan runs out first, e.g.
     below the family's floor). Targets are visited in descending order, so
     every snapshot is a prefix of the next; equal targets share one
-    assignment.
+    assignment. Each event walked must join two whole current groups of its
+    block, as ``read_plan_jsonl`` checks; a malformed event (no members,
+    ids out of range, part of a group, a re-merge, unsorted members or
+    min(left) > min(right)) raises ``MalformedPlan``.
     """
     if tv.num_tasks != plan.num_tasks or tv.partition.num_blocks != plan.num_blocks:
         raise ValueError("plan and task vectors disagree on tasks/blocks")
     wanted = [Fraction(t) for t in targets]
     pending = sorted(set(wanted), reverse=True)
     m = plan.num_tasks
-    dsus = [DisjointSet(m) for _ in range(plan.num_blocks)]
-    merged_groups = [0] * plan.num_blocks
+    group_of = {b: {} for b in range(plan.num_blocks)}  # block -> task -> its merged group
     size = Fraction(m)
     applied = 0
     snapshots: dict[Fraction, GroupAssignment] = {}
 
     def take(reached) -> None:
-        state = GroupAssignment(
-            block_groups=[d.groups() for d in dsus], applied_events=applied, size=size
-        )
+        # each block's groups, sorted members, ordered by their smallest member
+        block_groups = [tuple(g.get(t, (t,)) for t in range(m) if g.get(t, (t,))[0] == t)
+                        for g in group_of.values()]
+        state = GroupAssignment(block_groups=block_groups, applied_events=applied, size=size)
         snapshots.update(dict.fromkeys(reached, state))
 
     for ev in plan.events:
@@ -369,15 +357,12 @@ def replay_to_sizes(
             pending = pending[len(reached):]
         if not pending:
             break
-        b = ev.block_id
-        ra = dsus[b].find(ev.left[0])
-        rb = dsus[b].find(ev.right[0])
-        if ra == rb:
-            raise MalformedPlan(f"plan event {ev.seq} re-merges an existing group")
-        la, lb = dsus[b].size[ra], dsus[b].size[rb]
-        size += sm.merge_delta(b, la, lb, merged_groups[b] > 0)
-        merged_groups[b] += 1 - (la > 1) - (lb > 1)
-        dsus[b].union(ra, rb)
+        groups = group_of.get(ev.block_id)
+        had_merged = bool(groups)
+        if groups is None or not _join(groups, ev, m):
+            raise MalformedPlan(f"plan event {ev.seq} re-merges a group or does not join two whole "
+                                f"groups of tasks 0..{m - 1} in a block 0..{plan.num_blocks - 1}")
+        size += sm.merge_delta(ev.block_id, len(ev.left), len(ev.right), had_merged)
         applied += 1
     if pending:  # reached after the last event, or below the family's floor
         take(pending)
@@ -572,15 +557,10 @@ def read_plan_jsonl(
         num_blocks = max((e.block_id for e in events), default=-1) + 1
     group_of: dict[int, dict[int, tuple[int, ...]]] = {}  # block -> task -> its merged group
     for ev in events:
-        groups = group_of.setdefault(ev.block_id, {})
-        a, b = ev.left[0], ev.right[0]
-        if not (0 <= ev.block_id < num_blocks and 0 <= a < b < num_tasks
-                and groups.get(a, (a,)) == ev.left and groups.get(b, (b,)) == ev.right):
+        if not (0 <= ev.block_id < num_blocks
+                and _join(group_of.setdefault(ev.block_id, {}), ev, num_tasks)):
             raise MalformedPlan(f"{path}: event {ev.seq} does not join two whole groups "
                                 f"of tasks 0..{num_tasks - 1} in a block 0..{num_blocks - 1}")
-        joined = tuple(sorted(ev.left + ev.right))
-        for t in joined:
-            groups[t] = joined
     if counts_known and len(events) != num_blocks * (num_tasks - 1):
         raise MalformedPlan(f"{path}: {len(events)} events, expected "
                             f"{num_blocks} blocks x {num_tasks - 1} merges")

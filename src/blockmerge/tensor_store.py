@@ -77,7 +77,6 @@ class Checkpoint:
 
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
     metadata: dict[str, str] | None = None
-    source_path: str | None = None
 
     @property
     def names(self) -> list[str]:
@@ -153,7 +152,7 @@ def read_archive(path: str) -> Checkpoint:
     tensors: dict[str, np.ndarray] = {}
     for (name, dtype, shape, begin, end), start in zip(entries, starts):
         tensors[name] = data[start : start + end - begin].view(dtype).reshape(shape)
-    return Checkpoint(tensors=tensors, metadata=metadata, source_path=path)
+    return Checkpoint(tensors=tensors, metadata=metadata)
 
 
 def joined_view(arrays: list[np.ndarray]) -> np.ndarray | None:

@@ -7,6 +7,7 @@ import os
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,7 +139,7 @@ def test_criterion_3_extreme_size_exactness(tmp_path):
             for k in range(5):
                 out = str(tmp_path / f"out{algorithm}{k}.st")
                 write_archive(reconstruct_task(art, k), out)
-                assert open(out, "rb").read() == open(input_paths[k], "rb").read()
+                assert Path(out).read_bytes() == Path(input_paths[k]).read_bytes()
 
             one = replay_to_size(plan, tv, Fraction(1), sm)
             art1 = build_artifact(one, tv, pre, cfg, finetuned=tasks)
@@ -325,7 +326,7 @@ def _tree_bytes(root):
     for dirpath, _, filenames in os.walk(root):
         for f in sorted(filenames):
             p = os.path.join(dirpath, f)
-            out[os.path.relpath(p, root)] = open(p, "rb").read()
+            out[os.path.relpath(p, root)] = Path(p).read_bytes()
     return out
 
 

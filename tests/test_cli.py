@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,10 +79,10 @@ def test_plan_merge_reconstruct_inspect(workspace):
 
     reports = str(ws["tmp"] / "reports")
     assert main(["inspect", "--input", os.path.join(out_dir, "size_1"), "--out", reports]) == 0
-    rows = open(os.path.join(reports, "clusters_per_block.csv")).read().strip().splitlines()
+    rows = Path(reports, "clusters_per_block.csv").read_text().strip().splitlines()
     assert all(line.rsplit(",", 1)[1] == "1" for line in rows[1:])
     assert main(["inspect", "--input", os.path.join(out_dir, "size_4"), "--out", reports]) == 0
-    rows = open(os.path.join(reports, "clusters_per_block.csv")).read().strip().splitlines()
+    rows = Path(reports, "clusters_per_block.csv").read_text().strip().splitlines()
     assert all(line.rsplit(",", 1)[1] == "4" for line in rows[1:])
     assert main(["inspect", "--input", plan_dir, "--out", reports]) == 0
     assert os.path.exists(os.path.join(reports, "selection_timestep.csv"))
@@ -95,7 +96,7 @@ def test_inspect_partial_artifact_varies_cluster_counts(workspace):
     reports = str(ws["tmp"] / "reports_partial")
     assert main(["inspect", "--input", os.path.join(out_dir, "size_2.5"),
                  "--out", reports]) == 0
-    rows = open(os.path.join(reports, "clusters_per_block.csv")).read().strip().splitlines()
+    rows = Path(reports, "clusters_per_block.csv").read_text().strip().splitlines()
     counts = [int(line.rsplit(",", 1)[1]) for line in rows[1:]]
     assert all(1 <= c <= 4 for c in counts)
     assert len(set(counts)) > 1  # unlike fixed-K clustering, counts differ per block
@@ -113,7 +114,7 @@ def test_exit_code_alignment(workspace, tmp_path):
 def test_exit_code_parse(workspace, tmp_path):
     ws = workspace
     bad_rules = str(tmp_path / "bad.json")
-    open(bad_rules, "w").write("{not json")
+    Path(bad_rules).write_text("{not json")
     args = ["plan"] + _base_args(ws, ["--out", str(tmp_path / "p")])
     args[args.index("--rules") + 1] = bad_rules
     assert main(args) == 3
@@ -178,7 +179,7 @@ def _tree_bytes(root):
     for dirpath, _, filenames in os.walk(root):
         for f in sorted(filenames):
             p = os.path.join(dirpath, f)
-            out[os.path.relpath(p, root)] = open(p, "rb").read()
+            out[os.path.relpath(p, root)] = Path(p).read_bytes()
     return out
 
 

@@ -3,13 +3,13 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from blockmerge import (
-    DisjointSet,
     MalformedPlan,
     MergerConfig,
     SizeModel,
@@ -22,7 +22,7 @@ from blockmerge import (
     replay_to_sizes,
     write_plan_jsonl,
 )
-from blockmerge.scheduler import MergeEvent
+from blockmerge.scheduler import MergeEvent, MergePlan
 from blockmerge.similarity import SimilarityMatrix, pairwise_all
 
 from helpers import plan_signature, synthetic_tv
@@ -31,36 +31,6 @@ from oracles import naive_greedy_order, size_oracle
 
 def _matrix(values, block_id=0):
     return SimilarityMatrix(block_id=block_id, values=np.array(values, dtype=np.float32))
-
-
-# -- union-find --------------------------------------------------------------
-
-def test_dsu_basics():
-    d = DisjointSet(5)
-    d.union(2, 3)
-    d.union(0, 4)
-    d.union(0, 3)
-    assert d.find(4) == d.find(2)
-    assert d.find(1) != d.find(0)
-    assert d.groups() == ((0, 2, 3, 4), (1,))
-
-
-def test_dsu_matches_set_union_simulation():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        n = int(rng.integers(2, 12))
-        d = DisjointSet(n)
-        sets = [{i} for i in range(n)]
-        for _ in range(int(rng.integers(1, 2 * n))):
-            i, j = int(rng.integers(n)), int(rng.integers(n))
-            d.union(i, j)
-            si = next(s for s in sets if i in s)
-            sj = next(s for s in sets if j in s)
-            if si is not sj:
-                sets.remove(sj)
-                si |= sj
-        expected = tuple(tuple(sorted(s)) for s in sorted(sets, key=min))
-        assert d.groups() == expected
 
 
 # -- per-block sequences -----------------------------------------------------
@@ -356,7 +326,7 @@ def test_assignment_json_export(tmp_path):
     asg = replay_to_size(plan, tv, Fraction(2), sm)
     path = str(tmp_path / "groups.json")
     write_assignment_json(asg, tv.partition.block_keys, path)
-    obj = json.load(open(path))
+    obj = json.loads(Path(path).read_text())
     assert set(obj) == {"b0", "b1"}
     for key, groups in obj.items():
         members = sorted(t for g in groups for t in g)
@@ -435,6 +405,29 @@ def test_replay_re_merge_is_malformed_plan():
     twice = replace(plan, events=plan.events[:1] * 2)
     with pytest.raises(MalformedPlan, match="re-merges"):
         replay_to_size(twice, tv, Fraction(0), SizeModel.from_partition(tv.partition))
+
+
+@pytest.mark.parametrize(
+    "events",
+    [
+        [(0, (0,), (2,)), (0, (1,), (2,))],  # names part of the group (0, 2)
+        [(0, (1,), (0,))],  # min(left) > min(right)
+        [(0, (1,), (2,)), (0, (0,), (2, 1))],  # unsorted members of a whole group
+        [(0, (0,), (1,)), (0, (0,), (1,))],  # re-merges a group
+        [(0, (0,), (3,))],  # task out of range
+        [(0, (-1,), (0,))],  # negative task
+        [(1, (0,), (1,))],  # block out of range
+        [(-1, (0,), (1,))],  # negative block
+        [(0, (), (1,))],  # no members
+    ],
+)
+def test_replay_rejects_malformed_in_memory_plan(events):
+    tv = synthetic_tv(np.random.default_rng(19), [8], num_tasks=3)
+    plan = MergePlan(events=tuple(MergeEvent(block_id=b, left=left, right=right, score=0.0, seq=i)
+                                  for i, (b, left, right) in enumerate(events)),
+                     num_tasks=3, num_blocks=1)
+    with pytest.raises(MalformedPlan):
+        replay_to_size(plan, tv, Fraction(0), SizeModel.from_partition(tv.partition))
 
 
 def _json_paths(node, path=()):

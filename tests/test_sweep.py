@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import blockmerge.artifact as artifact_mod
+import blockmerge.cli as cli_mod
 from blockmerge import (
     Checkpoint,
     ConfigMismatch,
@@ -206,6 +207,31 @@ def test_a_failed_sweep_keeps_the_artifacts_it_would_replace(tmp_path, monkeypat
     assert main(argv) == 3
     assert {(d, f): _read(out / d / f) for d in os.listdir(out) for f in FILES} == before
     assert all(sorted(os.listdir(out / d)) == sorted(FILES) for d in os.listdir(out))
+
+
+def test_a_failed_groups_write_leaves_no_stale_groups_json(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    base = _cli_workspace(tmp_path) + ["--algorithm", "ta", "--sizes", "3,2", "--out", str(out)]
+    assert main(["merge", *base, "--strategy", "min"]) == 0
+    first = _read(out / "size_2" / "groups.json")
+    real = cli_mod.write_assignment_json
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 2:  # size_3's groups are written, size_2's are not
+            raise OSError("disk went away")
+        return real(*args)
+
+    monkeypatch.setattr(cli_mod, "write_assignment_json", failing)
+    assert main(["merge", *base, "--strategy", "max", "--order", "rtl"]) == 3
+    groups = {}
+    for d in ("size_3", "size_2"):
+        with open(out / d / "manifest.json") as fh:
+            groups[d] = json.load(fh)["groups"]
+        if (out / d / "groups.json").exists():
+            assert json.loads(_read(out / d / "groups.json")) == groups[d], d
+    assert json.loads(first) != groups["size_2"]  # the first run's file would be stale
 
 
 @pytest.mark.parametrize("case", ["trim_state", "finetuned_count", "excluded_without_finetuned",

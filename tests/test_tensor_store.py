@@ -6,6 +6,7 @@ import mmap
 import os
 import struct
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ def rt(ckpt, tmp_path, name="a.safetensors"):
 
 def test_empty_checkpoint_layout(tmp_path):
     path, back = rt(Checkpoint(), tmp_path)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     assert raw == struct.pack("<Q", 8) + b"{}      "
     assert back.tensors == {}
 
@@ -68,7 +69,7 @@ def test_toy_archive_bytes(tmp_path):
 def test_f16_data_section_size(tmp_path):
     ck = Checkpoint(tensors={"x": np.array([1.0, 2.0, 3.0], dtype=np.float16)})
     path, back = rt(ck, tmp_path)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     (hlen,) = struct.unpack("<Q", raw[:8])
     assert len(raw) - 8 - hlen == 6
     assert back.same_tensors(ck)
@@ -94,28 +95,28 @@ def test_write_read_write_byte_identical(tmp_path):
     p1, back = rt(ck, tmp_path, "one.st")
     p2 = str(tmp_path / "two.st")
     write_archive(back, p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_truncated_data(tmp_path):
     ck = Checkpoint(tensors={"a": np.arange(6, dtype=np.float32)})
     path, _ = rt(ck, tmp_path)
-    raw = open(path, "rb").read()
-    open(path, "wb").write(raw[:-4])
+    raw = Path(path).read_bytes()
+    Path(path).write_bytes(raw[:-4])
     with pytest.raises(TruncatedData):
         read_archive(path)
 
 
 def test_bad_length_prefix(tmp_path):
     path = str(tmp_path / "bad.st")
-    open(path, "wb").write(struct.pack("<Q", 10_000) + b"{}")
+    Path(path).write_bytes(struct.pack("<Q", 10_000) + b"{}")
     with pytest.raises(MalformedHeader):
         read_archive(path)
 
 
 def test_header_not_json(tmp_path):
     path = str(tmp_path / "bad.st")
-    open(path, "wb").write(struct.pack("<Q", 4) + b"!!!!")
+    Path(path).write_bytes(struct.pack("<Q", 4) + b"!!!!")
     with pytest.raises(MalformedHeader):
         read_archive(path)
 
@@ -123,7 +124,7 @@ def test_header_not_json(tmp_path):
 def test_unsupported_dtype(tmp_path):
     header = json.dumps({"x": {"dtype": "I64", "shape": [1], "data_offsets": [0, 8]}}).encode()
     path = str(tmp_path / "bad.st")
-    open(path, "wb").write(struct.pack("<Q", len(header)) + header + b"\x00" * 8)
+    Path(path).write_bytes(struct.pack("<Q", len(header)) + header + b"\x00" * 8)
     with pytest.raises(UnsupportedDtype):
         read_archive(path)
 
@@ -136,7 +137,7 @@ def test_noncontiguous_offsets_rejected(tmp_path):
         }
     ).encode()
     path = str(tmp_path / "bad.st")
-    open(path, "wb").write(struct.pack("<Q", len(header)) + header + b"\x00" * 8)
+    Path(path).write_bytes(struct.pack("<Q", len(header)) + header + b"\x00" * 8)
     with pytest.raises(MalformedHeader):
         read_archive(path)
 
@@ -198,7 +199,7 @@ def test_round_trip_property(tmp_path_factory, ck):
 def test_fuzzed_bytes_never_crash(tmp_path_factory, blob):
     tmp = tmp_path_factory.mktemp("fuzz")
     path = str(tmp / "f.st")
-    open(path, "wb").write(blob)
+    Path(path).write_bytes(blob)
     try:
         read_archive(path)
     except (MalformedHeader, TruncatedData, UnsupportedDtype):
