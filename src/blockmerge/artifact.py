@@ -493,6 +493,9 @@ def export_sweep(
     block is dropped. A group whose members the previous size also grouped
     in this block shares that payload instead of merging again: pass the
     sizes largest first, so every smaller size only coarsens the last.
+    Once every size's payloads of a block are written, the mapped inputs'
+    pages up to the end of that block are released (``tv.release``); the
+    heads written last fault back in.
 
     Each archive is written as ``tensors.safetensors.partial`` and renamed
     into place once every archive is complete; ``manifest.json`` is written
@@ -534,6 +537,7 @@ def export_sweep(
                 if ("pre", b) in spans:
                     archive.write(spans["pre", b], _block_arrays(block, base))
                 known = payloads
+            tv.release(b)
         head_arrays = [arr for head in heads for arr in head.values()]
         for (_, spans), archive in zip(layouts, archives):
             archive.write(spans["heads", -1], head_arrays)

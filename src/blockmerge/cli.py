@@ -274,7 +274,15 @@ def cmd_merge(args) -> int:
     largest size first, so each group a smaller size shares with the larger
     one reuses its payload instead of merging. No size is held in memory as
     a whole. Archives become ``tensors.safetensors`` only once all are
-    complete; ``manifest.json`` and ``groups.json`` follow."""
+    complete; ``manifest.json`` and ``groups.json`` follow.
+
+    Mapped inputs are given back as the stages finish with them: the trim
+    (ties/consensus/pcb) releases each task's whole input after its pass,
+    the similarity pass of a merge without ``--plan`` and the sweep each
+    block's pages once every size has that block. Each release is a
+    watermark from the start of every input file up to the end of the
+    block, so the input pages held at once are a few blocks of all tasks,
+    not the inputs (``TaskVectorSet.release``)."""
     config = _build_config(args)
     if not config.sizes:
         print("--sizes is required for merge", file=sys.stderr)

@@ -67,5 +67,10 @@ def pairwise_block_similarity(tv: TaskVectorSet, block_id: int) -> SimilarityMat
 
 
 def pairwise_all(tv: TaskVectorSet) -> list[SimilarityMatrix]:
-    """Every block's matrices, in block order."""
-    return [pairwise_block_similarity(tv, b) for b in range(tv.partition.num_blocks)]
+    """Every block's matrices, in block order; each block's input pages are
+    released once its matrices are built (``TaskVectorSet.release``)."""
+    matrices = []
+    for b in range(tv.partition.num_blocks):
+        matrices.append(pairwise_block_similarity(tv, b))
+        tv.release(b)
+    return matrices

@@ -10,10 +10,15 @@ Task vectors are built on demand: a ``TaskVectorSet`` refers to the read
 checkpoints (or to the arrays it was built from) and ``rows`` builds one
 block's rows for the members asked for, into a new array the caller owns.
 No stage holds the whole (M, D) set; a global trim keeps only its survivors.
+
+Mapped inputs are given back as the stages finish with them
+(``TaskVectorSet.release``), so the input pages a process holds are bounded
+by a few blocks of all tasks, not by the inputs.
 """
 
 from __future__ import annotations
 
+import mmap
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -22,7 +27,7 @@ import numpy as np
 
 from .errors import AlignmentError, EmptyPartition
 from .naming import compile_name_pattern
-from .tensor_store import Checkpoint, validate_aligned
+from .tensor_store import Checkpoint, mapped_ends, release_pages, validate_aligned
 
 
 @dataclass(frozen=True)
@@ -167,6 +172,18 @@ class TaskVectorSet:
     ``block_vectors`` is a read-only sequence of each block's (M, d_b)
     rows: the arrays the set was built from while it is untrimmed, rows
     built anew on every access otherwise. The pipeline never indexes it.
+
+    ``release(b)`` gives back the pages of the mapped inputs (the
+    pretrained and every fine-tuned archive that read_archive mapped) from
+    each file's start up to the end of block ``b``'s last tensor: a
+    watermark, not block ``b``'s own range, so pages that a later fault
+    mapped back in around an earlier block go too. The similarity pass
+    (``similarity.pairwise_all``) and the streamed sweep
+    (``artifact.export_sweep``) release each block once they are done with
+    it, and ``keep_largest`` releases each task's whole input after its trim
+    pass and the pretrained input at the end. A released page faults back
+    in with the same bytes, so a release that comes too early, as when
+    blocks are not in file order, costs a refault, never a byte.
     """
 
     def __init__(self, partition: BlockPartition, num_tasks: int, block_vectors,
@@ -183,6 +200,12 @@ class TaskVectorSet:
         # set by keep_largest: per block, (M, ceil(d_b / 8)) packed keep masks
         # and each task's kept values
         self._kept: list[tuple[np.ndarray, list[np.ndarray]]] | None = None
+        # per input (the pretrained one first, then task k at k + 1): its
+        # mapping and, per block, the offset just past the block's last
+        # tensor, or None for an input that is not mapped. The pretrained
+        # one is found by compute_task_vectors, which keeps no reference to
+        # its checkpoint; the fine-tuned ones on the first release.
+        self._pages: list[tuple[mmap.mmap, list[int]] | None] = []
 
     @property
     def block_vectors(self):
@@ -208,6 +231,17 @@ class TaskVectorSet:
             row[np.flatnonzero(np.unpackbits(packed[k], count=d).view(bool))] = values[k]
         return out
 
+    def release(self, b: int) -> None:
+        """Give back every mapped input's pages up to the end of block ``b``."""
+        for pages in self._mapped():
+            if pages is not None:
+                release_pages(pages[0], pages[1][b])
+
+    def _mapped(self) -> list[tuple[mmap.mmap, list[int]] | None]:
+        if len(self._pages) == 1 and self._finetuned:
+            self._pages += [_block_ends(ckpt, self.partition) for ckpt in self._finetuned]
+        return self._pages
+
     def keep_largest(self, keep: int) -> None:
         """Trim every task to its ``keep`` largest magnitudes across all
         blocks concatenated, ties at the threshold broken by ascending flat
@@ -219,7 +253,8 @@ class TaskVectorSet:
         most M * D / 8 + 4 * keep * M bytes against 4 * M * D for dense rows.
         Beyond them it holds two (D,) float32 scratch rows, which every task
         reuses, and a few block-sized temporaries. Keeping every entry
-        records nothing.
+        records nothing. Each task's mapped input is released after its
+        pass, the pretrained one after the last.
         """
         dims = self.partition.block_dims
         total = sum(dims)
@@ -230,7 +265,15 @@ class TaskVectorSet:
         kept = [(np.empty((self.num_tasks, (d + 7) // 8), dtype=np.uint8), []) for d in dims]
         for k in range(self.num_tasks):
             self._keep_task(k, keep, signed, mags, kept)
+            self._release_input(k + 1)
+        self._release_input(0)
         self._kept = kept
+
+    def _release_input(self, i: int) -> None:
+        """Give back all pages of input ``i`` (0 is the pretrained) if mapped."""
+        pages = self._mapped()
+        if pages and pages[i] is not None:
+            release_pages(pages[i][0], len(pages[i][0]))
 
     def _keep_task(self, k: int, keep: int, signed: np.ndarray, mags: np.ndarray,
                    kept) -> None:
@@ -327,4 +370,11 @@ def compute_task_vectors(
     tv._base = {name: pretrained.tensors[name].astype(np.float32, copy=False).ravel()
                 for block in part.blocks for name in block.tensor_names}
     tv._finetuned = list(finetuned)
+    tv._pages = [_block_ends(pretrained, part)]
     return tv
+
+
+def _block_ends(ckpt: Checkpoint, part: BlockPartition) -> tuple[mmap.mmap, list[int]] | None:
+    """The archive mapping behind ``ckpt`` and where each block's last
+    tensor ends in it (``mapped_ends``), or None when ``ckpt`` is not mapped."""
+    return mapped_ends([ckpt.tensors[block.tensor_names[-1]] for block in part.blocks])

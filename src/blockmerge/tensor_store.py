@@ -27,6 +27,15 @@ Python < 3.13 each live mapping also holds one duplicated file descriptor
 until its last view is freed, so the number of archives held at once is
 bounded by the process's descriptor limit.
 
+Pages of a mapping can be given back once a stage is done with them
+(``mapped_ends`` and ``release_pages``). Only the read-only mappings that
+``read_archive`` makes are released, and only where ``MADV_DONTNEED``
+exists: a dropped page of a read-only file mapping faults back in from the
+page cache with the same bytes, so a release costs at most a refault. Any
+other buffer (a read-path buffer, an in-memory array, an anonymous or
+copy-on-write mapping, where the same advice would zero the data or discard
+writes) is never touched.
+
 Writing is either whole (``write_archive``, in header order) or streamed
 (``StreamedArchive``): the header goes first, computed from names, dtypes
 and shapes alone, and spans of the data section follow at their offsets in
@@ -105,6 +114,43 @@ def _canonical(arr: np.ndarray) -> np.ndarray:
 
 # a mapping needs no descriptor of its own; before 3.13, mmap always keeps one
 _UNTRACKED_FD = {"trackfd": False} if sys.version_info >= (3, 13) else {}
+_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
+
+
+class _ArchiveMap(mmap.mmap):
+    """A read-only mapping of a whole archive, made by read_archive: the
+    only kind of buffer whose pages release_pages drops."""
+
+
+def mapped_ends(arrays: list[np.ndarray]) -> tuple[mmap.mmap, list[int]] | None:
+    """The archive mapping that every one of ``arrays`` is a view of and
+    the offset just past each one's last byte in it, when read_archive made
+    that mapping; None otherwise (a read-path buffer, an in-memory array,
+    an anonymous or copy-on-write mapping, views of more than one buffer)."""
+    owner = _owner(arrays[0])
+    view = owner.base
+    if not isinstance(view, memoryview) or type(view.obj) is not _ArchiveMap:
+        return None
+    start = owner.__array_interface__["data"][0]
+    ends = []
+    for arr in arrays:
+        if arr.base is not owner and _owner(arr) is not owner:
+            return None
+        ends.append(arr.__array_interface__["data"][0] + arr.nbytes - start)
+    return view.obj, ends
+
+
+def release_pages(mapping: mmap.mmap, end: int) -> None:
+    """Drop this process's resident pages of ``mapping`` from its start up
+    to the last page boundary at or below ``end`` (an offset ``mapped_ends``
+    gives): the page that holds ``end`` may hold the next tensor's first
+    bytes, and dropping it would only fault it back in. Views of dropped
+    pages stay valid and read the same bytes, faulted back in from the page
+    cache. Does nothing to a mapping read_archive did not make, or where
+    ``MADV_DONTNEED`` is missing."""
+    end -= end % mmap.PAGESIZE
+    if _DONTNEED is not None and type(mapping) is _ArchiveMap and end > 0:
+        mapping.madvise(_DONTNEED, 0, end)
 
 
 def read_archive(path: str) -> Checkpoint:
@@ -133,7 +179,7 @@ def read_archive(path: str) -> Checkpoint:
         entries, metadata = _parse_header(path, fh.read(header_len), data_len)
         if all((data_start + begin) % dtype.itemsize == 0 for _, dtype, _, begin, _ in entries):
             data = np.frombuffer(
-                mmap.mmap(fh.fileno(), file_size, access=mmap.ACCESS_READ, **_UNTRACKED_FD), np.uint8)
+                _ArchiveMap(fh.fileno(), file_size, access=mmap.ACCESS_READ, **_UNTRACKED_FD), np.uint8)
             starts = [data_start + begin for _, _, _, begin, _ in entries]
         else:
             starts, runs, pad = _aligned_layout(entries)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -348,3 +350,33 @@ def test_malformed_plan_meta_exits_parse(workspace, field, value):
     with open(path, "w") as fh:
         json.dump(meta, fh)
     assert _merge_and_inspect(workspace, plan_dir) == (3, 3)
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 8 tasks x 192^2-element blocks: the similarity products are large
+    # enough for OpenBLAS to split them over threads when it may
+    pre, tasks = toy_model(np.random.default_rng(23), num_tasks=8, layers=2, width=192)
+    write_archive(pre, str(tmp_path / "pre.st"))
+    args = ["--pretrained", str(tmp_path / "pre.st"), "--rules", str(tmp_path / "rules.json"),
+            "--algorithm", "emr", "--strategy", "unified"]
+    for k, ck in enumerate(tasks):
+        write_archive(ck, str(tmp_path / f"task{k}.st"))
+        args += ["--finetuned", str(tmp_path / f"task{k}.st")]
+    (tmp_path / "rules.json").write_text(json.dumps(RULES))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    run_cli = "import sys; from blockmerge.cli import main; sys.exit(main(sys.argv[1:]))"
+    trees = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        plan_dir, out_dir = tmp_path / f"plan_{threads}", tmp_path / f"merged_{threads}"
+        for argv in (["plan", *args, "--out", str(plan_dir)],
+                     ["merge", *args, "--plan", str(plan_dir / "plan.jsonl"),
+                      "--sizes", "4,6.5", "--out", str(out_dir)]):
+            proc = subprocess.run([sys.executable, "-c", run_cli, *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+        trees.append((_tree_bytes(plan_dir), _tree_bytes(out_dir)))
+    assert sorted(trees[0][1]) == [f"size_{t}/{f}" for t in ("4", "6.5")
+                                   for f in ("groups.json", "manifest.json", "tensors.safetensors")]
+    assert trees[0] == trees[1]
