@@ -14,8 +14,15 @@ _CAPTURE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
 
 def compile_name_pattern(pattern: str) -> re.Pattern:
-    if pattern.startswith("re:"):
-        return re.compile(pattern[3:])
+    """The anchored regex of ``pattern``; ValueError naming it when it does
+    not compile (an unbalanced ``re:`` pattern, a capture named twice)."""
+    try:
+        return re.compile(pattern[3:] if pattern.startswith("re:") else _glob_regex(pattern))
+    except re.error as exc:
+        raise ValueError(f"bad name pattern {pattern!r}: {exc}") from None
+
+
+def _glob_regex(pattern: str) -> str:
     out = []
     i = 0
     while i < len(pattern):
@@ -32,4 +39,4 @@ def compile_name_pattern(pattern: str) -> re.Pattern:
         else:
             out.append(re.escape(ch))
         i += 1
-    return re.compile("".join(out))
+    return "".join(out)

@@ -7,8 +7,8 @@ fine-tuned and pretrained values of the block's tensors, concatenated in
 block order, row-major per tensor.
 
 Task vectors are built on demand: a ``TaskVectorSet`` refers to the read
-checkpoints (or to the arrays it was built from) and ``rows`` builds one
-block's rows for the members asked for, into a new array the caller owns.
+checkpoints and ``rows`` builds one block's rows for the members asked for,
+into a new array the caller owns.
 No stage holds the whole (M, D) set; a global trim keeps only its survivors.
 
 Mapped inputs are given back as the stages finish with them
@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import mmap
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AlignmentError, EmptyPartition
 from .naming import compile_name_pattern
-from .tensor_store import Checkpoint, mapped_ends, release_pages, validate_aligned
+from .tensor_store import Checkpoint, dtype_code, mapped_ends, release_pages, validate_aligned
 
 
 @dataclass(frozen=True)
@@ -109,8 +108,6 @@ def partition(
 
     excluded: list[str] = []
     keyed: dict[str, list[str]] = {}
-    from .tensor_store import dtype_code
-
     for name in pretrained.tensors:
         if any(p.fullmatch(name) for p in exclude_pats):
             excluded.append(name)
@@ -153,15 +150,18 @@ def partition(
 
 
 class TaskVectorSet:
-    """The task vectors of M tasks over a partition, built one block at a
-    time.
+    """The task vectors of ``finetuned`` against ``pretrained`` over a
+    partition, built one block at a time from the checkpoints.
 
     ``rows(b, members)`` returns block ``b``'s (n, d_b) float32 rows, row i
     holding the flattened difference of task ``members[i]``'s tensors
-    against the pretrained values. Their source is either the read
-    checkpoints (``compute_task_vectors``) or, for a set built from arrays,
-    the (M, d_b) ``block_vectors`` given here, which become the row source
-    as they are.
+    against the pretrained values. The set holds no (M, d_b) arrays: it
+    refers to the checkpoints, and ``rows`` subtracts each tensor straight
+    into its slice of a block's rows, widened to float32 before subtracting
+    so float16 archives lose nothing in the difference. Float32 pretrained
+    tensors are held as views; a float16 one is widened to float32 once,
+    on construction. ``compute_task_vectors`` checks that the checkpoints align before
+    building a set.
 
     ``trim_ratio`` records a global magnitude trim applied up front (None
     means untrimmed; ``mergers.ties_trim`` sets it). ``keep_largest``
@@ -169,9 +169,8 @@ class TaskVectorSet:
     per task plus the kept values in flat order, from which the trimmed rows
     are rebuilt. A trim that keeps everything stores nothing.
 
-    ``block_vectors`` is a read-only sequence of each block's (M, d_b)
-    rows: the arrays the set was built from while it is untrimmed, rows
-    built anew on every access otherwise. The pipeline never indexes it.
+    ``block_vectors`` yields ``rows(b)`` for each block in order; the
+    pipeline never reads it.
 
     ``release(b)`` gives back the pages of the mapped inputs (the
     pretrained and every fine-tuned archive that read_archive mapped) from
@@ -186,32 +185,28 @@ class TaskVectorSet:
     blocks are not in file order, costs a refault, never a byte.
     """
 
-    def __init__(self, partition: BlockPartition, num_tasks: int, block_vectors,
-                 trim_ratio: float | None = None):
+    def __init__(self, partition: BlockPartition, pretrained: Checkpoint,
+                 finetuned: list[Checkpoint]):
         self.partition = partition
-        self.num_tasks = num_tasks
-        self.trim_ratio = trim_ratio
-        self._arrays = None if block_vectors is None else tuple(
-            np.asarray(v, dtype=np.float32) for v in block_vectors)
-        # compute_task_vectors' source: float32 pretrained tensors by name,
-        # and the fine-tuned checkpoints
-        self._base: dict[str, np.ndarray] = {}
-        self._finetuned: list[Checkpoint] = []
+        self.num_tasks = len(finetuned)
+        self.trim_ratio: float | None = None
+        # float32 pretrained tensors by name; keeps no reference to the
+        # pretrained checkpoint itself
+        self._base = {name: pretrained.tensors[name].astype(np.float32, copy=False).ravel()
+                      for block in partition.blocks for name in block.tensor_names}
+        self._finetuned = list(finetuned)
         # set by keep_largest: per block, (M, ceil(d_b / 8)) packed keep masks
         # and each task's kept values
         self._kept: list[tuple[np.ndarray, list[np.ndarray]]] | None = None
         # per input (the pretrained one first, then task k at k + 1): its
         # mapping and, per block, the offset just past the block's last
-        # tensor, or None for an input that is not mapped. The pretrained
-        # one is found by compute_task_vectors, which keeps no reference to
-        # its checkpoint; the fine-tuned ones on the first release.
-        self._pages: list[tuple[mmap.mmap, list[int]] | None] = []
+        # tensor, or None for an input that is not mapped. The fine-tuned
+        # ones are found on the first release.
+        self._pages: list[tuple[mmap.mmap, list[int]] | None] = [_block_ends(pretrained, partition)]
 
     @property
     def block_vectors(self):
-        if self._arrays is not None and self._kept is None:
-            return self._arrays
-        return _BlockRows(self)
+        return (self.rows(b) for b in range(self.partition.num_blocks))
 
     def rows(self, b: int, members=None) -> np.ndarray:
         """Block ``b``'s task vectors of ``members`` (all tasks when None),
@@ -309,9 +304,6 @@ class TaskVectorSet:
 
     def _fill(self, b: int, k: int, out: np.ndarray) -> None:
         """Write task ``k``'s untrimmed row of block ``b`` into ``out``."""
-        if self._arrays is not None:
-            np.copyto(out, self._arrays[b][k])
-            return
         tensors = self._finetuned[k].tensors
         offset = 0
         for name in self.partition.blocks[b].tensor_names:
@@ -319,22 +311,6 @@ class TaskVectorSet:
             end = offset + base.size
             np.subtract(tensors[name].ravel(), base, out=out[offset:end], dtype=np.float32)
             offset = end
-
-
-class _BlockRows(Sequence):
-    """``TaskVectorSet.block_vectors`` of a set whose rows are built on
-    demand: item ``b`` is a new read-only array of all tasks' rows."""
-
-    def __init__(self, tv: TaskVectorSet):
-        self._tv = tv
-
-    def __len__(self) -> int:
-        return self._tv.partition.num_blocks
-
-    def __getitem__(self, b: int) -> np.ndarray:
-        out = self._tv.rows(range(len(self))[b])
-        out.flags.writeable = False
-        return out
 
 
 def flatten_block(ckpt: Checkpoint, block: Block) -> np.ndarray:
@@ -352,26 +328,13 @@ def compute_task_vectors(
     part: BlockPartition,
 ) -> TaskVectorSet:
     """The task vectors of ``finetuned`` against ``pretrained``, after
-    checking that they align on every mergeable tensor.
-
-    The set holds no (M, d_b) arrays: it refers to the checkpoints, and
-    ``rows`` subtracts each tensor straight into its slice of a block's
-    rows, widened to float32 before subtracting so float16 archives lose
-    nothing in the difference. Float32 pretrained tensors are held as
-    views; a float16 one is widened to float32 once, here.
-    """
+    checking that they align on every mergeable tensor."""
     report = validate_aligned(pretrained, finetuned, exclude=None)
     mergeable = set(part.tensor_to_block)
     bad = [m for m in report.mismatches if m[0] in mergeable]
     if bad:
         raise AlignmentError(f"checkpoints not aligned on mergeable tensors: {bad[:5]}", report)
-
-    tv = TaskVectorSet(partition=part, num_tasks=len(finetuned), block_vectors=None)
-    tv._base = {name: pretrained.tensors[name].astype(np.float32, copy=False).ravel()
-                for block in part.blocks for name in block.tensor_names}
-    tv._finetuned = list(finetuned)
-    tv._pages = [_block_ends(pretrained, part)]
-    return tv
+    return TaskVectorSet(part, pretrained, finetuned)
 
 
 def _block_ends(ckpt: Checkpoint, part: BlockPartition) -> tuple[mmap.mmap, list[int]] | None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from blockmerge import Checkpoint, TaskVectorSet, compute_task_vectors, partition
+from blockmerge.mergers import ceil_count
 from blockmerge.task_space import Block, BlockPartition
 
 GRID = 2.0 ** -10  # dyadic grid: sums/differences of a few values stay exact in float32
@@ -85,10 +86,43 @@ def synthetic_partition(dims: list[int], bytes_per_element: int = 4) -> BlockPar
     )
 
 
+def tv_from_rows(blocks) -> TaskVectorSet:
+    """A set whose rows are ``blocks``, one (M, d_b) array per block, built
+    as the pipeline builds one: ``compute_task_vectors`` over in-memory
+    checkpoints, an all-zero pretrained model and task k holding row k of
+    every block (views of the given arrays when they are C-contiguous
+    float32). Rows come back as x - 0.0, which is x bit for bit for every
+    float32 (-0.0, infinities, subnormals and quiet NaN payloads included)
+    but a signalling NaN, which comes back quiet; so none may be given."""
+    blocks = [np.ascontiguousarray(v, dtype=np.float32) for v in blocks]
+    for v in blocks:
+        bits = v.view(np.uint32) & 0x7FFFFFFF
+        assert not ((bits > 0x7F800000) & (bits < 0x7FC00000)).any(), "signalling NaN"
+    part = synthetic_partition([v.shape[1] for v in blocks])
+    names = [b.tensor_names[0] for b in part.blocks]
+    pre = Checkpoint({n: np.zeros(v.shape[1], dtype=np.float32) for n, v in zip(names, blocks)})
+    tasks = [Checkpoint({n: v[k] for n, v in zip(names, blocks)}) for k in range(len(blocks[0]))]
+    return compute_task_vectors(pre, tasks, part)
+
+
+def synthetic_rows(rng: np.random.Generator, dims: list[int], num_tasks: int, scale=1.0) -> list[np.ndarray]:
+    """Normal (num_tasks, d) float32 rows per block, to edit before ``tv_from_rows``."""
+    return [rng.normal(scale=scale, size=(num_tasks, d)).astype(np.float32) for d in dims]
+
+
 def synthetic_tv(rng: np.random.Generator, dims: list[int], num_tasks: int, scale=1.0) -> TaskVectorSet:
-    part = synthetic_partition(dims)
-    vectors = [rng.normal(scale=scale, size=(num_tasks, d)).astype(np.float32) for d in dims]
-    return TaskVectorSet(partition=part, num_tasks=num_tasks, block_vectors=vectors)
+    return tv_from_rows(synthetic_rows(rng, dims, num_tasks, scale))
+
+
+def ratio_for(keep: str | int, total: int) -> float:
+    """A keep_ratio whose ceil(ratio * total) is the wanted count: ``keep``
+    is a count, "one", "all_but_one", "all", or "ratio_one" for 1.0."""
+    if keep == "ratio_one":
+        return 1.0
+    count = {"one": 1, "all_but_one": max(1, total - 1), "all": total}.get(keep, keep)
+    ratio = (count - 0.5) / total
+    assert ceil_count(ratio, total) == count
+    return ratio
 
 
 def buffer_owner(arr: np.ndarray) -> np.ndarray:

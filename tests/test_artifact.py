@@ -249,7 +249,7 @@ def test_verify_full_average_sse_matches_direct_oracle():
     report = verify_artifact(art, tasks)
     want = 0.0
     for b, block in enumerate(part.blocks):
-        x = tv.block_vectors[b].astype(np.float64)
+        x = tv.rows(b).astype(np.float64)
         mean = x.mean(axis=0)
         want += float(((x - mean) ** 2).sum())
     assert report.total_sse == pytest.approx(want, rel=1e-5)
@@ -407,7 +407,7 @@ def test_size_m_round_trip_is_byte_exact_off_grid(tmp_path, algorithm):
     asg = replay_to_size(compute_merge_plan(tv), tv, Fraction(3), sm)
     art = build_artifact(asg, tv, pre, cfg, finetuned=tasks)
     # the fixture must be one where pre + (ft - pre) != ft somewhere
-    assert any((flatten_block(pre, b) + tv.block_vectors[b.block_id][k]
+    assert any((flatten_block(pre, b) + tv.rows(b.block_id)[k]
                 != flatten_block(tasks[k], b)).any() for k in range(3) for b in part.blocks)
     export_manifest(art, str(tmp_path / "art"))
     back = load_artifact(str(tmp_path / "art"))

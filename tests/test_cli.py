@@ -138,6 +138,10 @@ def test_exit_code_parse(workspace, tmp_path):
     {"merger": {"pcb_intra_temp": 1.0}},
     {"merger": {"lam": "1.5"}},
     {"merger": {"keep_ratio": True}},
+    # name patterns that do not compile
+    {"rules": [{"pattern": "re:blocks.(", "block_key": "b"}]},
+    {"rules": [{"pattern": "blocks.{L}.{L}", "block_key": "b"}]},
+    {"exclude": ["re:["]},
 ])
 def test_rules_file_mistakes_are_config_errors(workspace, tmp_path, capsys, rules):
     bad_rules = str(tmp_path / "bad.json")
@@ -146,7 +150,8 @@ def test_rules_file_mistakes_are_config_errors(workspace, tmp_path, capsys, rule
     args = ["plan"] + _base_args(workspace, ["--out", str(tmp_path / "p")])
     args[args.index("--rules") + 1] = bad_rules
     assert main(args) == 3
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
 
 
 def test_exit_code_fingerprint(workspace):

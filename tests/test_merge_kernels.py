@@ -150,7 +150,7 @@ def test_merge_group_peak_memory_is_bounded(algorithm):
     # one gathered copy of the group, one float32 scratch buffer, bool masks
     # and d-sized vectors: no float64 (n, d) temporary fits under 3x
     tv = synthetic_tv(np.random.default_rng(22), [1 << 20], num_tasks=8)
-    group_bytes = tv.block_vectors[0].nbytes
+    group_bytes = tv.rows(0).nbytes
     tracemalloc.start()
     try:
         merge_group(MergerConfig.for_algorithm(algorithm), tv, 0, range(8))

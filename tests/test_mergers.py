@@ -17,7 +17,7 @@ from blockmerge import (
 )
 from blockmerge.mergers import ceil_count
 
-from helpers import synthetic_tv
+from helpers import synthetic_rows, synthetic_tv, tv_from_rows
 from oracles import (
     average_oracle,
     consensus_oracle,
@@ -81,26 +81,27 @@ def test_empty_group_raises():
 
 def test_trim_keep_all_is_identity():
     tv = synthetic_tv(np.random.default_rng(1), [8, 8], num_tasks=2)
+    before = list(tv.block_vectors)
     out = ties_trim(tv, 1.0)
-    for a, b in zip(out.block_vectors, tv.block_vectors):
+    for a, b in zip(out.block_vectors, before, strict=True):
         np.testing.assert_array_equal(a, b)
     assert out.trim_ratio == 1.0
 
 
 def test_trim_top_half():
-    tv = synthetic_tv(np.random.default_rng(2), [4], num_tasks=1)
-    tv.block_vectors[0][0] = np.array([3.0, -1.0, 2.0, 0.5], dtype=np.float32)
-    out = ties_trim(tv, 0.5)
-    np.testing.assert_array_equal(out.block_vectors[0][0], np.array([3.0, 0.0, 2.0, 0.0], dtype=np.float32))
+    rows = synthetic_rows(np.random.default_rng(2), [4], num_tasks=1)
+    rows[0][0] = np.array([3.0, -1.0, 2.0, 0.5], dtype=np.float32)
+    out = ties_trim(tv_from_rows(rows), 0.5)
+    np.testing.assert_array_equal(out.rows(0)[0], np.array([3.0, 0.0, 2.0, 0.0], dtype=np.float32))
 
 
 def test_trim_is_global_not_per_block():
-    tv = synthetic_tv(np.random.default_rng(3), [4, 4], num_tasks=1)
-    tv.block_vectors[0][0] = np.array([0.1, 0.2, 0.1, 0.2], dtype=np.float32)
-    tv.block_vectors[1][0] = np.array([5.0, 6.0, 7.0, 8.0], dtype=np.float32)
-    out = ties_trim(tv, 0.5)
-    assert not out.block_vectors[0][0].any()  # all survivors sit in block 2
-    assert np.count_nonzero(out.block_vectors[1][0]) == 4
+    rows = synthetic_rows(np.random.default_rng(3), [4, 4], num_tasks=1)
+    rows[0][0] = np.array([0.1, 0.2, 0.1, 0.2], dtype=np.float32)
+    rows[1][0] = np.array([5.0, 6.0, 7.0, 8.0], dtype=np.float32)
+    out = ties_trim(tv_from_rows(rows), 0.5)
+    assert not out.rows(0)[0].any()  # all survivors sit in block 2
+    assert np.count_nonzero(out.rows(1)[0]) == 4
 
 
 def test_trim_count_exact():
@@ -244,7 +245,7 @@ def test_degenerate_singleton_identity(algorithm):
     tv = synthetic_tv(rng, [16], num_tasks=2)
     cfg = MergerConfig.for_algorithm(algorithm, lam=1.0, keep_ratio=1.0)
     out = merge_group(cfg, tv, 0, [1])
-    np.testing.assert_array_equal(out.unified, tv.block_vectors[0][1])
+    np.testing.assert_array_equal(out.unified, tv.rows(0)[1])
 
 
 def test_scalar_loop_oracles_random_groups():

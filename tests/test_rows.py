@@ -33,7 +33,7 @@ from blockmerge import (
 from blockmerge.mergers import ceil_count
 from blockmerge.similarity import pairwise_all
 
-from helpers import buffer_owner, toy_model
+from helpers import buffer_owner, ratio_for, toy_model
 from oracles import task_vectors_reference, ties_trim_reference
 
 # a coarse grid, so trimmed magnitudes tie often; non-finite values and both
@@ -44,16 +44,6 @@ KEEPS = ("one", "all_but_one", "all", "ratio_one")
 RULES = [PartitionRule("b{B}.*", "b{B}")]
 # inf - inf: the NaN is what the task vector holds
 pytestmark = pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
-
-
-def ratio_for(keep, total: int) -> float:
-    """A keep_ratio whose ceil(ratio * total) is the wanted count."""
-    if keep == "ratio_one":
-        return 1.0
-    count = {"one": 1, "all_but_one": max(1, total - 1), "all": total}.get(keep, keep)
-    ratio = (count - 0.5) / total
-    assert ceil_count(ratio, total) == count
-    return ratio
 
 
 def read_back(ckpts, dtype):

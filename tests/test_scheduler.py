@@ -25,7 +25,7 @@ from blockmerge import (
 from blockmerge.scheduler import MergeEvent, MergePlan
 from blockmerge.similarity import SimilarityMatrix, pairwise_all
 
-from helpers import plan_signature, synthetic_tv
+from helpers import plan_signature, synthetic_rows, synthetic_tv, tv_from_rows
 from oracles import naive_greedy_order, size_oracle
 
 
@@ -295,13 +295,14 @@ def test_kmeans_recovers_planted_clusters():
     rng = np.random.default_rng(13)
     dims = [32, 32]
     centers = [rng.normal(size=d) for d in dims]
-    tv = synthetic_tv(rng, dims, num_tasks=6)
+    rows = synthetic_rows(rng, dims, num_tasks=6)
     for b, d in enumerate(dims):
         for task in range(6):
             side = 1.0 if task < 3 else -1.0
-            tv.block_vectors[b][task] = (
+            rows[b][task] = (
                 side * 10.0 * centers[b] + rng.normal(scale=0.01, size=d)
             ).astype(np.float32)
+    tv = tv_from_rows(rows)
     asg = kmeans_baseline(tv, k=2, seed=0)
     assert all(groups == ((0, 1, 2), (3, 4, 5)) for groups in asg.block_groups)
 

@@ -14,14 +14,13 @@ from hypothesis import given, settings, strategies as st
 from blockmerge import block_merge_sequence, compute_merge_plan, global_merge_order
 from blockmerge.similarity import SimilarityMatrix
 
-from helpers import plan_signature, synthetic_tv
+from helpers import plan_signature, synthetic_rows, synthetic_tv, tv_from_rows
 from oracles import naive_greedy_order
 
 
 def _with_structure(rng, dims, num_tasks, kind):
-    tv = synthetic_tv(rng, dims, num_tasks)
-    for b in range(len(dims)):
-        x = tv.block_vectors[b]
+    rows = synthetic_rows(rng, dims, num_tasks)
+    for x in rows:
         if kind == "duplicates":
             for k in range(1, num_tasks, 2):
                 x[k] = x[k - 1]
@@ -42,7 +41,7 @@ def _with_structure(rng, dims, num_tasks, kind):
             # positive scalings keep cosine exactly 1 between the copies
             for k in range(1, num_tasks):
                 x[k] = 2.0 * x[k - 1]
-    return tv
+    return tv_from_rows(rows)
 
 
 @pytest.mark.parametrize(
@@ -60,10 +59,11 @@ def test_tie_heavy_instances_match_oracle(kind, strategy):
 
 def test_mixed_degenerate_blocks_match_oracle():
     rng = np.random.default_rng(99)
-    tv = synthetic_tv(rng, [8, 8, 8, 8], num_tasks=5)
-    tv.block_vectors[0][:] = 0.0  # whole block is zero vectors
-    tv.block_vectors[1][2] = tv.block_vectors[1][0]
-    tv.block_vectors[2][4] = -tv.block_vectors[2][1]
+    rows = synthetic_rows(rng, [8, 8, 8, 8], num_tasks=5)
+    rows[0][:] = 0.0  # whole block is zero vectors
+    rows[1][2] = rows[1][0]
+    rows[2][4] = -rows[2][1]
+    tv = tv_from_rows(rows)
     for strategy in ("min", "max", "avg"):
         fast = compute_merge_plan(tv, strategy=strategy)
         slow = naive_greedy_order(tv, strategy=strategy)
@@ -130,8 +130,9 @@ def test_unified_identical_blocks_break_ties_by_block_id():
     # same cosines up to float64 rounding, so the same float32 scores
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        tv = synthetic_tv(rng, [16, 16], num_tasks=6)
-        tv.block_vectors[1][:] = tv.block_vectors[0][:, rng.permutation(16)]
+        rows = synthetic_rows(rng, [16, 16], num_tasks=6)
+        rows[1][:] = rows[0][:, rng.permutation(16)]
+        tv = tv_from_rows(rows)
         plan = compute_merge_plan(tv, strategy="unified")
         per_block = {0: [], 1: []}
         for pos, ev in enumerate(plan.events):

@@ -8,7 +8,7 @@ import pytest
 from blockmerge import pairwise_block_similarity
 from blockmerge.similarity import SimilarityMatrix, pairwise_all
 
-from helpers import buffer_owner, synthetic_tv
+from helpers import buffer_owner, synthetic_rows, synthetic_tv, tv_from_rows
 from oracles import cosine, cosine_oracle, group_similarity
 
 
@@ -42,8 +42,9 @@ def test_single_task_matrix():
 
 
 def test_identical_vectors_give_one():
-    tv = synthetic_tv(np.random.default_rng(0), [16], num_tasks=2)
-    tv.block_vectors[0][1] = tv.block_vectors[0][0]
+    rows = synthetic_rows(np.random.default_rng(0), [16], num_tasks=2)
+    rows[0][1] = rows[0][0]
+    tv = tv_from_rows(rows)
     mx = pairwise_block_similarity(tv, 0)
     assert mx.values[0, 1] == pytest.approx(1.0, abs=1e-6)
 
@@ -51,7 +52,7 @@ def test_identical_vectors_give_one():
 def test_matrix_matches_float64_oracle():
     tv = synthetic_tv(np.random.default_rng(7), [100], num_tasks=6)
     mx = pairwise_block_similarity(tv, 0)
-    x = tv.block_vectors[0]
+    x = tv.rows(0)
     for i in range(6):
         for j in range(6):
             want = 1.0 if i == j else cosine_oracle(x[i], x[j])
@@ -62,8 +63,9 @@ def test_matrix_matches_float64_oracle():
 
 
 def test_zero_task_flagged():
-    tv = synthetic_tv(np.random.default_rng(1), [8], num_tasks=3)
-    tv.block_vectors[0][1] = 0.0
+    rows = synthetic_rows(np.random.default_rng(1), [8], num_tasks=3)
+    rows[0][1] = 0.0
+    tv = tv_from_rows(rows)
     mx = pairwise_block_similarity(tv, 0)
     assert mx.zero_tasks == (1,)
     assert mx.values[1, 0] == 0.0 and mx.values[2, 1] == 0.0
@@ -80,7 +82,7 @@ def test_singletons_reduce_to_matrix_entry():
     for strategy in ("min", "max", "avg"):
         assert group_similarity(mx, [1], [2], strategy) == pytest.approx(0.4)
     assert group_similarity(mx, [1], [2], "unified", tv) == pytest.approx(
-        cosine(tv.block_vectors[0][1], tv.block_vectors[0][2])
+        cosine(tv.rows(0)[1], tv.rows(0)[2])
     )
 
 
@@ -99,9 +101,10 @@ def test_hand_case_min_max_avg():
 
 
 def test_unified_identical_members():
-    tv = synthetic_tv(np.random.default_rng(3), [8], num_tasks=3)
-    tv.block_vectors[0][1] = tv.block_vectors[0][0]
-    tv.block_vectors[0][2] = tv.block_vectors[0][0]
+    rows = synthetic_rows(np.random.default_rng(3), [8], num_tasks=3)
+    rows[0][1] = rows[0][0]
+    rows[0][2] = rows[0][0]
+    tv = tv_from_rows(rows)
     mx = pairwise_block_similarity(tv, 0)
     assert group_similarity(mx, [0], [1, 2], "unified", tv) == pytest.approx(1.0, abs=1e-12)
 
@@ -124,8 +127,9 @@ def test_symmetry_all_strategies():
 
 
 def test_blocks_get_their_own_arrays_and_match_single_block_calls():
-    tv = synthetic_tv(np.random.default_rng(10), [16, 8, 32, 4], num_tasks=5)
-    tv.block_vectors[2][3] = 0.0
+    rows = synthetic_rows(np.random.default_rng(10), [16, 8, 32, 4], num_tasks=5)
+    rows[2][3] = 0.0
+    tv = tv_from_rows(rows)
     every = pairwise_all(tv)
     for b, mx in enumerate(every):
         alone = pairwise_block_similarity(tv, b)

@@ -1,5 +1,7 @@
 """Partitioning rules and task-vector computation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from blockmerge import (
 )
 from blockmerge.task_space import flatten_block
 
-from helpers import toy_layer_names, toy_model
+from helpers import toy_layer_names, toy_model, tv_from_rows
 
 
 def _ck(names, width=4, seed=0):
@@ -68,6 +70,9 @@ def test_regex_pattern_prefix():
     ck = _ck(["layer1.w", "layer2.w", "other"])
     part = partition(ck, [PartitionRule(r"re:layer\d+\.w", "layers")])
     assert part.block_keys == ["layers", "other"]
+    for bad in ("re:layer(", "layer{L}.{L}"):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            partition(ck, [PartitionRule(bad, "b")])
 
 
 def test_param_count_invariant_across_rule_sets():
@@ -92,7 +97,7 @@ def test_difference_arithmetic():
     ft = Checkpoint(tensors={"w": np.array([2.0, 0.0], dtype=np.float32)})
     part = partition(pre, [])
     tv = compute_task_vectors(pre, [ft], part)
-    np.testing.assert_array_equal(tv.block_vectors[0][0], np.array([1.0, -1.0], dtype=np.float32))
+    np.testing.assert_array_equal(tv.rows(0)[0], np.array([1.0, -1.0], dtype=np.float32))
 
 
 def test_float16_difference_matches_float64_oracle():
@@ -103,7 +108,7 @@ def test_float16_difference_matches_float64_oracle():
     ft = Checkpoint(tensors={"w": ft_vals})
     tv = compute_task_vectors(pre, [ft], partition(pre, []))
     oracle = ft_vals.astype(np.float64) - pre_vals.astype(np.float64)
-    assert np.max(np.abs(tv.block_vectors[0][0].astype(np.float64) - oracle)) < 1e-3
+    assert np.max(np.abs(tv.rows(0)[0].astype(np.float64) - oracle)) < 1e-3
 
 
 def test_reconstruction_identity_on_grid():
@@ -113,7 +118,7 @@ def test_reconstruction_identity_on_grid():
     tv = compute_task_vectors(pre, tasks, part)
     for k, ft in enumerate(tasks):
         for block in part.blocks:
-            rebuilt = flatten_block(pre, block) + tv.block_vectors[block.block_id][k]
+            rebuilt = flatten_block(pre, block) + tv.rows(block.block_id)[k]
             np.testing.assert_array_equal(rebuilt, flatten_block(ft, block))
 
 
@@ -139,4 +144,19 @@ def test_vectors_flatten_in_block_order():
     )
     part = partition(pre, [PartitionRule("m.*", "m")])
     tv = compute_task_vectors(pre, [ft], part)
-    np.testing.assert_array_equal(tv.block_vectors[0][0], np.array([1.0, 2.0, 3.0], dtype=np.float32))
+    np.testing.assert_array_equal(tv.rows(0)[0], np.array([1.0, 2.0, 3.0], dtype=np.float32))
+
+
+def test_rows_of_a_set_from_arrays_are_those_arrays_bit_for_bit():
+    # -0.0, +0.0, +-inf, subnormals, quiet NaNs with non-default payloads, 1.0
+    bits = np.array([0x80000000, 0x00000000, 0x7F800000, 0xFF800000, 0x00000001,
+                     0x807FFFFF, 0x7FC01234, 0xFFC00001, 0x3F800000, 0x00400000], dtype=np.uint32)
+    flat = bits.view(np.float32).reshape(2, 5)
+    blocks = [flat[:, :3].copy(), flat[:, 3:].copy()]
+    tv = tv_from_rows(blocks)
+    assert [tv.rows(b).tobytes() for b in range(2)] == [v.tobytes() for v in blocks]
+    # block_vectors yields rows(b) for every block, in block order
+    assert [v.tobytes() for v in tv.block_vectors] == [v.tobytes() for v in blocks]
+    # x - 0.0 quiets a signalling NaN, so the helper refuses one
+    with pytest.raises(AssertionError, match="signalling NaN"):
+        tv_from_rows([np.array([[0x7F800001]], dtype=np.uint32).view(np.float32)])

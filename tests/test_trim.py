@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 import blockmerge.mergers as mergers
 from blockmerge import (
     MergerConfig,
-    TaskVectorSet,
     compute_task_vectors,
     default_transformer_rules,
     partition,
@@ -23,7 +22,7 @@ from blockmerge import (
 )
 from blockmerge.mergers import ceil_count
 
-from helpers import synthetic_partition, synthetic_tv, toy_model
+from helpers import ratio_for, synthetic_rows, synthetic_tv, toy_model, tv_from_rows
 from oracles import ties_trim_reference
 
 # a coarse grid, so magnitudes tie often, plus the entries a trim must not trip on
@@ -40,31 +39,17 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def tv_of(blocks) -> TaskVectorSet:
-    return TaskVectorSet(synthetic_partition([b.shape[1] for b in blocks]), blocks[0].shape[0],
-                         [np.ascontiguousarray(b, dtype=np.float32) for b in blocks])
-
-
-def ratio_for(keep: str | int, total: int) -> float:
-    """A keep_ratio whose ceil(ratio * total) is the wanted count."""
-    if keep == "ratio_one":
-        return 1.0
-    count = {"one": 1, "all_but_one": max(1, total - 1), "all": total}.get(keep, keep)
-    ratio = (count - 0.5) / total
-    assert ceil_count(ratio, total) == count
-    return ratio
-
-
 def assert_trim_matches_reference(blocks, keep_ratio: float):
-    tv = tv_of(blocks)
-    want = ties_trim_reference(tv.block_vectors, keep_ratio)
-    arrays = list(tv.block_vectors)
-    source = [v.tobytes() for v in arrays]
+    # contiguous, so the set's checkpoints view these very arrays
+    blocks = [np.ascontiguousarray(b, dtype=np.float32) for b in blocks]
+    tv = tv_from_rows(blocks)
+    want = ties_trim_reference(blocks, keep_ratio)
+    source = [v.tobytes() for v in blocks]
     out = ties_trim(tv, keep_ratio)
     assert out is tv and out.trim_ratio == keep_ratio
     # tobytes, so the sign of a zero and the payload of a NaN count
-    assert [tv.rows(b).tobytes() for b in range(len(arrays))] == [v.tobytes() for v in want]
-    assert [v.tobytes() for v in arrays] == source  # the row source is not written
+    assert [tv.rows(b).tobytes() for b in range(len(blocks))] == [v.tobytes() for v in want]
+    assert [v.tobytes() for v in blocks] == source  # the row source is not written
 
 
 @st.composite
@@ -100,17 +85,17 @@ def test_trim_ties_straddle_block_boundaries():
     # six equal magnitudes across three blocks, four to keep: the first four
     # by flat index survive, so the last block keeps one of its three
     blocks = [np.float32([[1.0, -2.0, 0.5]]), np.float32([[-2.0, 2.0]]), np.float32([[2.0, -2.0, 2.0]])]
-    tv = ties_trim(tv_of(blocks), ratio_for(4, 8))
+    tv = ties_trim(tv_from_rows(blocks), ratio_for(4, 8))
     assert [v[0].tolist() for v in tv.block_vectors] == [[0.0, -2.0, 0.0], [-2.0, 2.0], [2.0, 0.0, 0.0]]
 
 
 # -- what the trim does to the set --------------------------------------------
 
-def test_trim_keeps_the_set_and_its_arrays():
-    tv = synthetic_tv(np.random.default_rng(40), [5, 11], num_tasks=3)
-    arrays = list(tv.block_vectors)
+def test_trim_keeps_the_set_and_its_checkpoints():
+    arrays = synthetic_rows(np.random.default_rng(40), [5, 11], num_tasks=3)
     source = [v.tobytes() for v in arrays]
     want = ties_trim_reference(arrays, 0.1)
+    tv = tv_from_rows(arrays)  # its checkpoints view these arrays
     assert prepare_task_vectors(tv, MergerConfig.for_algorithm("ties")) is tv
     assert tv.trim_ratio == 0.1
     assert [v.tobytes() for v in arrays] == source
@@ -182,10 +167,10 @@ def _bound(dims, num_tasks=8, keep_ratio=0.1) -> int:
 
 
 def _grid_tv(seed: int):
-    tv = synthetic_tv(np.random.default_rng(seed), DIMS, num_tasks=8)
-    for v in tv.block_vectors:  # on a grid, so magnitudes tie at the threshold
+    rows = synthetic_rows(np.random.default_rng(seed), DIMS, num_tasks=8)
+    for v in rows:  # on a grid, so magnitudes tie at the threshold
         np.round(v * np.float32(16), out=v)
-    return tv
+    return tv_from_rows(rows)
 
 
 def test_trim_peak_memory_is_bounded():
