@@ -487,7 +487,8 @@ def export_sweep(
 
     The files are those build_artifact + export_manifest would write for
     each assignment, byte for byte. Every archive's layout follows from its
-    groups (_archive_layout), so each header is written first. Then, block
+    groups (_archive_layout), so each header is written first, one size at
+    a time, and only the layout's spans are kept after it. Then, block
     by block, each size's groups of that block are built in the order the
     assignments are given, each written at its offset as one span, and the
     block is dropped. A group whose members the previous size also grouped
@@ -509,19 +510,22 @@ def export_sweep(
         raise ValueError(f"{len(assignments)} assignments but {len(out_dirs)} output directories")
     part = tv.partition
     exact = finetuned if tv.trim_ratio is None else None
-    layouts = [_archive_layout(part, cfg, a.block_groups, heads) for a in assignments]
     merged = [0] * len(assignments)
     reused = [0] * len(assignments)
     archives: list[StreamedArchive] = []
+    size_spans: list[dict] = []
     try:
-        for out_dir, (entries, _) in zip(out_dirs, layouts):
+        for asg, out_dir in zip(assignments, out_dirs):
+            entries, spans = _archive_layout(part, cfg, asg.block_groups, heads)
             os.makedirs(out_dir, exist_ok=True)
             archives.append(StreamedArchive(os.path.join(out_dir, TENSORS_NAME), entries))
+            size_spans.append(spans)
+            del entries  # only the spans are read once the header is written
         for block in part.blocks:
             b = block.block_id
             base = flatten_block(pretrained, block)
             known: dict[tuple[int, ...], StoredGroup] = {}  # the previous size's payloads
-            for i, (asg, (_, spans), archive) in enumerate(zip(assignments, layouts, archives)):
+            for i, (asg, spans, archive) in enumerate(zip(assignments, size_spans, archives)):
                 payloads = {}
                 for members in asg.block_groups[b]:
                     g = known.get(members)
@@ -539,7 +543,7 @@ def export_sweep(
                 known = payloads
             tv.release(b)
         head_arrays = [arr for head in heads for arr in head.values()]
-        for (_, spans), archive in zip(layouts, archives):
+        for spans, archive in zip(size_spans, archives):
             archive.write(spans["heads", -1], head_arrays)
         for out_dir, archive in zip(out_dirs, archives):
             for stale in (MANIFEST_NAME, GROUPS_NAME):

@@ -8,6 +8,7 @@ task.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -116,7 +117,10 @@ def _build_config(args) -> RunConfig:
     for tok in (args.sizes or "").split(","):
         tok = tok.strip()
         if tok:
-            sizes.append(Fraction(tok))
+            try:
+                sizes.append(Fraction(tok))
+            except (ValueError, ZeroDivisionError):  # "abc", "nan", "1/0"
+                raise ValueError(f"--sizes: {tok!r} is not a finite fraction or decimal") from None
     return RunConfig(
         pretrained=args.pretrained,
         finetuned=list(args.finetuned),
@@ -133,17 +137,23 @@ def _build_config(args) -> RunConfig:
 
 
 def _file_sha(path: str) -> str:
+    # into one reused buffer: a new bytes object per read raised the peak
+    # RSS. The helper thread takes the GIL twice per read, and a busy main
+    # thread hands it over only every switch interval, so reads stay large.
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    buf = bytearray(1 << 18)
+    with open(path, "rb", buffering=0) as fh, memoryview(buf) as view:
+        while n := fh.readinto(buf):
+            h.update(view[:n])
     return h.hexdigest()
 
 
 def plan_fingerprint(config: RunConfig) -> str:
     """Everything the plan depends on: input bytes, rules, trim state,
     strategy, order, seed. The merge coefficient is deliberately excluded;
-    it does not affect the schedule."""
+    it does not affect the schedule. ``plan`` and ``merge`` run it beside
+    the pipeline (``_fingerprint_beside``): file reads and hashlib release
+    the GIL."""
     payload = json.dumps(
         {
             "pretrained": _file_sha(config.pretrained),
@@ -157,6 +167,19 @@ def plan_fingerprint(config: RunConfig) -> str:
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+@contextlib.contextmanager
+def _fingerprint_beside(config: RunConfig):
+    """Hash ``plan_fingerprint(config)`` on one helper thread while the
+    block runs; yields its future, and on leaving waits for the thread, so
+    none outlives the command, whether it succeeds or fails."""
+    # imported here, not at the top: reconstruct and inspect start no
+    # thread, and the import alone raised their peak RSS by 0.3 MB
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        yield pool.submit(plan_fingerprint, config)
 
 
 def _load_pipeline(config: RunConfig):
@@ -178,32 +201,49 @@ def _safe_key(key: str) -> str:
 
 
 def _write_similarity_csvs(matrices, block_keys, out_dir: str) -> None:
+    """One CSV per block: a ``task,0,1,...`` header, then row ``i`` as
+    ``i`` and the ``repr`` of each float, ``\\r\\n`` line ends (what
+    ``csv.writer`` writes for these fields, none of which needs quoting).
+    Each file is formatted from one ``tolist`` and written at once."""
     os.makedirs(out_dir, exist_ok=True)
     for mx, key in zip(matrices, block_keys):
         path = os.path.join(out_dir, f"block_{mx.block_id:04d}_{_safe_key(key)}.csv")
+        lines = [",".join(["task", *map(str, range(mx.num_tasks))])]
+        lines += [f"{i}," + ",".join(map(repr, row)) for i, row in enumerate(mx.values.tolist())]
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["task"] + [str(j) for j in range(mx.num_tasks)])
-            for i in range(mx.num_tasks):
-                writer.writerow([str(i)] + [repr(float(v)) for v in mx.values[i]])
+            fh.write("\r\n".join(lines) + "\r\n")
 
 
 def cmd_plan(args) -> int:
+    """Write ``plan.jsonl``, the similarity CSVs and, last, ``plan_meta.json``.
+
+    The input fingerprint is hashed on a helper thread while the pipeline
+    runs and joined for the metadata. A stale ``plan_meta.json`` is removed
+    before anything else is written, so the metadata marks a complete plan
+    directory: ``merge --plan`` refuses a plan without it (exit 3)."""
     config = _build_config(args)
-    _, _, part, tv = _load_pipeline(config)
-    matrices = pairwise_all(tv)
-    zero_blocks = [(mx.block_id, mx.zero_tasks) for mx in matrices if mx.zero_tasks]
-    for block_id, tasks in zero_blocks:
-        print(f"note: block {block_id} has all-zero task vectors for tasks {list(tasks)}; "
-              "their similarity is 0 by convention", file=sys.stderr)
-    plan = compute_merge_plan(
-        tv, strategy=config.strategy, order_policy=config.order_policy,
-        seed=config.seed, matrices=matrices,
-    )
-    os.makedirs(config.out, exist_ok=True)
-    write_plan_jsonl(plan, os.path.join(config.out, PLAN_FILE))
+    with _fingerprint_beside(config) as hashing:
+        _, _, part, tv = _load_pipeline(config)
+        matrices = pairwise_all(tv)
+        zero_blocks = [(mx.block_id, mx.zero_tasks) for mx in matrices if mx.zero_tasks]
+        for block_id, tasks in zero_blocks:
+            print(f"note: block {block_id} has all-zero task vectors for tasks {list(tasks)}; "
+                  "their similarity is 0 by convention", file=sys.stderr)
+        plan = compute_merge_plan(
+            tv, strategy=config.strategy, order_policy=config.order_policy,
+            seed=config.seed, matrices=matrices,
+        )
+        os.makedirs(config.out, exist_ok=True)
+        meta_path = os.path.join(config.out, PLAN_META_FILE)
+        try:
+            os.unlink(meta_path)
+        except FileNotFoundError:
+            pass
+        write_plan_jsonl(plan, os.path.join(config.out, PLAN_FILE))
+        _write_similarity_csvs(matrices, part.block_keys, os.path.join(config.out, "similarity"))
+        fingerprint = hashing.result()
     meta = {
-        "fingerprint": plan_fingerprint(config),
+        "fingerprint": fingerprint,
         "strategy": config.strategy,
         "order": config.order_policy,
         "seed": config.seed,
@@ -213,10 +253,9 @@ def cmd_plan(args) -> int:
         "algorithm": config.merger.algorithm,
         "trim_ratio": expected_trim_ratio(config.merger),
     }
-    with open(os.path.join(config.out, PLAN_META_FILE), "w", encoding="utf-8") as fh:
+    with open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    _write_similarity_csvs(matrices, part.block_keys, os.path.join(config.out, "similarity"))
     print(f"plan: {len(plan.events)} events over {plan.num_blocks} blocks -> {config.out}")
     return 0
 
@@ -282,21 +321,29 @@ def cmd_merge(args) -> int:
     block's pages once every size has that block. Each release is a
     watermark from the start of every input file up to the end of the
     block, so the input pages held at once are a few blocks of all tasks,
-    not the inputs (``TaskVectorSet.release``)."""
+    not the inputs (``TaskVectorSet.release``).
+
+    The input fingerprint is hashed on a helper thread beside reading (and
+    trimming) the inputs. It is joined to check ``--plan`` against its
+    ``plan_meta.json`` (exit 4 on a mismatch, before any output exists) or,
+    without ``--plan``, after planning and replay, to go into the
+    manifests."""
     config = _build_config(args)
     if not config.sizes:
         print("--sizes is required for merge", file=sys.stderr)
         return EXIT_PARSE
-    pretrained, finetuned, part, tv = _load_pipeline(config)
-    fingerprint = plan_fingerprint(config)
-    if args.plan:
-        plan = _read_plan(args.plan, fingerprint)
-    else:
-        plan = compute_merge_plan(tv, strategy=config.strategy,
-                                  order_policy=config.order_policy, seed=config.seed)
-    sm = SizeModel.from_partition(part, config.merger)
-    targets = sorted(set(config.sizes), reverse=True)
-    assignments = replay_to_sizes(plan, tv, targets, sm)
+    with _fingerprint_beside(config) as hashing:
+        pretrained, finetuned, part, tv = _load_pipeline(config)
+        if args.plan:
+            plan = _read_plan(args.plan, hashing.result())
+        else:
+            plan = compute_merge_plan(tv, strategy=config.strategy,
+                                      order_policy=config.order_policy, seed=config.seed)
+        sm = SizeModel.from_partition(part, config.merger)
+        targets = sorted(set(config.sizes), reverse=True)
+        assignments = replay_to_sizes(plan, tv, targets, sm)
+        del plan  # the sweep reads the assignments only
+        fingerprint = hashing.result()
     out_dirs = [os.path.join(config.out, f"size_{_size_dir_token(t)}") for t in targets]
     written = artifact_mod.export_sweep(assignments, out_dirs, tv, pretrained, config.merger,
                                         finetuned=finetuned, fingerprint=fingerprint)

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import struct
+from pathlib import Path
+
 import numpy as np
 
 from blockmerge import Checkpoint, TaskVectorSet, compute_task_vectors, partition
 from blockmerge.mergers import ceil_count
 from blockmerge.task_space import Block, BlockPartition
+from blockmerge.tensor_store import dtype_code
 
 GRID = 2.0 ** -10  # dyadic grid: sums/differences of a few values stay exact in float32
 
@@ -135,3 +140,17 @@ def buffer_owner(arr: np.ndarray) -> np.ndarray:
 
 def plan_signature(plan):
     return [(e.block_id, e.left, e.right, float(np.float32(e.score))) for e in plan.events]
+
+
+def write_unpadded(ckpt: Checkpoint, path) -> None:
+    """``ckpt`` as an archive whose compact header leaves the data section
+    at an odd file offset, so read_archive reads it instead of mapping it."""
+    header, offset = {}, 0
+    for name, arr in ckpt.tensors.items():
+        header[name] = {"dtype": dtype_code(arr), "shape": list(arr.shape),
+                        "data_offsets": [offset, offset + arr.nbytes]}
+        offset += arr.nbytes
+    payload = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    payload += b" " * ((1 - len(payload)) % 2)  # 8 + len(payload) is odd
+    Path(path).write_bytes(struct.pack("<Q", len(payload)) + payload
+                           + b"".join(arr.tobytes() for arr in ckpt.tensors.values()))

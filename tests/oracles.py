@@ -6,15 +6,18 @@ be checked against a second route. The exceptions are the sections at the
 end: bitwise references, vectorised kernels kept as they were before a
 rewrite that must not change their output bits; vectorised references, the
 cubic greedy scheduler and its linkage scores, which build on the package's
-similarity matrices and plan types; and the sweep reference, the size sweep
-as it was written before it streamed, one in-memory artifact per size.
+similarity matrices and plan types; the sweep reference, the size sweep
+as it was written before it streamed, one in-memory artifact per size; and
+the similarity CSVs of ``blockmerge plan`` as ``csv.writer`` wrote them.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
+import re
 from dataclasses import replace
 from fractions import Fraction
 from typing import Iterable
@@ -448,3 +451,21 @@ def sweep_reference(assignments, out_dirs, tv, pretrained, cfg, finetuned=None,
         art = build_artifact(asg, tv, pretrained, cfg, finetuned=finetuned, fingerprint=fingerprint)
         export_manifest_reference(art, out_dir)
         write_assignment_json(asg, tv.partition.block_keys, os.path.join(out_dir, "groups.json"))
+
+
+# ---------------------------------------------------------------------------
+# Similarity CSV reference: ``blockmerge plan``'s per-block similarity files
+# as they were written with ``csv.writer`` and one ``repr(float(v))`` per
+# numpy scalar, before the CLI formatted each file from one ``tolist``.
+
+
+def write_similarity_csvs_reference(matrices, block_keys, out_dir: str) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    for mx, key in zip(matrices, block_keys):
+        safe = re.sub(r"[^A-Za-z0-9_.-]", "_", key)
+        path = os.path.join(out_dir, f"block_{mx.block_id:04d}_{safe}.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["task"] + [str(j) for j in range(mx.num_tasks)])
+            for i in range(mx.num_tasks):
+                writer.writerow([str(i)] + [repr(float(v)) for v in mx.values[i]])

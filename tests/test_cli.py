@@ -1,18 +1,28 @@
 """Command-line surface: pipeline, exit codes, determinism."""
 
+import gc
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
+import threading
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from blockmerge import Checkpoint, read_archive, write_archive
-from blockmerge.cli import main
+from blockmerge.cli import RunConfig, _write_similarity_csvs, main, plan_fingerprint
+from blockmerge.mergers import MergerConfig, expected_trim_ratio
+from blockmerge.similarity import SimilarityMatrix
+from blockmerge.tensor_store import mapped_ends
 
-from helpers import toy_model
+from helpers import toy_model, write_unpadded
+from oracles import write_similarity_csvs_reference
 
 RULES = {
     "rules": [
@@ -50,6 +60,19 @@ def _base_args(ws, extra):
         args += ["--finetuned", p]
     args += ["--rules", ws["rules"]]
     return args + extra
+
+
+def _run_watched(argv) -> tuple[int, int, list]:
+    """``main(argv)``'s exit code, the threads it left alive beyond those
+    before it, and the ResourceWarnings (unclosed files) it raised."""
+    before = threading.active_count()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+        extra = threading.active_count() - before  # counted at once: joined, not exiting
+        gc.collect()
+    leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    return code, extra, leaks
 
 
 def test_plan_merge_reconstruct_inspect(workspace):
@@ -156,19 +179,23 @@ def test_rules_file_mistakes_are_config_errors(workspace, tmp_path, capsys, rule
 
 def test_exit_code_fingerprint(workspace):
     ws = workspace
-    plan_dir = str(ws["tmp"] / "plan")
-    assert main(["plan"] + _base_args(ws, ["--algorithm", "ta", "--out", plan_dir])) == 0
-    # different strategy changes the fingerprint
-    code = main(
-        ["merge"]
-        + _base_args(
-            ws,
-            ["--algorithm", "ta", "--strategy", "max",
-             "--plan", os.path.join(plan_dir, "plan.jsonl"),
-             "--sizes", "2", "--out", str(ws["tmp"] / "m")],
-        )
-    )
-    assert code == 4
+    plan_dir = _planned(ws)
+    out_dir = ws["tmp"] / "m"
+
+    def merge(*extra):
+        return _run_watched(["merge"] + _base_args(ws, [
+            "--algorithm", "ta", *extra, "--plan", os.path.join(plan_dir, "plan.jsonl"),
+            "--sizes", "1,2", "--out", str(out_dir)]))
+
+    # a different strategy changes the fingerprint
+    assert merge("--strategy", "max") == (4, 0, [])
+    # so does one value of one task's input
+    task = read_archive(ws["finetuned"][0])
+    changed = {name: np.array(arr) for name, arr in task.tensors.items()}
+    next(iter(changed.values())).reshape(-1)[0] += 1
+    write_archive(Checkpoint(changed), ws["finetuned"][0])
+    assert merge() == (4, 0, [])
+    assert not out_dir.exists()  # the check comes before any output
 
 
 def test_exit_code_unknown_task(workspace):
@@ -385,3 +412,125 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert sorted(trees[0][1]) == [f"size_{t}/{f}" for t in ("4", "6.5")
                                    for f in ("groups.json", "manifest.json", "tensors.safetensors")]
     assert trees[0] == trees[1]
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_plan_fingerprint_is_the_sha256_of_every_input(tmp_path):
+    rng = np.random.default_rng(5)
+    mapped, skewed, empty, exact = (str(tmp_path / f"{n}.st") for n in ("mapped", "skewed", "empty", "exact"))
+    # several reads of the 256 KiB buffer, the last one short
+    write_archive(Checkpoint({"w": rng.normal(size=(3, 40_001)).astype(np.float32)}), mapped)
+    write_unpadded(Checkpoint({"a": rng.normal(size=5).astype(np.float32)}), skewed)
+    write_archive(Checkpoint({"e": np.zeros(0, np.float32)}), empty)
+    Path(exact).write_bytes(rng.bytes(2 << 18))  # a whole number of reads
+    assert mapped_ends(list(read_archive(mapped).tensors.values())) is not None
+    assert mapped_ends(list(read_archive(skewed).tensors.values())) is None
+    header = int.from_bytes(Path(empty).read_bytes()[:8], "little")
+    assert os.path.getsize(empty) == 8 + header  # no data bytes at all
+
+    cfg = MergerConfig.for_algorithm("ties")
+    config = RunConfig(pretrained=mapped, finetuned=[skewed, empty, exact, mapped], rules=[],
+                       exclude=[], rules_text='{"rules": []}', merger=cfg, strategy="max",
+                       order_policy="random", seed=3, sizes=[], out=str(tmp_path / "unused"))
+    want = json.dumps({"pretrained": _sha256(mapped),
+                       "finetuned": [_sha256(p) for p in (skewed, empty, exact, mapped)],
+                       "rules": '{"rules": []}', "trim_ratio": expected_trim_ratio(cfg),
+                       "strategy": "max", "order": "random", "seed": 3}, sort_keys=True)
+    assert plan_fingerprint(config) == hashlib.sha256(want.encode()).hexdigest()
+
+
+def test_plan_and_merge_hash_through_the_module_global_on_a_helper_thread(workspace, monkeypatch):
+    import blockmerge.cli as cli
+
+    ws = workspace
+    threads = []
+
+    def fake(config):
+        threads.append(threading.current_thread())
+        return "fp-test"
+
+    monkeypatch.setattr(cli, "plan_fingerprint", fake)
+    plan_dir = str(ws["tmp"] / "plan")
+    assert main(["plan"] + _base_args(ws, ["--out", plan_dir])) == 0
+    assert json.loads(Path(plan_dir, "plan_meta.json").read_text())["fingerprint"] == "fp-test"
+    out_dir = ws["tmp"] / "m"
+    assert main(["merge"] + _base_args(ws, ["--sizes", "2", "--out", str(out_dir)])) == 0
+    assert json.loads((out_dir / "size_2" / "manifest.json").read_text())["fingerprint"] == "fp-test"
+    assert main(["merge"] + _base_args(ws, ["--plan", os.path.join(plan_dir, "plan.jsonl"),
+                                            "--sizes", "2", "--out", str(out_dir)])) == 0
+    assert len(threads) == 3 and threading.main_thread() not in threads
+
+
+@pytest.mark.parametrize("command", ["plan", "merge"])
+@pytest.mark.parametrize("failure,code", [("misaligned", 2), ("missing", 3)])
+def test_early_failures_leave_no_thread_or_open_file(workspace, tmp_path, monkeypatch,
+                                                    command, failure, code):
+    import blockmerge.cli as cli
+
+    original = cli.plan_fingerprint
+
+    def slow(config):  # still hashing when the pipeline fails
+        time.sleep(0.1)
+        return original(config)
+
+    monkeypatch.setattr(cli, "plan_fingerprint", slow)
+    ws = workspace
+    bad = str(tmp_path / "bad.safetensors")
+    if failure == "misaligned":
+        write_archive(Checkpoint(tensors={"something": np.zeros(3, dtype=np.float32)}), bad)
+    args = [command] + _base_args(ws, ["--finetuned", bad, "--out", str(tmp_path / "out")])
+    if command == "merge":
+        args += ["--sizes", "2"]
+    assert _run_watched(args) == (code, 0, [])
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_plan_meta_is_written_last(workspace):
+    # a plan run that fails while writing leaves no plan_meta.json, not the
+    # previous run's, so merge --plan refuses the directory
+    ws = workspace
+    plan_dir = _planned(ws)
+    sim_dir = os.path.join(plan_dir, "similarity")
+    shutil.rmtree(sim_dir)
+    Path(sim_dir).write_text("")  # the CSVs cannot be written
+    assert main(["plan"] + _base_args(ws, ["--algorithm", "ta", "--out", plan_dir])) == 3
+    assert not os.path.exists(os.path.join(plan_dir, "plan_meta.json"))
+    merge, _ = _merge_and_inspect(ws, plan_dir)
+    assert merge == 3
+
+
+@pytest.mark.parametrize("sizes,bad", [("1/0", "1/0"), ("abc", "abc"), ("nan", "nan"),
+                                       ("2, 1/0", "1/0")])
+def test_bad_sizes_are_config_errors(workspace, capsys, sizes, bad):
+    args = ["merge"] + _base_args(workspace, ["--sizes", sizes, "--out", str(workspace["tmp"] / "m")])
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(bad) in err and "Traceback" not in err
+
+
+def test_similarity_csvs_match_the_csv_writer_reference(tmp_path):
+    rng = np.random.default_rng(8)
+    specials = np.array([0.5, np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-45, -3e-39,
+                         np.finfo(np.float32).max, 1 / 3], np.float32)
+    matrices = []
+    for b, m in enumerate((1, 2, 5, len(specials))):
+        values = rng.normal(size=(m, m)).astype(np.float32)
+        if m == len(specials):
+            values[0] = values[:, 0] = specials
+        np.fill_diagonal(values, 1.0)
+        matrices.append(SimilarityMatrix(block_id=b, values=values))
+    keys = ["embed", "L0.attn/w", "ln 1:ä", "head"]
+    got, want = tmp_path / "got", tmp_path / "want"
+    _write_similarity_csvs(matrices, keys, str(got))
+    write_similarity_csvs_reference(matrices, keys, str(want))
+    assert sorted(os.listdir(got)) == sorted(os.listdir(want))
+    for name in os.listdir(want):
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
+    # the specials are in the files compared: row and column 0 of the last block
+    rows = (got / "block_0003_head.csv").read_bytes().split(b"\r\n")
+    assert rows[1] == (b"0,1.0,nan,inf,-inf,-0.0,0.0,1.401298464324817e-45,-3.000000645916e-39,"
+                       b"3.4028234663852886e+38,0.3333333432674408")
+    assert [r.split(b",")[1] for r in rows[2:6]] == [b"nan", b"inf", b"-inf", b"-0.0"]

@@ -6,7 +6,6 @@ by a few blocks of all tasks rather than by the inputs."""
 import json
 import mmap
 import os
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +21,9 @@ from blockmerge import (
 )
 from blockmerge.cli import main
 from blockmerge.task_space import TaskVectorSet
-from blockmerge.tensor_store import dtype_code, mapped_ends, release_pages
+from blockmerge.tensor_store import mapped_ends, release_pages
 
-from helpers import toy_model
+from helpers import toy_model, write_unpadded
 
 HAS_DONTNEED = hasattr(mmap, "MADV_DONTNEED")
 LAYER_RULES = [
@@ -36,20 +35,6 @@ LAYER_RULES = [
 # one block gathers every layer's ln1, so its last tensor ends near the end
 # of each file and the watermark releases the blocks still to come
 OUT_OF_ORDER_RULES = [{"pattern": "blocks.{L}.ln1.*", "block_key": "ln1"}] + LAYER_RULES
-
-
-def write_unpadded(ckpt: Checkpoint, path) -> None:
-    """``ckpt`` as an archive whose compact header leaves the data section
-    at an odd file offset, so read_archive reads it instead of mapping it."""
-    header, offset = {}, 0
-    for name, arr in ckpt.tensors.items():
-        header[name] = {"dtype": dtype_code(arr), "shape": list(arr.shape),
-                        "data_offsets": [offset, offset + arr.nbytes]}
-        offset += arr.nbytes
-    payload = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    payload += b" " * ((1 - len(payload)) % 2)  # 8 + len(payload) is odd
-    Path(path).write_bytes(struct.pack("<Q", len(payload)) + payload
-                           + b"".join(arr.tobytes() for arr in ckpt.tensors.values()))
 
 
 def write_family(root, pre, tasks, writer, rules) -> list[str]:
