@@ -118,9 +118,13 @@ def _build_config(args) -> RunConfig:
         tok = tok.strip()
         if tok:
             try:
-                sizes.append(Fraction(tok))
+                size = Fraction(tok)
             except (ValueError, ZeroDivisionError):  # "abc", "nan", "1/0"
                 raise ValueError(f"--sizes: {tok!r} is not a finite fraction or decimal") from None
+            if not 0 < size <= len(args.finetuned):
+                raise ValueError(f"--sizes: {tok!r} is not above 0 and at most "
+                                 f"{len(args.finetuned)}, the number of --finetuned inputs")
+            sizes.append(size)
     return RunConfig(
         pretrained=args.pretrained,
         finetuned=list(args.finetuned),

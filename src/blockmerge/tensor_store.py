@@ -9,14 +9,14 @@ preserved opaquely. The header JSON written here is padded with trailing
 spaces so that the data section starts at a multiple of 8 (the safetensors
 convention); any header length is read.
 
-Reading copies nothing where it can avoid it. When every tensor's file
-offset is a multiple of its item size, as in every archive written here,
-the file is mapped read-only and every tensor is a view of that one
-mapping, so a read costs the header parse plus the pages a caller touches.
-Any other archive is read in one sequential pass into one buffer, with a
-few gap bytes before each tensor whose offset is skewed, so every array is
-aligned. Either way the tensors of a loaded checkpoint are read-only views
-of one buffer, in header order, which lives as long as any of its views;
+Reading copies nothing. Once its header is valid, every archive is mapped
+read-only and every tensor is a view of that one mapping, in header order,
+which lives as long as any of its views; a read costs the header parse
+plus the pages a caller touches. A tensor is aligned exactly when its file
+offset is a multiple of its item size, as in every archive written here;
+any other tensor (behind another writer's unpadded header, or after an
+odd-length F16 or U8 tensor) is an unaligned view, which numpy computes on
+with the same results, only a little slower.
 ``joined_view`` spans consecutive tensors of one dtype with one view.
 
 A mapped archive must be replaced, never modified in place: truncating a
@@ -32,9 +32,9 @@ Pages of a mapping can be given back once a stage is done with them
 ``read_archive`` makes are released, and only where ``MADV_DONTNEED``
 exists: a dropped page of a read-only file mapping faults back in from the
 page cache with the same bytes, so a release costs at most a refault. Any
-other buffer (a read-path buffer, an in-memory array, an anonymous or
-copy-on-write mapping, where the same advice would zero the data or discard
-writes) is never touched.
+other buffer (an in-memory array, an anonymous or copy-on-write mapping,
+where the same advice would zero the data or discard writes) is never
+touched.
 
 Writing is either whole (``write_archive``, in header order) or streamed
 (``StreamedArchive``): the header goes first, computed from names, dtypes
@@ -78,10 +78,10 @@ class Checkpoint:
 
     Insertion order of ``tensors`` is the archive header order. Arrays are
     little-endian and C-contiguous. The tensors of a loaded checkpoint are
-    read-only views of one buffer, a mapping of the file or one read of its
-    data section (see read_archive), and code that keeps them (task vector
-    sets, artifact payloads) may keep views too. Writing into one raises
-    ValueError; build a new checkpoint instead.
+    read-only views of one mapping of the file (see read_archive), aligned
+    or not, and code that keeps them (task vector sets, artifact payloads)
+    may keep views too. Writing into one raises ValueError; build a new
+    checkpoint instead.
     """
 
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
@@ -125,8 +125,8 @@ class _ArchiveMap(mmap.mmap):
 def mapped_ends(arrays: list[np.ndarray]) -> tuple[mmap.mmap, list[int]] | None:
     """The archive mapping that every one of ``arrays`` is a view of and
     the offset just past each one's last byte in it, when read_archive made
-    that mapping; None otherwise (a read-path buffer, an in-memory array,
-    an anonymous or copy-on-write mapping, views of more than one buffer)."""
+    that mapping; None otherwise (an in-memory array, an anonymous or
+    copy-on-write mapping, views of more than one buffer)."""
     owner = _owner(arrays[0])
     view = owner.base
     if not isinstance(view, memoryview) or type(view.obj) is not _ArchiveMap:
@@ -156,15 +156,12 @@ def release_pages(mapping: mmap.mmap, end: int) -> None:
 def read_archive(path: str) -> Checkpoint:
     """Parse an archive file into a Checkpoint of read-only views.
 
-    The header is validated first. Then, when every tensor's file offset is
-    a multiple of its item size, the file is mapped read-only and every
-    tensor is a view of the mapping, which spans the file; no data byte is
-    read until a caller touches it. Otherwise the data section is read in
-    one sequential pass into one buffer, leaving a gap of a few bytes before
-    each skewed tensor (an odd-length F16 or U8 tensor comes before it), so
-    every array is aligned. Raises MalformedHeader, UnsupportedDtype or
-    TruncatedData before anything is mapped; never reads or maps past the
-    declared extents.
+    The header is validated first. Then the file is mapped read-only and
+    every tensor is a view of the mapping, which spans the file; no data
+    byte is read until a caller touches it. A tensor whose file offset is
+    not a multiple of its item size is an unaligned view. Raises
+    MalformedHeader, UnsupportedDtype or TruncatedData before anything is
+    mapped; never reads or maps past the declared extents.
     """
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
@@ -177,27 +174,12 @@ def read_archive(path: str) -> Checkpoint:
         data_start = 8 + header_len
         data_len = file_size - data_start
         entries, metadata = _parse_header(path, fh.read(header_len), data_len)
-        if all((data_start + begin) % dtype.itemsize == 0 for _, dtype, _, begin, _ in entries):
-            data = np.frombuffer(
-                _ArchiveMap(fh.fileno(), file_size, access=mmap.ACCESS_READ, **_UNTRACKED_FD), np.uint8)
-            starts = [data_start + begin for _, _, _, begin, _ in entries]
-        else:
-            starts, runs, pad = _aligned_layout(entries)
-            data = np.empty(data_len + pad, dtype=np.uint8)
-            buf = memoryview(data)
-            got = 0
-            for start, n in runs:
-                read = fh.readinto(buf[start : start + n])
-                got += read
-                if read < n:
-                    break
-            if got != data_len:
-                raise TruncatedData(f"{path}: data section ends at {got}, expected {data_len}")
-            data.flags.writeable = False
+        data = np.frombuffer(
+            _ArchiveMap(fh.fileno(), file_size, access=mmap.ACCESS_READ, **_UNTRACKED_FD), np.uint8)
 
     tensors: dict[str, np.ndarray] = {}
-    for (name, dtype, shape, begin, end), start in zip(entries, starts):
-        tensors[name] = data[start : start + end - begin].view(dtype).reshape(shape)
+    for name, dtype, shape, begin, end in entries:
+        tensors[name] = data[data_start + begin : data_start + end].view(dtype).reshape(shape)
     return Checkpoint(tensors=tensors, metadata=metadata)
 
 
@@ -223,24 +205,6 @@ def _owner(arr: np.ndarray) -> np.ndarray:
     while isinstance(arr.base, np.ndarray):
         arr = arr.base
     return arr
-
-
-def _aligned_layout(entries):
-    """Buffer offset of each tensor (its data offset plus the gap bytes
-    before it, just enough for its item size), the (buffer offset, length)
-    runs that read the data section in order (a new run starts at every
-    gap), and the total gap."""
-    starts: list[int] = []
-    runs: list[list[int]] = []
-    pad = 0
-    for _, dtype, _, begin, end in entries:
-        skew = -(begin + pad) % dtype.itemsize
-        pad += skew
-        if skew or not runs:
-            runs.append([begin + pad, 0])
-        runs[-1][1] += end - begin
-        starts.append(begin + pad)
-    return starts, runs, pad
 
 
 def _parse_header(path: str, raw: bytes, data_len: int):

@@ -138,13 +138,20 @@ def buffer_owner(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def buffer_offset(arr: np.ndarray) -> int:
+    """Where ``arr``'s first byte lies in the buffer it views: for a tensor
+    of a read archive, its offset in the file."""
+    return arr.__array_interface__["data"][0] - buffer_owner(arr).__array_interface__["data"][0]
+
+
 def plan_signature(plan):
     return [(e.block_id, e.left, e.right, float(np.float32(e.score))) for e in plan.events]
 
 
 def write_unpadded(ckpt: Checkpoint, path) -> None:
     """``ckpt`` as an archive whose compact header leaves the data section
-    at an odd file offset, so read_archive reads it instead of mapping it."""
+    at an odd file offset, as another writer's may: read_archive maps it,
+    and every tensor wider than a byte is an unaligned view."""
     header, offset = {}, 0
     for name, arr in ckpt.tensors.items():
         header[name] = {"dtype": dtype_code(arr), "shape": list(arr.shape),

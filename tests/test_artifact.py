@@ -36,9 +36,9 @@ import blockmerge.artifact as artifact_mod
 from blockmerge.artifact import MANIFEST_VERSION
 from blockmerge.scheduler import GroupAssignment
 from blockmerge.task_space import flatten_block
-from blockmerge.tensor_store import Checkpoint
+from blockmerge.tensor_store import Checkpoint, mapped_ends
 
-from helpers import buffer_owner, toy_model
+from helpers import buffer_offset, buffer_owner, toy_model
 
 
 def _pipeline(rng, num_tasks, algorithm, target, layers=2, width=4, **cfg_overrides):
@@ -457,8 +457,9 @@ def _multi_tensor_model(rng, num_tasks, width):
     return pre, tasks
 
 
-# width 5 gives masks of odd byte length, so later tensors sit at offsets
-# that are not multiples of 4; width 8 keeps every offset aligned
+# masks of odd byte length (an embedding block of 3 * width entries packs
+# into 3 * width / 8 bytes) leave later tensors at offsets that are not
+# multiples of 4; width 5 gives more of them than width 8
 @pytest.mark.parametrize("algorithm,target,width", [("emr", 2.5, 5), ("emr", 2.5, 8), ("ties", 2, 5)])
 def test_loaded_float32_payloads_are_views_of_the_archive(tmp_path, algorithm, target, width):
     rng = np.random.default_rng(32)
@@ -479,9 +480,13 @@ def test_loaded_float32_payloads_are_views_of_the_archive(tmp_path, algorithm, t
     masks = [g.masks for g in back.groups if g.payload == "masked"]
     assert bool(masks) == ("masked" in kinds)
     # every float32 block, one tensor or several, and every packed mask is a
-    # view of one read buffer: nothing is unpacked or copied at load
-    assert all(f.base is not None and f.flags.aligned for f in flats + masks)
+    # view of the archive's one mapping: nothing is unpacked or copied at
+    # load, and a view is aligned exactly when its file offset is
+    assert all(f.base is not None for f in flats + masks)
     assert len({id(buffer_owner(f)) for f in flats + masks}) == 1
+    assert mapped_ends(flats + masks) is not None
+    assert all(f.flags.aligned == (buffer_offset(f) % f.itemsize == 0) for f in flats + masks)
+    assert all(f.flags.aligned for f in flats) == (algorithm != "emr")  # masks skew later blocks
     assert all(h.base is None for head in back.heads for h in head.values())  # heads copied
     for k in range(3):
         assert reconstruct_task(back, k).same_tensors(reconstruct_task(art, k))

@@ -427,7 +427,8 @@ def test_plan_fingerprint_is_the_sha256_of_every_input(tmp_path):
     write_archive(Checkpoint({"e": np.zeros(0, np.float32)}), empty)
     Path(exact).write_bytes(rng.bytes(2 << 18))  # a whole number of reads
     assert mapped_ends(list(read_archive(mapped).tensors.values())) is not None
-    assert mapped_ends(list(read_archive(skewed).tensors.values())) is None
+    skewed_a = read_archive(skewed).tensors["a"]  # mapped too, an unaligned view
+    assert mapped_ends([skewed_a]) is not None and not skewed_a.flags.aligned
     header = int.from_bytes(Path(empty).read_bytes()[:8], "little")
     assert os.path.getsize(empty) == 8 + header  # no data bytes at all
 
@@ -502,13 +503,17 @@ def test_plan_meta_is_written_last(workspace):
     assert merge == 3
 
 
+# the workspace has 4 fine-tuned inputs, so a target lies in (0, 4]
 @pytest.mark.parametrize("sizes,bad", [("1/0", "1/0"), ("abc", "abc"), ("nan", "nan"),
-                                       ("2, 1/0", "1/0")])
+                                       ("2, 1/0", "1/0"), ("-1", "-1"), ("0", "0"), ("2, 0/3", "0/3"),
+                                       ("4.5", "4.5"), ("1e400", "1e400"), ("4, 9/2", "9/2")])
 def test_bad_sizes_are_config_errors(workspace, capsys, sizes, bad):
-    args = ["merge"] + _base_args(workspace, ["--sizes", sizes, "--out", str(workspace["tmp"] / "m")])
+    out = workspace["tmp"] / "m"
+    args = ["merge"] + _base_args(workspace, ["--sizes", sizes, "--out", str(out)])
     assert main(args) == 3
     err = capsys.readouterr().err
     assert "config error" in err and repr(bad) in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_similarity_csvs_match_the_csv_writer_reference(tmp_path):

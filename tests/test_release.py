@@ -1,7 +1,8 @@
 """Mapped input pages given back block by block: a release never changes a
 byte (of the inputs, or of any plan or artifact), touches no buffer but the
 mappings read_archive makes, and bounds the input pages a plan + merge holds
-by a few blocks of all tasks rather than by the inputs."""
+by a few blocks of all tasks rather than by the inputs, whether or not the
+inputs' tensors are aligned in their files."""
 
 import json
 import mmap
@@ -67,13 +68,14 @@ def tree_bytes(root, fingerprint: str) -> dict[str, bytes]:
     return out
 
 
-def rss_file_kb() -> int | None:
-    """This process's resident file-backed pages in KiB (Linux), or None:
-    ``RssFile`` plus ``RssShmem``, where mapped pages of tmpfs files count."""
+def rss_kb() -> int | None:
+    """This process's resident pages in KiB (Linux), or None: ``RssAnon``
+    (an input copied into memory would count here), ``RssFile`` and
+    ``RssShmem``, where mapped pages of tmpfs files count."""
     try:
         with open("/proc/self/status", encoding="ascii") as fh:
             fields = dict(line.split(":", 1) for line in fh)
-        return int(fields["RssFile"].split()[0]) + int(fields["RssShmem"].split()[0])
+        return sum(int(fields[f].split()[0]) for f in ("RssAnon", "RssFile", "RssShmem"))
     except (OSError, KeyError, ValueError):
         return None
 
@@ -85,7 +87,7 @@ def test_release_touches_no_buffer_but_an_archive_mapping(tmp_path):
     part = partition(pre, default_transformer_rules(), ["head.*"])
 
     write_unpadded(tasks[0], tmp_path / "odd.st")
-    read_path = read_archive(str(tmp_path / "odd.st"))
+    unaligned = read_archive(str(tmp_path / "odd.st"))
     in_memory = tasks[1]
 
     anon = mmap.mmap(-1, 1 << 16)
@@ -105,10 +107,14 @@ def test_release_touches_no_buffer_but_an_archive_mapping(tmp_path):
         return Checkpoint(tensors)
 
     anon_ck, copy_ck = over(anon), over(copy)
-    cases = [read_path, in_memory, anon_ck, copy_ck]
+    cases = [unaligned, in_memory, anon_ck, copy_ck]
     before = [snapshot(ck) for ck in cases]
     raw = [anon[:], copy[:]]
-    assert all(mapped_ends(list(ck.tensors.values())) is None for ck in cases)
+    # an unaligned archive is an archive mapping like any other, released
+    # with the rest; the others are never released
+    assert not unaligned.tensors["embed.w"].flags.aligned
+    assert mapped_ends(list(unaligned.tensors.values())) is not None
+    assert all(mapped_ends(list(ck.tensors.values())) is None for ck in cases[1:])
     release_pages(anon, len(anon))
     release_pages(copy, len(copy))
     tv = compute_task_vectors(pre, cases, part)
@@ -143,12 +149,13 @@ def test_a_released_archive_reads_the_same_bytes(tmp_path):
 @pytest.mark.parametrize("rules", [LAYER_RULES, OUT_OF_ORDER_RULES], ids=["file_order", "ln1_block"])
 @pytest.mark.parametrize("algorithm,sizes", [("emr", "3.5,5"), ("ties", "2,4.5")])
 def test_mapped_and_read_inputs_give_the_same_plan_and_artifacts(tmp_path, rules, algorithm, sizes):
+    # both families are mapped; the unpadded one's tensors are unaligned views
     pre, tasks = toy_model(np.random.default_rng(42), 5, layers=3, width=48)
     trees = []
-    for name, writer in (("mapped", write_archive), ("read", write_unpadded)):
+    for name, writer in (("padded", write_archive), ("unpadded", write_unpadded)):
         args = write_family(str(tmp_path / name), pre, tasks, writer, rules)
         first = read_archive(args[1]).tensors["embed.w"]
-        assert (mapped_ends([first]) is not None) == (name == "mapped")
+        assert mapped_ends([first]) is not None and first.flags.aligned == (name == "padded")
         plan_dir, merge_dir = str(tmp_path / name / "plan"), str(tmp_path / name / "merge")
         args += ["--algorithm", algorithm]
         assert main(["plan", *args, "--out", plan_dir]) == 0
@@ -169,16 +176,18 @@ def largest_fault_kb() -> int:
         return 2048
 
 
-@pytest.mark.skipif(rss_file_kb() is None or not HAS_DONTNEED,
-                    reason="needs RssFile and RssShmem in /proc/self/status, and MADV_DONTNEED")
-def test_plan_and_merge_hold_a_few_blocks_of_mapped_input_pages(tmp_path, monkeypatch):
+@pytest.mark.skipif(rss_kb() is None or not HAS_DONTNEED,
+                    reason="needs RssAnon, RssFile and RssShmem in /proc/self/status, and MADV_DONTNEED")
+@pytest.mark.parametrize("writer", [write_archive, write_unpadded], ids=["padded", "unpadded"])
+def test_plan_and_merge_hold_a_few_blocks_of_mapped_input_pages(tmp_path, monkeypatch, writer):
     num_tasks = 2
     pre, tasks = toy_model(np.random.default_rng(43), num_tasks, layers=160, width=128)
-    args = write_family(str(tmp_path), pre, tasks, write_archive, LAYER_RULES) + ["--algorithm", "ta"]
+    args = write_family(str(tmp_path), pre, tasks, writer, LAYER_RULES) + ["--algorithm", "ta"]
     part = partition(pre, default_transformer_rules(), ["head.*"])
     input_kb = sum(os.path.getsize(p) for p in args[1::2] if p.endswith(".st")) // 1024
     # per input: a few blocks, plus the rest of the folio the last release
-    # ended in and the folios the current block spans
+    # ended in and the folios the current block spans; an input copied into
+    # memory would exceed it
     allowed_kb = (num_tasks + 1) * (4 * max(part.block_nbytes) // 1024 + 3 * largest_fault_kb())
     assert allowed_kb * 3 < input_kb
 
@@ -188,17 +197,17 @@ def test_plan_and_merge_hold_a_few_blocks_of_mapped_input_pages(tmp_path, monkey
         assert main(["merge", *args, "--plan", os.path.join(plan_dir, "plan.jsonl"),
                      "--sizes", "1.5,1.25", "--out", str(tmp_path / tag / "merge")]) == 0
 
-    run("warm")  # code pages of numpy and BLAS are file-backed too: touch them first
+    run("warm")  # numpy's and BLAS's code pages and the heap grow on first use: warm them
     samples: list[int] = []
     rows = TaskVectorSet.rows
 
     def sampled(self, b, members=None):
         out = rows(self, b, members)
-        samples.append(rss_file_kb())
+        samples.append(rss_kb())
         return out
 
     monkeypatch.setattr(TaskVectorSet, "rows", sampled)
-    start = rss_file_kb()
+    start = rss_kb()
     run("measured")
     # once per block for the similarity pass, then for every merged group
     assert len(samples) > part.num_blocks * 3 // 2

@@ -33,7 +33,7 @@ from blockmerge import (
 from blockmerge.mergers import ceil_count
 from blockmerge.similarity import pairwise_all
 
-from helpers import buffer_owner, ratio_for, toy_model
+from helpers import buffer_owner, ratio_for, toy_model, write_unpadded
 from oracles import task_vectors_reference, ties_trim_reference
 
 # a coarse grid, so trimmed magnitudes tie often; non-finite values and both
@@ -46,14 +46,15 @@ RULES = [PartitionRule("b{B}.*", "b{B}")]
 pytestmark = pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
 
 
-def read_back(ckpts, dtype):
-    """The checkpoints written as archives of ``dtype`` and read again, so
-    their tensors are views into read buffers, as in the pipeline."""
+def read_back(ckpts, dtype, writer=write_archive):
+    """The checkpoints written as archives of ``dtype`` by ``writer`` and
+    read again, so their tensors are views of archive mappings, as in the
+    pipeline (unaligned ones when ``writer`` is ``write_unpadded``)."""
     with tempfile.TemporaryDirectory() as tmp:
         out = []
         for i, ck in enumerate(ckpts):
             path = os.path.join(tmp, f"{i}.st")
-            write_archive(Checkpoint({n: a.astype(dtype) for n, a in ck.tensors.items()}), path)
+            writer(Checkpoint({n: a.astype(dtype) for n, a in ck.tensors.items()}), path)
             out.append(read_archive(path))
     return out
 
@@ -87,7 +88,8 @@ def row_cases(draw):
     keep = draw(st.none() | st.sampled_from(KEEPS) | st.integers(1, sum(w for _, w in names)))
     members = [draw(st.lists(st.integers(0, num_tasks - 1), min_size=1, max_size=num_tasks, unique=True))
                for _ in widths]
-    return read_back(ckpts, dtype), keep, members
+    writer = draw(st.sampled_from([write_archive, write_unpadded]))
+    return read_back(ckpts, dtype, writer), keep, members
 
 
 @given(row_cases())

@@ -33,9 +33,9 @@ from blockmerge import (
     write_archive,
 )
 import blockmerge.tensor_store as tensor_store
-from blockmerge.tensor_store import StreamedArchive, dtype_code, joined_view
+from blockmerge.tensor_store import StreamedArchive, dtype_code, joined_view, mapped_ends
 
-from helpers import buffer_owner, toy_model
+from helpers import buffer_offset, buffer_owner, toy_model, write_unpadded
 
 
 def rt(ckpt, tmp_path, name="a.safetensors"):
@@ -177,21 +177,35 @@ def _mapped(arr) -> bool:
     return isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
 
 
-@given(checkpoints())
+def _assert_mapped_views(back: Checkpoint, path) -> None:
+    """Every tensor of ``back`` is a read-only view of one mapping of the
+    whole file at ``path``, aligned exactly when its file offset is a
+    multiple of its item size (an empty tensor has no offset and is
+    aligned)."""
+    buffers = {id(buffer_owner(arr)) for arr in back.tensors.values()}
+    assert len(buffers) <= 1
+    for arr in back.tensors.values():
+        assert _mapped(arr) and not arr.flags.writeable and arr.flags.c_contiguous
+        assert buffer_owner(arr).nbytes == os.path.getsize(path)
+        assert arr.flags.aligned == (arr.size == 0 or buffer_offset(arr) % arr.itemsize == 0)
+
+
+@given(checkpoints(), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_round_trip_property(tmp_path_factory, ck):
+def test_round_trip_property(tmp_path_factory, ck, padded):
     tmp = tmp_path_factory.mktemp("rt")
     path = str(tmp / "c.st")
-    write_archive(ck, path)
+    (write_archive if padded else write_unpadded)(ck, path)
     back = read_archive(path)
     assert back.same_tensors(ck)
-    assert all(arr.flags.aligned and not arr.flags.writeable for arr in back.tensors.values())
-    # mapped exactly when every data offset is a multiple of its item size
-    offset, aligned = 0, True
-    for arr in ck.tensors.values():
-        aligned &= offset % arr.itemsize == 0
+    _assert_mapped_views(back, path)
+    # each tensor sits at its data offset past the header
+    data_start = 8 + int.from_bytes(Path(path).read_bytes()[:8], "little")
+    offset = data_start
+    for arr in back.tensors.values():
+        assert arr.size == 0 or buffer_offset(arr) == offset
         offset += arr.nbytes
-    assert {_mapped(arr) for arr in back.tensors.values()} <= {aligned}
+    assert offset == os.path.getsize(path)
 
 
 @given(st.binary(min_size=0, max_size=64))
@@ -250,7 +264,7 @@ def test_tensors_are_views_into_one_read_buffer(tmp_path):
     path, back = rt(ck, tmp_path)
     owners = {id(buffer_owner(arr)) for arr in back.tensors.values()}
     assert len(owners) == 1
-    # every offset is aligned, so the one owner is a read-only mapping of the whole file
+    # the one owner is a read-only mapping of the whole file
     buffer = buffer_owner(back.tensors["a"])
     assert buffer.dtype == np.uint8 and buffer.nbytes == os.path.getsize(path)
     assert _mapped(buffer) and not buffer.flags.writeable
@@ -258,21 +272,22 @@ def test_tensors_are_views_into_one_read_buffer(tmp_path):
 
 
 @pytest.mark.parametrize("lead", [np.arange(3, dtype=np.float16), np.arange(5, dtype=np.uint8)])
-def test_misaligned_tensor_is_read_aligned_into_the_shared_buffer(tmp_path, lead):
+def test_misaligned_tensor_is_an_unaligned_view_of_the_shared_mapping(tmp_path, lead):
     rng = np.random.default_rng(3)
     after = rng.normal(size=(2, 3)).astype(np.float32)
     ck = Checkpoint(tensors={"lead": lead, "after": after, "odd": np.arange(3, dtype=np.uint8),
                              "zero": np.zeros(0, np.float32), "last": np.ones(2, np.float16)})
-    _, back = rt(ck, tmp_path)
+    path, back = rt(ck, tmp_path)
     got = back.tensors["after"]
     np.testing.assert_array_equal(got, after)
-    assert got.dtype == np.float32 and got.flags.aligned and got.flags.c_contiguous
-    assert all(arr.flags.aligned for arr in back.tensors.values())
-    # nothing is copied: the read leaves a few gap bytes before each skewed tensor
-    buffer = buffer_owner(got)
-    assert all(buffer_owner(arr) is buffer for arr in back.tensors.values())
-    data_len = sum(a.nbytes for a in ck.tensors.values())
-    assert data_len < buffer.nbytes <= data_len + 3 * 3
+    assert got.dtype == np.float32 and not got.flags.aligned and got.flags.c_contiguous
+    np.testing.assert_array_equal(got - np.float32(1), after - np.float32(1))  # numpy computes on it
+    # nothing is copied: every tensor is a view of the one mapping
+    _assert_mapped_views(back, path)
+    # the data section starts 8-aligned; after a float16 lead, "after" sits
+    # 6 bytes into it and "last" 33; after a uint8 one, 5 and 32
+    want = [True, False, True, True, lead.dtype == np.uint8]
+    assert [arr.flags.aligned for arr in back.tensors.values()] == want
     assert back.same_tensors(ck)
 
 
@@ -372,42 +387,38 @@ def test_every_writer_pads_the_compact_header_to_an_8_aligned_data_section(tmp_p
         assert data == b"".join(arr.tobytes() for arr in back.tensors.values())
 
 
-def test_loaded_tensors_are_read_only_on_both_paths(tmp_path):
+def test_loaded_tensors_are_mapped_and_read_only_aligned_or_not(tmp_path):
     rng = np.random.default_rng(6)
     aligned = {"a": rng.normal(size=(2, 3)).astype(np.float32), "s": np.float32(2.5).reshape(()),
                "m": np.arange(8, dtype=np.uint8), "e": np.zeros(0, np.float16)}
     skewed = {"m": np.arange(3, dtype=np.uint8), "a": rng.normal(size=4).astype(np.float32),
               "h": np.ones(3, np.float16)}
     for name, tensors in (("aligned", aligned), ("skewed", skewed)):
-        _, back = rt(Checkpoint(tensors), tmp_path, name)
-        assert {_mapped(arr) for arr in back.tensors.values()} == {name == "aligned"}
+        path, back = rt(Checkpoint(tensors), tmp_path, name)
+        _assert_mapped_views(back, path)
+        assert all(arr.flags.aligned for arr in back.tensors.values()) == (name == "aligned")
         for arr in back.tensors.values():
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
         assert back.same_tensors(Checkpoint(tensors))
 
 
-def test_archive_with_an_odd_data_start_is_read_aligned(tmp_path):
+def test_archive_with_an_odd_data_start_is_mapped_unaligned(tmp_path):
     # another writer's compact header may leave the data section at an odd
-    # file offset; such an archive is read, not mapped, with the same bytes,
-    # though every data offset is a multiple of its item size
+    # file offset; such an archive is mapped too, with the same bytes, and
+    # every tensor wider than a byte is an unaligned view, though every data
+    # offset is a multiple of its item size
     rng = np.random.default_rng(7)
     tensors = {"w": rng.normal(size=(3, 5)).astype(np.float32), "h": rng.normal(size=4).astype(np.float16),
                "v": rng.normal(size=2).astype(np.float32), "m": np.arange(5, dtype=np.uint8)}
-    header, offset = {}, 0
-    for name, arr in tensors.items():
-        header[name] = {"dtype": dtype_code(arr), "shape": list(arr.shape),
-                        "data_offsets": [offset, offset + arr.nbytes]}
-        offset += arr.nbytes
-    payload = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    payload += b" " * ((1 - len(payload)) % 2)  # 8 + len(payload) is odd
-    path = tmp_path / "odd.st"
-    path.write_bytes(struct.pack("<Q", len(payload)) + payload
-                     + b"".join(arr.tobytes() for arr in tensors.values()))
-    assert (8 + len(payload)) % 2 == 1
-    back = read_archive(str(path))
+    path = str(tmp_path / "odd.st")
+    write_unpadded(Checkpoint(tensors), path)
+    assert (8 + int.from_bytes(Path(path).read_bytes()[:8], "little")) % 2 == 1
+    back = read_archive(path)
     assert back.same_tensors(Checkpoint(tensors))
-    assert all(arr.flags.aligned and not _mapped(arr) for arr in back.tensors.values())
+    _assert_mapped_views(back, path)
+    assert [arr.flags.aligned for arr in back.tensors.values()] == [False, False, False, True]
+    assert mapped_ends(list(back.tensors.values()))[1][-1] == os.path.getsize(path)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
