@@ -45,8 +45,8 @@ from .tensor_store import (
     Checkpoint,
     StreamedArchive,
     dtype_code,
-    joined_view,
     read_archive,
+    tensor_span,
     write_archive,
 )
 
@@ -675,6 +675,7 @@ def load_artifact(out_dir: str) -> MergedArtifact:
         raise MalformedArtifact(f"{path}: not valid JSON: {exc}") from None
     blocks = _check_manifest(manifest)
     archive = read_archive(os.path.join(out_dir, TENSORS_NAME))
+    index = {name: i for i, name in enumerate(archive.layout.names)}  # header positions
 
     def tensor(name: str, shape: tuple[int, ...], kind: str) -> np.ndarray:
         arr = archive.tensors.get(name)
@@ -688,9 +689,9 @@ def load_artifact(out_dir: str) -> MergedArtifact:
         if len(parts) == 1:
             return parts[0]
         # export writes a block's tensors back to back, so float32 ones are
-        # one span of the archive's buffer; anything else is joined into a copy
-        joined = joined_view(parts)
-        return joined if joined is not None else np.concatenate(parts)
+        # one span of the archive; anything else is joined into a copy
+        span = tensor_span(archive, [f"{prefix}.{n}" for n in block.tensor_names], index)
+        return span if span is not None and span.dtype == np.float32 else np.concatenate(parts)
 
     part = BlockPartition(
         blocks=blocks,

@@ -319,8 +319,9 @@ def cmd_merge(args) -> int:
     a whole. Archives become ``tensors.safetensors`` only once all are
     complete; ``manifest.json`` and ``groups.json`` follow.
 
-    Mapped inputs are given back as the stages finish with them: the trim
-    (ties/consensus/pcb) releases each task's whole input after its pass,
+    Mapped inputs are given back as the stages finish with them: the global
+    trim (ties and consensus; pcb's keep ratio is a drop inside each merged
+    group, not a trim) releases each task's whole input after its pass,
     the similarity pass of a merge without ``--plan`` and the sweep each
     block's pages once every size has that block. Each release is a
     watermark from the start of every input file up to the end of the
@@ -464,7 +465,8 @@ def _add_pipeline_flags(p: argparse.ArgumentParser, need_sizes: bool) -> None:
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="merge coefficient (ta default 1.5, ties/pcb 1.0)")
     p.add_argument("--keep-ratio", type=float, default=None,
-                   help="trim keep ratio for ties/consensus/pcb")
+                   help="keep ratio: of the global trim for ties/consensus, "
+                        "of the drop inside each merged group for pcb")
     p.add_argument("--threshold", type=float, default=None,
                    help="consensus mask extraction threshold (default 0.6)")
     p.add_argument("--strategy", default="min", choices=STRATEGIES)

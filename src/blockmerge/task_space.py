@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import AlignmentError, EmptyPartition
 from .naming import compile_name_pattern
-from .tensor_store import Checkpoint, dtype_code, mapped_ends, release_pages, validate_aligned
+from .tensor_store import Checkpoint, dtype_code, release_pages, validate_aligned
 
 
 @dataclass(frozen=True)
@@ -174,13 +174,13 @@ class TaskVectorSet:
 
     ``release(b)`` gives back the pages of the mapped inputs (the
     pretrained and every fine-tuned archive that read_archive mapped) from
-    each file's start up to the end of block ``b``'s last tensor: a
-    watermark, not block ``b``'s own range, so pages that a later fault
-    mapped back in around an earlier block go too. The similarity pass
-    (``similarity.pairwise_all``) and the streamed sweep
-    (``artifact.export_sweep``) release each block once they are done with
-    it, and ``keep_largest`` releases each task's whole input after its trim
-    pass and the pretrained input at the end. A released page faults back
+    each file's start up to the end of block ``b``'s last tensor, where the
+    file's header puts it (``Checkpoint.layout``): a watermark, not block
+    ``b``'s own range, so pages that a later fault mapped back in around an
+    earlier block go too. The similarity pass (``similarity.pairwise_all``)
+    and the streamed sweep (``artifact.export_sweep``) release each block
+    once they are done with it, and ``keep_largest`` releases each task's
+    whole input after its trim pass and the pretrained input at the end. A released page faults back
     in with the same bytes, so a release that comes too early, as when
     blocks are not in file order, costs a refault, never a byte.
     """
@@ -199,10 +199,9 @@ class TaskVectorSet:
         # and each task's kept values
         self._kept: list[tuple[np.ndarray, list[np.ndarray]]] | None = None
         # per input (the pretrained one first, then task k at k + 1): its
-        # mapping and, per block, the offset just past the block's last
-        # tensor, or None for an input that is not mapped. The fine-tuned
-        # ones are found on the first release.
-        self._pages: list[tuple[mmap.mmap, list[int]] | None] = [_block_ends(pretrained, partition)]
+        # mapping and, per block, the file offset just past the block's last
+        # tensor, or None for an input that read_archive did not map
+        self._pages = [_block_ends(ckpt, partition) for ckpt in [pretrained, *self._finetuned]]
 
     @property
     def block_vectors(self):
@@ -228,14 +227,9 @@ class TaskVectorSet:
 
     def release(self, b: int) -> None:
         """Give back every mapped input's pages up to the end of block ``b``."""
-        for pages in self._mapped():
+        for pages in self._pages:
             if pages is not None:
                 release_pages(pages[0], pages[1][b])
-
-    def _mapped(self) -> list[tuple[mmap.mmap, list[int]] | None]:
-        if len(self._pages) == 1 and self._finetuned:
-            self._pages += [_block_ends(ckpt, self.partition) for ckpt in self._finetuned]
-        return self._pages
 
     def keep_largest(self, keep: int) -> None:
         """Trim every task to its ``keep`` largest magnitudes across all
@@ -266,9 +260,9 @@ class TaskVectorSet:
 
     def _release_input(self, i: int) -> None:
         """Give back all pages of input ``i`` (0 is the pretrained) if mapped."""
-        pages = self._mapped()
-        if pages and pages[i] is not None:
-            release_pages(pages[i][0], len(pages[i][0]))
+        pages = self._pages[i]
+        if pages is not None:
+            release_pages(pages[0], len(pages[0]))
 
     def _keep_task(self, k: int, keep: int, signed: np.ndarray, mags: np.ndarray,
                    kept) -> None:
@@ -337,7 +331,12 @@ def compute_task_vectors(
     return TaskVectorSet(part, pretrained, finetuned)
 
 
-def _block_ends(ckpt: Checkpoint, part: BlockPartition) -> tuple[mmap.mmap, list[int]] | None:
-    """The archive mapping behind ``ckpt`` and where each block's last
-    tensor ends in it (``mapped_ends``), or None when ``ckpt`` is not mapped."""
-    return mapped_ends([ckpt.tensors[block.tensor_names[-1]] for block in part.blocks])
+def _block_ends(ckpt: Checkpoint, part: BlockPartition) -> tuple[mmap.mmap, np.ndarray] | None:
+    """The archive mapping behind ``ckpt`` and the file offset where each
+    block's last tensor ends, from the archive's header, or None when
+    read_archive did not build ``ckpt``."""
+    layout = ckpt.layout
+    if layout is None:
+        return None
+    end_of = {name: i for i, name in enumerate(layout.names, 1)}  # index into offsets
+    return layout.mapping, layout.offsets[[end_of[block.tensor_names[-1]] for block in part.blocks]]

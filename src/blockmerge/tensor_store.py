@@ -17,7 +17,10 @@ offset is a multiple of its item size, as in every archive written here;
 any other tensor (behind another writer's unpadded header, or after an
 odd-length F16 or U8 tensor) is an unaligned view, which numpy computes on
 with the same results, only a little slower.
-``joined_view`` spans consecutive tensors of one dtype with one view.
+
+Where each tensor lies in the file is kept as the validated header states
+it (``Checkpoint.layout``, which only read_archive builds); page release
+and ``tensor_span`` read it there, never from array pointers.
 
 A mapped archive must be replaced, never modified in place: truncating a
 mapped file makes the next access to a lost page fail with SIGBUS, not an
@@ -28,13 +31,13 @@ until its last view is freed, so the number of archives held at once is
 bounded by the process's descriptor limit.
 
 Pages of a mapping can be given back once a stage is done with them
-(``mapped_ends`` and ``release_pages``). Only the read-only mappings that
-``read_archive`` makes are released, and only where ``MADV_DONTNEED``
-exists: a dropped page of a read-only file mapping faults back in from the
-page cache with the same bytes, so a release costs at most a refault. Any
-other buffer (an in-memory array, an anonymous or copy-on-write mapping,
-where the same advice would zero the data or discard writes) is never
-touched.
+(``release_pages``, up to a file offset the layout gives). Only the
+read-only mappings that ``read_archive`` makes are released, and only where
+``MADV_DONTNEED`` exists: a dropped page of a read-only file mapping faults
+back in from the page cache with the same bytes, so a release costs at most
+a refault. Any other buffer (an in-memory array, an anonymous or
+copy-on-write mapping, where the same advice would zero the data or discard
+writes) is never touched.
 
 Writing is either whole (``write_archive``, in header order) or streamed
 (``StreamedArchive``): the header goes first, computed from names, dtypes
@@ -81,11 +84,13 @@ class Checkpoint:
     read-only views of one mapping of the file (see read_archive), aligned
     or not, and code that keeps them (task vector sets, artifact payloads)
     may keep views too. Writing into one raises ValueError; build a new
-    checkpoint instead.
+    checkpoint instead. ``layout`` records where a read checkpoint's
+    tensors lie in its file; it is None for one built in memory.
     """
 
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
     metadata: dict[str, str] | None = None
+    layout: ArchiveLayout | None = field(default=None, compare=False, repr=False)
 
     @property
     def names(self) -> list[str]:
@@ -122,32 +127,29 @@ class _ArchiveMap(mmap.mmap):
     only kind of buffer whose pages release_pages drops."""
 
 
-def mapped_ends(arrays: list[np.ndarray]) -> tuple[mmap.mmap, list[int]] | None:
-    """The archive mapping that every one of ``arrays`` is a view of and
-    the offset just past each one's last byte in it, when read_archive made
-    that mapping; None otherwise (an in-memory array, an anonymous or
-    copy-on-write mapping, views of more than one buffer)."""
-    owner = _owner(arrays[0])
-    view = owner.base
-    if not isinstance(view, memoryview) or type(view.obj) is not _ArchiveMap:
-        return None
-    start = owner.__array_interface__["data"][0]
-    ends = []
-    for arr in arrays:
-        if arr.base is not owner and _owner(arr) is not owner:
-            return None
-        ends.append(arr.__array_interface__["data"][0] + arr.nbytes - start)
-    return view.obj, ends
+@dataclass(frozen=True, eq=False)
+class ArchiveLayout:
+    """Where read_archive found a checkpoint's tensors, as the validated
+    header states them: tensor ``names[i]`` spans file bytes ``offsets[i]``
+    to ``offsets[i + 1]`` of ``mapping``, which ``data`` views as bytes.
+    Tensors tile the data section in header order, so each begins where the
+    one before it ends, and ``offsets[0]`` is where the data section starts.
+    """
+
+    mapping: _ArchiveMap
+    data: np.ndarray  # uint8, the whole file
+    names: tuple[str, ...]
+    offsets: np.ndarray  # int64, len(names) + 1
 
 
 def release_pages(mapping: mmap.mmap, end: int) -> None:
     """Drop this process's resident pages of ``mapping`` from its start up
-    to the last page boundary at or below ``end`` (an offset ``mapped_ends``
-    gives): the page that holds ``end`` may hold the next tensor's first
-    bytes, and dropping it would only fault it back in. Views of dropped
-    pages stay valid and read the same bytes, faulted back in from the page
-    cache. Does nothing to a mapping read_archive did not make, or where
-    ``MADV_DONTNEED`` is missing."""
+    to the last page boundary at or below ``end``, a file offset such as
+    ``ArchiveLayout.offsets`` holds: the page that holds ``end`` may hold
+    the next tensor's first bytes, and dropping it would only fault it back
+    in. Views of dropped pages stay valid and read the same bytes, faulted
+    back in from the page cache. Does nothing to a mapping read_archive did
+    not make, or where ``MADV_DONTNEED`` is missing."""
     end -= end % mmap.PAGESIZE
     if _DONTNEED is not None and type(mapping) is _ArchiveMap and end > 0:
         mapping.madvise(_DONTNEED, 0, end)
@@ -159,7 +161,8 @@ def read_archive(path: str) -> Checkpoint:
     The header is validated first. Then the file is mapped read-only and
     every tensor is a view of the mapping, which spans the file; no data
     byte is read until a caller touches it. A tensor whose file offset is
-    not a multiple of its item size is an unaligned view. Raises
+    not a multiple of its item size is an unaligned view. The header's
+    offsets are kept as the checkpoint's ``layout``. Raises
     MalformedHeader, UnsupportedDtype or TruncatedData before anything is
     mapped; never reads or maps past the declared extents.
     """
@@ -174,37 +177,28 @@ def read_archive(path: str) -> Checkpoint:
         data_start = 8 + header_len
         data_len = file_size - data_start
         entries, metadata = _parse_header(path, fh.read(header_len), data_len)
-        data = np.frombuffer(
-            _ArchiveMap(fh.fileno(), file_size, access=mmap.ACCESS_READ, **_UNTRACKED_FD), np.uint8)
+        mapping = _ArchiveMap(fh.fileno(), file_size, access=mmap.ACCESS_READ, **_UNTRACKED_FD)
+    data = np.frombuffer(mapping, np.uint8)
 
     tensors: dict[str, np.ndarray] = {}
     for name, dtype, shape, begin, end in entries:
         tensors[name] = data[data_start + begin : data_start + end].view(dtype).reshape(shape)
-    return Checkpoint(tensors=tensors, metadata=metadata)
+    offsets = data_start + np.array([0] + [entry[-1] for entry in entries], np.int64)
+    layout = ArchiveLayout(mapping, data, tuple(tensors), offsets)
+    return Checkpoint(tensors=tensors, metadata=metadata, layout=layout)
 
 
-def joined_view(arrays: list[np.ndarray]) -> np.ndarray | None:
-    """One flat view over ``arrays`` when they are C-contiguous views of one
-    buffer, share a dtype and lie back to back in list order, as consecutive
-    same-dtype tensors of a read archive do; None otherwise."""
-    first = arrays[0]
-    owner = _owner(first)
-    begin = pos = first.__array_interface__["data"][0]
-    for arr in arrays:
-        if (arr.dtype != first.dtype or not arr.flags.c_contiguous or _owner(arr) is not owner
-                or arr.__array_interface__["data"][0] != pos):
-            return None
-        pos += arr.nbytes
-    if not owner.flags.c_contiguous:
+def tensor_span(archive: Checkpoint, names: list[str], index: dict[str, int]) -> np.ndarray | None:
+    """One flat view of the read ``archive``'s tensors ``names`` when its
+    header lists them back to back in this order with one dtype; None
+    otherwise. ``index`` maps each header name to its position in
+    ``archive.layout.names``; build it once per archive."""
+    first = index[names[0]]
+    dtype = archive.tensors[names[0]].dtype
+    if any(index[n] != i or archive.tensors[n].dtype != dtype for i, n in enumerate(names, first)):
         return None
-    offset = begin - owner.__array_interface__["data"][0]
-    return np.ndarray(((pos - begin) // first.itemsize,), first.dtype, buffer=owner, offset=offset)
-
-
-def _owner(arr: np.ndarray) -> np.ndarray:
-    while isinstance(arr.base, np.ndarray):
-        arr = arr.base
-    return arr
+    layout = archive.layout
+    return layout.data[layout.offsets[first] : layout.offsets[first + len(names)]].view(dtype)
 
 
 def _parse_header(path: str, raw: bytes, data_len: int):
@@ -232,10 +226,11 @@ def _parse_header(path: str, raw: bytes, data_len: int):
         if code not in DTYPES:
             raise UnsupportedDtype(f"{path}: tensor {name!r} has dtype {code!r}")
         shape = entry.get("shape")
-        if not isinstance(shape, list) or any(not isinstance(s, int) or s < 0 for s in shape):
+        # JSON true and false are Python ints too; neither is a dim or an offset
+        if not isinstance(shape, list) or any(type(s) is not int or s < 0 for s in shape):
             raise MalformedHeader(f"{path}: tensor {name!r} has invalid shape {shape!r}")
         offsets = entry.get("data_offsets")
-        if not (isinstance(offsets, list) and len(offsets) == 2 and all(isinstance(o, int) for o in offsets)):
+        if not (isinstance(offsets, list) and len(offsets) == 2 and all(type(o) is int for o in offsets)):
             raise MalformedHeader(f"{path}: tensor {name!r} has invalid data_offsets")
         begin, end = offsets
         dtype = DTYPES[code]

@@ -161,3 +161,21 @@ def write_unpadded(ckpt: Checkpoint, path) -> None:
     payload += b" " * ((1 - len(payload)) % 2)  # 8 + len(payload) is odd
     Path(path).write_bytes(struct.pack("<Q", len(payload)) + payload
                            + b"".join(arr.tobytes() for arr in ckpt.tensors.values()))
+
+
+# one-tensor archive headers that JSON true/false slip into, as a dim or as
+# an offset; each passes a check that takes booleans for integers
+BOOLEAN_ENTRIES = {
+    "shape": {"dtype": "F32", "shape": [True, 3], "data_offsets": [0, 12]},
+    "begin": {"dtype": "U8", "shape": [1], "data_offsets": [False, 1]},
+    "end": {"dtype": "U8", "shape": [1], "data_offsets": [0, True]},
+}
+
+
+def write_boolean_header(path, kind: str) -> None:
+    """A one-tensor archive whose header entry is ``BOOLEAN_ENTRIES[kind]``,
+    with as many data bytes as its end offset says."""
+    entry = BOOLEAN_ENTRIES[kind]
+    payload = json.dumps({"x": entry}).encode("utf-8")
+    Path(path).write_bytes(struct.pack("<Q", len(payload)) + payload
+                           + bytes(int(entry["data_offsets"][1])))

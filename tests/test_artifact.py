@@ -36,7 +36,7 @@ import blockmerge.artifact as artifact_mod
 from blockmerge.artifact import MANIFEST_VERSION
 from blockmerge.scheduler import GroupAssignment
 from blockmerge.task_space import flatten_block
-from blockmerge.tensor_store import Checkpoint, mapped_ends
+from blockmerge.tensor_store import Checkpoint
 
 from helpers import buffer_offset, buffer_owner, toy_model
 
@@ -461,7 +461,8 @@ def _multi_tensor_model(rng, num_tasks, width):
 # into 3 * width / 8 bytes) leave later tensors at offsets that are not
 # multiples of 4; width 5 gives more of them than width 8
 @pytest.mark.parametrize("algorithm,target,width", [("emr", 2.5, 5), ("emr", 2.5, 8), ("ties", 2, 5)])
-def test_loaded_float32_payloads_are_views_of_the_archive(tmp_path, algorithm, target, width):
+def test_loaded_float32_payloads_are_views_of_the_archive(tmp_path, monkeypatch, algorithm, target,
+                                                         width):
     rng = np.random.default_rng(32)
     pre, tasks = _multi_tensor_model(rng, 3, width)
     part = partition(pre, default_transformer_rules(), exclude=["head.*"])
@@ -474,7 +475,7 @@ def test_loaded_float32_payloads_are_views_of_the_archive(tmp_path, algorithm, t
     kinds = {"emr": {"dense", "masked"}, "ties": {"dense"}}[algorithm]
     assert {g.payload for g in art.groups} == kinds
     export_manifest(art, str(tmp_path / "art"))
-    back = load_artifact(str(tmp_path / "art"))
+    back, archive = _load_keeping_archive(monkeypatch, str(tmp_path / "art"))
     flats = [g.dense if g.payload == "dense" else g.unified for g in back.groups]
     flats += list(back.pretrained_blocks.values())
     masks = [g.masks for g in back.groups if g.payload == "masked"]
@@ -484,10 +485,52 @@ def test_loaded_float32_payloads_are_views_of_the_archive(tmp_path, algorithm, t
     # load, and a view is aligned exactly when its file offset is
     assert all(f.base is not None for f in flats + masks)
     assert len({id(buffer_owner(f)) for f in flats + masks}) == 1
-    assert mapped_ends(flats + masks) is not None
+    assert all(buffer_owner(f) is archive.layout.data for f in flats + masks)
+    # each group's payload starts where the header puts its first tensor
+    first = {name: begin for name, begin in zip(archive.layout.names, archive.layout.offsets.tolist())}
+    for g in back.groups:
+        flat = g.dense if g.payload == "dense" else g.unified
+        name = back.partition.blocks[g.block_id].tensor_names[0]
+        assert buffer_offset(flat) == first[f"g{g.group_id}.{name}"]
     assert all(f.flags.aligned == (buffer_offset(f) % f.itemsize == 0) for f in flats + masks)
     assert all(f.flags.aligned for f in flats) == (algorithm != "emr")  # masks skew later blocks
     assert all(h.base is None for head in back.heads for h in head.values())  # heads copied
+    for k in range(3):
+        assert reconstruct_task(back, k).same_tensors(reconstruct_task(art, k))
+
+
+def _load_keeping_archive(monkeypatch, out_dir):
+    """``load_artifact(out_dir)`` and the archive checkpoint it read."""
+    real, seen = artifact_mod.read_archive, []
+    monkeypatch.setattr(artifact_mod, "read_archive", lambda path: seen.append(real(path)) or seen[-1])
+    back = load_artifact(out_dir)
+    (archive,) = seen
+    return back, archive
+
+
+def test_a_float32_block_with_an_empty_tensor_inside_loads_as_one_view(tmp_path, monkeypatch):
+    # the empty tensor has no place in memory, but the header puts it
+    # between its neighbours, so the block is still one span of the archive
+    rng = np.random.default_rng(34)
+    width = 6
+    shapes = {"embed.w": (3, width), "blocks.0.attn.q": (width, width), "blocks.0.attn.k": (0, width),
+              "blocks.0.attn.v": (width, width), "head.w": (2, width)}
+    pre = Checkpoint({n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()})
+    tasks = [Checkpoint({n: (a + rng.normal(scale=0.3, size=a.shape)).astype(np.float32)
+                         for n, a in pre.tensors.items()}) for _ in range(3)]
+    part = partition(pre, default_transformer_rules(), exclude=["head.*"])
+    (attn,) = [b for b in part.blocks if b.key == "L0.attn"]
+    assert attn.tensor_names == ["blocks.0.attn.q", "blocks.0.attn.k", "blocks.0.attn.v"]
+    cfg = MergerConfig.for_algorithm("ta")
+    tv = compute_task_vectors(pre, tasks, part)
+    sm = SizeModel.from_partition(part, cfg)
+    art = build_artifact(replay_to_size(compute_merge_plan(tv), tv, Fraction(2), sm), tv, pre, cfg,
+                         finetuned=tasks)
+    export_manifest(art, str(tmp_path / "art"))
+    back, archive = _load_keeping_archive(monkeypatch, str(tmp_path / "art"))
+    payloads = [g.dense for g in back.groups if g.block_id == attn.block_id]
+    assert payloads and all(p.size == attn.dim for p in payloads)
+    assert all(p.base is not None and buffer_owner(p) is archive.layout.data for p in payloads)
     for k in range(3):
         assert reconstruct_task(back, k).same_tensors(reconstruct_task(art, k))
 

@@ -19,9 +19,8 @@ from blockmerge import Checkpoint, read_archive, write_archive
 from blockmerge.cli import RunConfig, _write_similarity_csvs, main, plan_fingerprint
 from blockmerge.mergers import MergerConfig, expected_trim_ratio
 from blockmerge.similarity import SimilarityMatrix
-from blockmerge.tensor_store import mapped_ends
 
-from helpers import toy_model, write_unpadded
+from helpers import BOOLEAN_ENTRIES, toy_model, write_boolean_header, write_unpadded
 from oracles import write_similarity_csvs_reference
 
 RULES = {
@@ -149,6 +148,16 @@ def test_exit_code_parse(workspace, tmp_path):
     args = ["plan"] + _base_args(ws, ["--out", str(tmp_path / "p2")])
     args[args.index("--pretrained") + 1] = str(tmp_path / "nope.st")
     assert main(args) == 3
+
+
+@pytest.mark.parametrize("kind", sorted(BOOLEAN_ENTRIES))
+def test_boolean_dims_and_offsets_exit_parse(workspace, tmp_path, capsys, kind):
+    bad = str(tmp_path / "bool.st")
+    write_boolean_header(bad, kind)
+    args = ["plan"] + _base_args(workspace, ["--out", str(tmp_path / "p")])
+    args[args.index("--pretrained") + 1] = bad
+    assert main(args) == 3
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rules", [
@@ -426,9 +435,9 @@ def test_plan_fingerprint_is_the_sha256_of_every_input(tmp_path):
     write_unpadded(Checkpoint({"a": rng.normal(size=5).astype(np.float32)}), skewed)
     write_archive(Checkpoint({"e": np.zeros(0, np.float32)}), empty)
     Path(exact).write_bytes(rng.bytes(2 << 18))  # a whole number of reads
-    assert mapped_ends(list(read_archive(mapped).tensors.values())) is not None
-    skewed_a = read_archive(skewed).tensors["a"]  # mapped too, an unaligned view
-    assert mapped_ends([skewed_a]) is not None and not skewed_a.flags.aligned
+    assert read_archive(mapped).layout is not None
+    skewed_ck = read_archive(skewed)  # mapped too, an unaligned view
+    assert skewed_ck.layout is not None and not skewed_ck.tensors["a"].flags.aligned
     header = int.from_bytes(Path(empty).read_bytes()[:8], "little")
     assert os.path.getsize(empty) == 8 + header  # no data bytes at all
 

@@ -14,6 +14,7 @@ import pytest
 
 from blockmerge import (
     Checkpoint,
+    PartitionRule,
     compute_task_vectors,
     default_transformer_rules,
     partition,
@@ -22,7 +23,7 @@ from blockmerge import (
 )
 from blockmerge.cli import main
 from blockmerge.task_space import TaskVectorSet
-from blockmerge.tensor_store import mapped_ends, release_pages
+from blockmerge.tensor_store import release_pages
 
 from helpers import toy_model, write_unpadded
 
@@ -111,13 +112,14 @@ def test_release_touches_no_buffer_but_an_archive_mapping(tmp_path):
     before = [snapshot(ck) for ck in cases]
     raw = [anon[:], copy[:]]
     # an unaligned archive is an archive mapping like any other, released
-    # with the rest; the others are never released
+    # with the rest; the others carry no layout and are never released
     assert not unaligned.tensors["embed.w"].flags.aligned
-    assert mapped_ends(list(unaligned.tensors.values())) is not None
-    assert all(mapped_ends(list(ck.tensors.values())) is None for ck in cases[1:])
+    assert unaligned.layout is not None
+    assert all(ck.layout is None for ck in cases[1:])
     release_pages(anon, len(anon))
     release_pages(copy, len(copy))
     tv = compute_task_vectors(pre, cases, part)
+    assert [pages is not None for pages in tv._pages] == [False, True, False, False, False]
     for b in range(part.num_blocks):
         tv.release(b)
     tv.keep_largest(10)
@@ -136,14 +138,42 @@ def test_a_released_archive_reads_the_same_bytes(tmp_path):
                      "h": rng.normal(size=(33, 65)).astype(np.float16)})
     write_archive(ck, str(tmp_path / "a.st"))
     back = read_archive(str(tmp_path / "a.st"))
-    arrays = list(back.tensors.values())
-    mapping, ends = mapped_ends(arrays)
+    mapping, ends = back.layout.mapping, back.layout.offsets[1:].tolist()
     assert ends == sorted(ends) and ends[-1] == len(mapping)
-    assert mapped_ends([arrays[0], np.zeros(3, np.float32)]) is None
+    # a checkpoint assembled in memory, from read views or not, has no layout
+    assert Checkpoint({"a": back.tensors["a"], "z": np.zeros(3, np.float32)}).layout is None
     assert back.same_tensors(ck)
     for end in ends + [0, len(mapping)]:
         release_pages(mapping, end)
         assert back.same_tensors(ck)
+
+
+def test_a_block_whose_last_tensor_is_empty_ends_where_its_header_says(tmp_path):
+    # the empty tensor has no bytes, but its header offsets place it after
+    # the block's 4 MiB tensor, and the release watermark goes there
+    rng = np.random.default_rng(44)
+    shapes = {"b.w": (1 << 20,), "b.z": (0,), "c.w": (1024,)}
+    paths = []
+    for k in range(2):
+        paths.append(str(tmp_path / f"{k}.st"))
+        write_archive(Checkpoint({n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()}),
+                      paths[-1])
+    pre, task = (read_archive(p) for p in paths)
+    part = partition(pre, [PartitionRule("b.*", "b")])
+    assert part.blocks[0].tensor_names == ["b.w", "b.z"]
+    raw = Path(paths[0]).read_bytes()
+    header_len = int.from_bytes(raw[:8], "little")
+    header_end = 8 + header_len + json.loads(raw[8 : 8 + header_len])["b.z"]["data_offsets"][1]
+    assert header_end > 4 << 20
+    tv = compute_task_vectors(pre, [task], part)
+    assert [pages[1][0] for pages in tv._pages] == [header_end, header_end]
+    if rss_kb() is None or not HAS_DONTNEED:
+        return
+    for ck in (pre, task):
+        ck.tensors["b.w"].sum()  # fault the block in
+    before = rss_kb()
+    tv.release(0)
+    assert before - rss_kb() > 6 * 1024  # most of both inputs' 4 MiB blocks
 
 
 @pytest.mark.parametrize("rules", [LAYER_RULES, OUT_OF_ORDER_RULES], ids=["file_order", "ln1_block"])
@@ -154,8 +184,8 @@ def test_mapped_and_read_inputs_give_the_same_plan_and_artifacts(tmp_path, rules
     trees = []
     for name, writer in (("padded", write_archive), ("unpadded", write_unpadded)):
         args = write_family(str(tmp_path / name), pre, tasks, writer, rules)
-        first = read_archive(args[1]).tensors["embed.w"]
-        assert mapped_ends([first]) is not None and first.flags.aligned == (name == "padded")
+        first = read_archive(args[1])
+        assert first.layout is not None and first.tensors["embed.w"].flags.aligned == (name == "padded")
         plan_dir, merge_dir = str(tmp_path / name / "plan"), str(tmp_path / name / "merge")
         args += ["--algorithm", algorithm]
         assert main(["plan", *args, "--out", plan_dir]) == 0

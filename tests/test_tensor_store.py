@@ -33,9 +33,16 @@ from blockmerge import (
     write_archive,
 )
 import blockmerge.tensor_store as tensor_store
-from blockmerge.tensor_store import StreamedArchive, dtype_code, joined_view, mapped_ends
+from blockmerge.tensor_store import StreamedArchive, dtype_code, tensor_span
 
-from helpers import buffer_offset, buffer_owner, toy_model, write_unpadded
+from helpers import (
+    BOOLEAN_ENTRIES,
+    buffer_offset,
+    buffer_owner,
+    toy_model,
+    write_boolean_header,
+    write_unpadded,
+)
 
 
 def rt(ckpt, tmp_path, name="a.safetensors"):
@@ -142,6 +149,14 @@ def test_noncontiguous_offsets_rejected(tmp_path):
         read_archive(path)
 
 
+@pytest.mark.parametrize("kind", sorted(BOOLEAN_ENTRIES))
+def test_boolean_dims_and_offsets_are_malformed(tmp_path, kind):
+    path = str(tmp_path / "bool.st")
+    write_boolean_header(path, kind)
+    with pytest.raises(MalformedHeader):
+        read_archive(path)
+
+
 def test_metadata_preserved(tmp_path):
     ck = Checkpoint(tensors={"a": np.zeros(2, dtype=np.float32)}, metadata={"k": "v"})
     _, back = rt(ck, tmp_path)
@@ -181,13 +196,19 @@ def _assert_mapped_views(back: Checkpoint, path) -> None:
     """Every tensor of ``back`` is a read-only view of one mapping of the
     whole file at ``path``, aligned exactly when its file offset is a
     multiple of its item size (an empty tensor has no offset and is
-    aligned)."""
+    aligned), and the layout places each tensor where its view lies."""
     buffers = {id(buffer_owner(arr)) for arr in back.tensors.values()}
     assert len(buffers) <= 1
-    for arr in back.tensors.values():
+    layout = back.layout
+    assert layout.names == tuple(back.tensors) and layout.data.nbytes == os.path.getsize(path)
+    assert layout.offsets.dtype == np.int64 and len(layout.offsets) == len(back.tensors) + 1
+    assert layout.offsets[-1] == os.path.getsize(path)
+    for i, arr in enumerate(back.tensors.values()):
         assert _mapped(arr) and not arr.flags.writeable and arr.flags.c_contiguous
-        assert buffer_owner(arr).nbytes == os.path.getsize(path)
+        assert buffer_owner(arr) is layout.data
         assert arr.flags.aligned == (arr.size == 0 or buffer_offset(arr) % arr.itemsize == 0)
+        assert layout.offsets[i + 1] - layout.offsets[i] == arr.nbytes
+        assert arr.size == 0 or buffer_offset(arr) == layout.offsets[i]
 
 
 @given(checkpoints(), st.booleans())
@@ -291,23 +312,28 @@ def test_misaligned_tensor_is_an_unaligned_view_of_the_shared_mapping(tmp_path, 
     assert back.same_tensors(ck)
 
 
-def test_joined_view_spans_consecutive_tensors_only(tmp_path):
+def test_tensor_span_covers_consecutive_tensors_of_one_dtype_only(tmp_path):
     rng = np.random.default_rng(4)
     ck = Checkpoint(tensors={
         "a": rng.normal(size=(2, 3)).astype(np.float32),
         "b": rng.normal(size=4).astype(np.float32),
         "c": np.arange(3, dtype=np.uint8),
         "d": rng.normal(size=5).astype(np.float32),
+        "z": np.zeros(0, np.float32),
+        "e": rng.normal(size=2).astype(np.float32),
     })
     _, back = rt(ck, tmp_path)
-    t = back.tensors
-    joined = joined_view([t["a"].ravel(), t["b"]])
+    index = {name: i for i, name in enumerate(back.layout.names)}
+    joined = tensor_span(back, ["a", "b"], index)
     np.testing.assert_array_equal(joined, np.concatenate([ck.tensors["a"].ravel(), ck.tensors["b"]]))
-    assert buffer_owner(joined) is buffer_owner(t["a"])
-    assert joined_view([t["b"], t["a"].ravel()]) is None  # out of order
-    assert joined_view([t["a"].ravel(), t["d"]]) is None  # not adjacent
-    assert joined_view([t["b"], t["c"]]) is None  # dtypes differ
-    assert joined_view([t["a"].ravel(), t["b"].copy()]) is None  # another buffer
+    assert buffer_owner(joined) is back.layout.data
+    # an empty tensor lies between its neighbours in the header, if nowhere in memory
+    spanned = tensor_span(back, ["d", "z", "e"], index)
+    np.testing.assert_array_equal(spanned, np.concatenate([ck.tensors["d"], ck.tensors["e"]]))
+    assert buffer_owner(spanned) is back.layout.data
+    assert tensor_span(back, ["b", "a"], index) is None  # out of order
+    assert tensor_span(back, ["a", "d"], index) is None  # not adjacent
+    assert tensor_span(back, ["b", "c"], index) is None  # dtypes differ
 
 
 def test_streamed_archive_equals_write_archive_despite_short_writes(tmp_path, monkeypatch):
@@ -418,7 +444,8 @@ def test_archive_with_an_odd_data_start_is_mapped_unaligned(tmp_path):
     assert back.same_tensors(Checkpoint(tensors))
     _assert_mapped_views(back, path)
     assert [arr.flags.aligned for arr in back.tensors.values()] == [False, False, False, True]
-    assert mapped_ends(list(back.tensors.values()))[1][-1] == os.path.getsize(path)
+    assert back.layout.offsets[0] == 8 + int.from_bytes(Path(path).read_bytes()[:8], "little")
+    assert back.layout.offsets[-1] == os.path.getsize(path)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
