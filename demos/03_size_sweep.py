@@ -53,14 +53,14 @@ def main():
     targets = [Fraction(t) for t in ("1", "1.5", "2", "2.25", "3", "4", "5", "6")]
     print("target   achieved   events   reconstruction SSE")
     for target, asg in zip(targets, replay_to_sizes(plan, tv, targets, sm)):
-        art = build_artifact(asg, tv, pre, cfg, finetuned=tasks)
+        art = build_artifact(asg, tv, cfg)  # every input comes from tv
         sse = verify_artifact(art, tasks).total_sse
         print(f"{float(target):>6.2f}   {float(asg.size):>8.4f}   {asg.applied_events:>6}   {sse:>12.6f}")
 
     print("\nfixed-K clustering baseline (whole sizes only):")
     for k in (1, 2, 3, 6):
         asg = kmeans_baseline(tv, k=k, seed=0, sm=sm)
-        art = build_artifact(asg, tv, pre, cfg, finetuned=tasks)
+        art = build_artifact(asg, tv, cfg)
         sse = verify_artifact(art, tasks).total_sse
         counts = {len(g) for groups in asg.block_groups for g in groups}
         print(f"K={k}: size {float(asg.size):.1f}, group sizes seen {sorted(counts)}, "

@@ -49,7 +49,7 @@ def main():
         sm = SizeModel.from_partition(part, cfg)
         plan = compute_merge_plan(tv)
         asg = replay_to_size(plan, tv, Fraction(0), sm)  # merge everything
-        art = build_artifact(asg, tv, pre, cfg, finetuned=tasks)
+        art = build_artifact(asg, tv, cfg)  # the pretrained blocks come from tv
         rep = art.size_report
 
         print(f"\n{algorithm}: fully merged, M={m}")

@@ -41,13 +41,7 @@ from .similarity import (
 from .mergers import (
     MergeOutput,
     MergerConfig,
-    merge_average,
-    merge_consensus,
-    merge_emr,
     merge_group,
-    merge_pcb,
-    merge_ta,
-    merge_ties,
     prepare_task_vectors,
     ties_trim,
 )

@@ -1,11 +1,14 @@
 """Materialized merged artifacts: storage, reconstruction, verification.
 
-Dense groups store deployment-ready block weights (pretrained + unified
-task vector; an untrimmed singleton stores its fine-tuned block as is);
-masked groups store the unified task vector, the members' masks as packed
-bits (one row of ceil(d/8) bytes per member, in member order, the only form
-a mask is kept in) and, for emr, one rescaling scalar per member, alongside
-one shared copy of the pretrained block.
+Artifacts are built from a TaskVectorSet alone: it holds the pretrained
+and fine-tuned checkpoints its rows come from. Dense groups store
+deployment-ready block weights (pretrained + unified task vector; an
+untrimmed singleton stores its fine-tuned block as is, a trimmed one
+pretrained + its trimmed row); masked groups store the unified task vector,
+the members' masks as packed bits (one row of ceil(d/8) bytes per member, in
+member order, the only form a mask is kept in) and, for emr, one rescaling
+scalar per member, alongside one shared copy of the pretrained block. Each
+task's tensors outside the partition (its head) are stored as they are.
 
 On disk an artifact is a version 3 manifest, which lists each block's
 groups by their members, plus one archive of payloads named by group id;
@@ -209,15 +212,14 @@ def _archive_layout(part: BlockPartition, cfg: MergerConfig, block_groups,
     return entries, spans
 
 
-def _checked_heads(tv: TaskVectorSet, cfg: MergerConfig, finetuned, assignments):
+def _checked_heads(tv: TaskVectorSet, cfg: MergerConfig, assignments):
     """Check the inputs of a build before anything is merged or written,
-    and return each task's tensors outside the partition (its head).
+    and return each task's tensors outside the partition (its head), from
+    the set's fine-tuned checkpoints.
 
     Raises ConfigMismatch when the task vectors' trim state disagrees with
     the algorithm (ties/consensus need the up-front global trim), and
-    ValueError when an assignment has the wrong block count, the fine-tuned
-    checkpoints are not one per task, or the partition excludes tensors and
-    no fine-tuned checkpoints supply them."""
+    ValueError when an assignment has the wrong block count."""
     part = tv.partition
     if tv.trim_ratio != expected_trim_ratio(cfg):
         raise ConfigMismatch(
@@ -226,27 +228,22 @@ def _checked_heads(tv: TaskVectorSet, cfg: MergerConfig, finetuned, assignments)
         )
     if any(len(a.block_groups) != part.num_blocks for a in assignments):
         raise ValueError("assignment and partition disagree on block count")
-    m = tv.num_tasks
-    if finetuned is None:
-        if part.excluded:
-            raise ValueError("partition excludes tensors; pass the fine-tuned checkpoints for them")
-        return [{} for _ in range(m)]
-    if len(finetuned) != m:
-        raise ValueError(f"expected {m} fine-tuned checkpoints, got {len(finetuned)}")
     return [{name: arr for name, arr in ckpt.tensors.items() if name not in part.tensor_to_block}
-            for ckpt in finetuned]
+            for ckpt in tv.finetuned]
 
 
 def _group_payload(gid: int, cfg: MergerConfig, tv: TaskVectorSet, block: Block,
-                   base: np.ndarray, members, exact: list[Checkpoint] | None) -> StoredGroup:
+                   base: np.ndarray, members) -> StoredGroup:
     """The stored payload of one group of ``block`` (``base`` is its flat
-    pretrained block): a singleton's own block, or the group merged under
-    ``cfg``. ``exact`` is the fine-tuned checkpoints when a singleton stores
-    its fine-tuned block as is (see build_artifact), None otherwise."""
+    pretrained block): a singleton's own block (see build_artifact), or the
+    group merged under ``cfg``."""
     b = block.block_id
     if len(members) == 1:
         k = members[0]
-        dense = flatten_block(exact[k], block) if exact is not None else base + tv.rows(b, [k])[0]
+        if tv.trim_ratio is None:
+            dense = flatten_block(tv.finetuned[k], block)
+        else:
+            dense = base + tv.rows(b, [k])[0]
         return StoredGroup(gid, b, members, "dense", dense=dense)
     out = merge_group(cfg, tv, b, members)
     members = tuple(sorted(members))
@@ -259,41 +256,36 @@ def _group_payload(gid: int, cfg: MergerConfig, tv: TaskVectorSet, block: Block,
 def build_artifact(
     assignment: GroupAssignment,
     tv: TaskVectorSet,
-    pretrained: Checkpoint,
     cfg: MergerConfig,
-    finetuned: list[Checkpoint] | None = None,
     fingerprint: str = "",
 ) -> MergedArtifact:
     """Merge every multi-member group of the assignment under ``cfg`` and
     assemble the stored payloads of one size in memory (export_sweep writes
     many sizes without holding any).
 
-    ``finetuned`` supplies the per-task tensors outside the partition (task
-    heads); it is required whenever such tensors exist. With ``finetuned``
-    and untrimmed task vectors, a singleton group stores the fine-tuned
-    block itself (a view when the block is one float32 tensor): in float32,
-    ``pre + (ft - pre)`` is not always ``ft``, and size M must give back the
-    inputs bit for bit. Without ``finetuned`` a singleton stores
-    ``pre + row``, the task's row built for it alone (``tv.rows``), so size
-    M is then only exact on data where that sum rounds back to the input.
-    Trimmed vectors keep ``pre + trimmed row``, which is what ties/consensus
-    define. Raises
+    Every input comes from ``tv``. Pretrained blocks are
+    ``tv.pretrained_block`` (the set's own read-only array for a block of
+    one tensor). With untrimmed task vectors, a singleton group stores its
+    task's fine-tuned block itself (a view when the block is one float32
+    tensor): in float32, ``pre + (ft - pre)`` is not always ``ft``, and size
+    M gives back the inputs bit for bit. Trimmed vectors keep
+    ``pre + trimmed row``, which is what ties/consensus define. Each task's
+    head is its checkpoint's tensors outside the partition. Raises
     ConfigMismatch when the task vectors' trim state disagrees with the
     algorithm (ties/consensus need the up-front global trim).
     """
-    heads = _checked_heads(tv, cfg, finetuned, [assignment])
+    heads = _checked_heads(tv, cfg, [assignment])
     part = tv.partition
-    exact = finetuned if tv.trim_ratio is None else None
     groups: list[StoredGroup] = []
     routing = [[-1] * part.num_blocks for _ in range(tv.num_tasks)]
     pretrained_blocks: dict[int, np.ndarray] = {}
 
     for block in part.blocks:
         b = block.block_id
-        base = flatten_block(pretrained, block)
+        base = tv.pretrained_block(b)
         block_groups = assignment.block_groups[b]
         for members in block_groups:
-            g = _group_payload(len(groups), cfg, tv, block, base, members, exact)
+            g = _group_payload(len(groups), cfg, tv, block, base, members)
             groups.append(g)
             for k in members:
                 routing[k][b] = g.group_id
@@ -426,9 +418,21 @@ def _write_json(obj, path: str) -> None:
         fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _drop_stale(out_dir: str) -> None:
+    """Remove an earlier run's manifest and ``groups.json`` from
+    ``out_dir``, so neither sits next to the archive about to replace its
+    own."""
+    for stale in (MANIFEST_NAME, GROUPS_NAME):
+        try:
+            os.unlink(os.path.join(out_dir, stale))
+        except FileNotFoundError:
+            pass
+
+
 def export_manifest(artifact: MergedArtifact, out_dir: str) -> None:
     """Write one archive holding every payload (``tensors.safetensors``),
-    then ``manifest.json``.
+    then ``manifest.json``. An earlier run's manifest and ``groups.json``
+    are removed before the archive is renamed into place.
 
     The manifest is ``version`` 3 and states each fact once. ``groups`` is
     ``{block_key: [[member ids], ...]}``, the layout of ``groups.json``; a
@@ -458,6 +462,7 @@ def export_manifest(artifact: MergedArtifact, out_dir: str) -> None:
             arrays += [arr for head in artifact.heads for arr in head.values()]
     os.makedirs(out_dir, exist_ok=True)
     tensors = {name: arr for (name, _, _), arr in zip(entries, arrays, strict=True)}
+    _drop_stale(out_dir)
     write_archive(Checkpoint(tensors=tensors), os.path.join(out_dir, TENSORS_NAME))
     _write_json(_manifest(part, artifact.config, artifact.num_tasks, block_groups, artifact.heads,
                           artifact.size_report, artifact.fingerprint),
@@ -477,16 +482,15 @@ def export_sweep(
     assignments: list[GroupAssignment],
     out_dirs: list[str],
     tv: TaskVectorSet,
-    pretrained: Checkpoint,
     cfg: MergerConfig,
-    finetuned: list[Checkpoint] | None = None,
     fingerprint: str = "",
 ) -> list[SweepSize]:
     """Write the artifact of every assignment into its directory in one
     block-major pass, holding no size's payloads as a whole.
 
     The files are those build_artifact + export_manifest would write for
-    each assignment, byte for byte. Every archive's layout follows from its
+    each assignment, byte for byte, and every input comes from ``tv`` as it
+    does there. Every archive's layout follows from its
     groups (_archive_layout), so each header is written first, one size at
     a time, and only the layout's spans are kept after it. Then, block
     by block, each size's groups of that block are built in the order the
@@ -505,11 +509,10 @@ def export_sweep(
     archive. On failure the partial files are removed. The inputs are
     checked as build_artifact checks them, before any file is created.
     """
-    heads = _checked_heads(tv, cfg, finetuned, assignments)
+    heads = _checked_heads(tv, cfg, assignments)
     if len(out_dirs) != len(assignments):
         raise ValueError(f"{len(assignments)} assignments but {len(out_dirs)} output directories")
     part = tv.partition
-    exact = finetuned if tv.trim_ratio is None else None
     merged = [0] * len(assignments)
     reused = [0] * len(assignments)
     archives: list[StreamedArchive] = []
@@ -523,7 +526,7 @@ def export_sweep(
             del entries  # only the spans are read once the header is written
         for block in part.blocks:
             b = block.block_id
-            base = flatten_block(pretrained, block)
+            base = tv.pretrained_block(b)
             known: dict[tuple[int, ...], StoredGroup] = {}  # the previous size's payloads
             for i, (asg, spans, archive) in enumerate(zip(assignments, size_spans, archives)):
                 payloads = {}
@@ -533,7 +536,7 @@ def export_sweep(
                         reused[i] += 1
                     else:
                         # group ids are the layout's; the payload's own is not read
-                        g = _group_payload(-1, cfg, tv, block, base, members, exact)
+                        g = _group_payload(-1, cfg, tv, block, base, members)
                         merged[i] += len(members) > 1
                     payloads[members] = g
                 archive.write(spans["groups", b],
@@ -546,11 +549,7 @@ def export_sweep(
         for spans, archive in zip(size_spans, archives):
             archive.write(spans["heads", -1], head_arrays)
         for out_dir, archive in zip(out_dirs, archives):
-            for stale in (MANIFEST_NAME, GROUPS_NAME):
-                try:
-                    os.unlink(os.path.join(out_dir, stale))
-                except FileNotFoundError:
-                    pass
+            _drop_stale(out_dir)
             archive.commit()
     except BaseException:
         for archive in archives:

@@ -187,6 +187,8 @@ def _fingerprint_beside(config: RunConfig):
 
 
 def _load_pipeline(config: RunConfig):
+    """Read and check the inputs and build their (trimmed) task-vector set,
+    the one handle on them from here on."""
     pretrained = read_archive(config.pretrained)
     finetuned = [read_archive(p) for p in config.finetuned]
     report = validate_aligned(pretrained, finetuned, config.exclude)
@@ -196,8 +198,7 @@ def _load_pipeline(config: RunConfig):
         raise SystemExit(EXIT_ALIGNMENT)
     part = partition(pretrained, config.rules, config.exclude)
     tv = compute_task_vectors(pretrained, finetuned, part)
-    tv = prepare_task_vectors(tv, config.merger)
-    return pretrained, finetuned, part, tv
+    return prepare_task_vectors(tv, config.merger)
 
 
 def _safe_key(key: str) -> str:
@@ -227,7 +228,7 @@ def cmd_plan(args) -> int:
     directory: ``merge --plan`` refuses a plan without it (exit 3)."""
     config = _build_config(args)
     with _fingerprint_beside(config) as hashing:
-        _, _, part, tv = _load_pipeline(config)
+        tv = _load_pipeline(config)
         matrices = pairwise_all(tv)
         zero_blocks = [(mx.block_id, mx.zero_tasks) for mx in matrices if mx.zero_tasks]
         for block_id, tasks in zero_blocks:
@@ -244,7 +245,8 @@ def cmd_plan(args) -> int:
         except FileNotFoundError:
             pass
         write_plan_jsonl(plan, os.path.join(config.out, PLAN_FILE))
-        _write_similarity_csvs(matrices, part.block_keys, os.path.join(config.out, "similarity"))
+        _write_similarity_csvs(matrices, tv.partition.block_keys,
+                               os.path.join(config.out, "similarity"))
         fingerprint = hashing.result()
     meta = {
         "fingerprint": fingerprint,
@@ -317,7 +319,8 @@ def cmd_merge(args) -> int:
     largest size first, so each group a smaller size shares with the larger
     one reuses its payload instead of merging. No size is held in memory as
     a whole. Archives become ``tensors.safetensors`` only once all are
-    complete; ``manifest.json`` and ``groups.json`` follow.
+    complete; ``manifest.json`` and ``groups.json`` follow. The sweep reads
+    every input through the task-vector set.
 
     Mapped inputs are given back as the stages finish with them: the global
     trim (ties and consensus; pcb's keep ratio is a drop inside each merged
@@ -338,22 +341,22 @@ def cmd_merge(args) -> int:
         print("--sizes is required for merge", file=sys.stderr)
         return EXIT_PARSE
     with _fingerprint_beside(config) as hashing:
-        pretrained, finetuned, part, tv = _load_pipeline(config)
+        tv = _load_pipeline(config)
         if args.plan:
             plan = _read_plan(args.plan, hashing.result())
         else:
             plan = compute_merge_plan(tv, strategy=config.strategy,
                                       order_policy=config.order_policy, seed=config.seed)
-        sm = SizeModel.from_partition(part, config.merger)
+        sm = SizeModel.from_partition(tv.partition, config.merger)
         targets = sorted(set(config.sizes), reverse=True)
         assignments = replay_to_sizes(plan, tv, targets, sm)
         del plan  # the sweep reads the assignments only
         fingerprint = hashing.result()
     out_dirs = [os.path.join(config.out, f"size_{_size_dir_token(t)}") for t in targets]
-    written = artifact_mod.export_sweep(assignments, out_dirs, tv, pretrained, config.merger,
-                                        finetuned=finetuned, fingerprint=fingerprint)
+    written = artifact_mod.export_sweep(assignments, out_dirs, tv, config.merger,
+                                        fingerprint=fingerprint)
     for target, assignment, out_dir, done in zip(targets, assignments, out_dirs, written):
-        write_assignment_json(assignment, part.block_keys,
+        write_assignment_json(assignment, tv.partition.block_keys,
                               os.path.join(out_dir, artifact_mod.GROUPS_NAME))
         achieved = done.units
         print(

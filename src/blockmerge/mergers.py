@@ -5,6 +5,9 @@ single unified vector, optionally with per-member binary masks (consensus)
 and rescaling scalars (emr). Dense families (average, ta, ties, pcb) store
 one weight tensor per group; mask families (emr, consensus) store the
 unified vector plus per-member masks and reconstruct per task at load time.
+``merge_group`` is the one entry point: it builds a group's rows from a
+``TaskVectorSet`` into a new matrix, which the algorithm's kernel may
+overwrite.
 
 Member sums run in ascending task order after canonical sorting, so outputs
 are invariant under permutation of the input members.
@@ -94,17 +97,11 @@ class MergeOutput:
 
 
 def ceil_count(ratio: float, n: int) -> int:
-    """ceil(ratio * n) computed exactly, so 0.1 * 40 keeps 4, not 5."""
+    """ceil(ratio * n) computed exactly, so 0.1 * 40 keeps 4, not 5. Any
+    ratio > 0 keeps at least one of n >= 1, even one that the rational
+    approximation rounds to 0."""
     frac = Fraction(ratio).limit_denominator(10**6)
-    return min(n, max(0, -((-frac.numerator * n) // frac.denominator)))
-
-
-def _stack(vectors) -> np.ndarray:
-    """Members as a new C-contiguous (n, d) float32 matrix that the kernel
-    owns, so its in-place steps never reach the caller's arrays."""
-    if len(vectors) == 0:
-        raise EmptyGroup("cannot merge an empty group")
-    return np.asarray([np.asarray(v, dtype=np.float32).ravel() for v in vectors], dtype=np.float32)
+    return min(n, max(int(ratio > 0), -((-frac.numerator * n) // frac.denominator)))
 
 
 def _ascending_sum(mat: np.ndarray) -> np.ndarray:
@@ -117,23 +114,15 @@ def _ascending_sum(mat: np.ndarray) -> np.ndarray:
     return acc
 
 
-def merge_average(vectors) -> MergeOutput:
-    """Elementwise arithmetic mean."""
-    return _average(_stack(vectors))
-
-
 def _average(mat: np.ndarray) -> MergeOutput:
+    """Elementwise arithmetic mean."""
     mean = _ascending_sum(mat) / len(mat)
     return MergeOutput(unified=mean.astype(np.float32))
 
 
-def merge_ta(vectors, lam: float = 1.5) -> MergeOutput:
+def _ta(mat: np.ndarray, lam: float) -> MergeOutput:
     """Scaled mean lam * (1/n) * sum; n is the group size, so the scale is
     stable as groups grow."""
-    return _ta(_stack(vectors), lam)
-
-
-def _ta(mat: np.ndarray, lam: float) -> MergeOutput:
     return MergeOutput(unified=np.float32(lam) * _average(mat).unified)
 
 
@@ -196,15 +185,11 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return np.array([row.astype(np.float64).sum() for row in a])
 
 
-def merge_ties(vectors, lam: float = 1.0) -> MergeOutput:
-    """Elect-sign + disjoint-merge only (inputs are expected to be globally
-    trimmed already). Per coordinate, the sign of the member sum is elected
-    (zero counts as +) and the mean is taken over the members that carry
-    that sign, skipping zeros."""
-    return _ties(_stack(vectors), lam)
-
-
 def _ties(mat: np.ndarray, lam: float) -> MergeOutput:
+    """Elect-sign + disjoint-merge only (the rows are expected to be
+    globally trimmed already). Per coordinate, the sign of the member sum is
+    elected (zero counts as +) and the mean is taken over the members that
+    carry that sign, skipping zeros."""
     return MergeOutput(unified=_disjoint_mean(mat, np.empty_like(mat), lam))
 
 
@@ -227,16 +212,12 @@ def _disjoint_mean(mat: np.ndarray, scratch: np.ndarray, lam: float) -> np.ndarr
 _PCB_TEMP = 1.0
 
 
-def merge_pcb(vectors, keep_ratio: float = 0.1, lam: float = 1.0) -> MergeOutput:
+def _pcb(mat: np.ndarray, keep_ratio: float, lam: float) -> MergeOutput:
     """Competition-balanced merge: intra-balancing (per-member softmax over
     coordinates of scaled squared magnitudes), inter-balancing (mean sigmoid
     of scaled cross-member products), drop to the per-member top
     ceil(keep_ratio * d) coordinates by combined score, then rescale by the
     score-weighted mean."""
-    return _pcb(_stack(vectors), keep_ratio, lam)
-
-
-def _pcb(mat: np.ndarray, keep_ratio: float, lam: float) -> MergeOutput:
     n, d = mat.shape
     if n == 1:
         return MergeOutput(unified=np.float32(lam) * mat[0])
@@ -267,15 +248,11 @@ def _pcb(mat: np.ndarray, keep_ratio: float, lam: float) -> MergeOutput:
     return MergeOutput(unified=unified.astype(np.float32))
 
 
-def merge_emr(vectors) -> MergeOutput:
+def _emr(mat: np.ndarray) -> MergeOutput:
     """Elect-mask-rescale: unified keeps, per coordinate, the largest
     magnitude among members agreeing with the elected sign; masks select
     coordinates where member and unified agree in sign; rescalers restore
     each member's L1 mass over its masked unified entries."""
-    return _emr(_stack(vectors))
-
-
-def _emr(mat: np.ndarray) -> MergeOutput:
     scratch = np.empty_like(mat)
     eps = _elect(mat, scratch)
     # the largest agreeing magnitude, +0.0 where no member agrees (fmax skips
@@ -294,14 +271,11 @@ def _emr(mat: np.ndarray) -> MergeOutput:
     return MergeOutput(unified=unified, masks=masks, rescalers=gammas.astype(np.float32))
 
 
-def merge_consensus(vectors, threshold: float = 0.6) -> MergeOutput:
-    """Unified vector from the elect+disjoint merge (lam=1); member masks keep
-    the coordinates where the member's own magnitude is at least
-    ``threshold`` times its distance to the unified value."""
-    return _consensus(_stack(vectors), threshold)
-
-
 def _consensus(mat: np.ndarray, threshold: float) -> MergeOutput:
+    """Unified vector from the elect+disjoint merge (lam=1); member masks
+    keep the coordinates where the member's own magnitude is at least
+    ``threshold`` times its distance to the unified value. Overwrites
+    ``mat``."""
     scratch = np.empty_like(mat)
     unified = _disjoint_mean(mat, scratch, 1.0)
     np.subtract(unified, mat, out=scratch)

@@ -160,8 +160,13 @@ class TaskVectorSet:
     into its slice of a block's rows, widened to float32 before subtracting
     so float16 archives lose nothing in the difference. Float32 pretrained
     tensors are held as views; a float16 one is widened to float32 once,
-    on construction. ``compute_task_vectors`` checks that the checkpoints align before
-    building a set.
+    on construction; all are read-only, so an artifact that shares one
+    (``pretrained_block``) cannot write into the set.
+    ``compute_task_vectors`` checks that the checkpoints align before
+    building a set. It is the one handle on the inputs: artifacts take
+    their pretrained blocks from ``pretrained_block``, and each task's
+    fine-tuned blocks and head from ``finetuned``, the checkpoints in task
+    order.
 
     ``trim_ratio`` records a global magnitude trim applied up front (None
     means untrimmed; ``mergers.ties_trim`` sets it). ``keep_largest``
@@ -190,18 +195,20 @@ class TaskVectorSet:
         self.partition = partition
         self.num_tasks = len(finetuned)
         self.trim_ratio: float | None = None
-        # float32 pretrained tensors by name; keeps no reference to the
-        # pretrained checkpoint itself
+        # flat float32 pretrained tensors by name, read-only; keeps no
+        # reference to the pretrained checkpoint itself
         self._base = {name: pretrained.tensors[name].astype(np.float32, copy=False).ravel()
                       for block in partition.blocks for name in block.tensor_names}
-        self._finetuned = list(finetuned)
+        for base in self._base.values():
+            base.flags.writeable = False
+        self.finetuned = list(finetuned)
         # set by keep_largest: per block, (M, ceil(d_b / 8)) packed keep masks
         # and each task's kept values
         self._kept: list[tuple[np.ndarray, list[np.ndarray]]] | None = None
         # per input (the pretrained one first, then task k at k + 1): its
         # mapping and, per block, the file offset just past the block's last
         # tensor, or None for an input that read_archive did not map
-        self._pages = [_block_ends(ckpt, partition) for ckpt in [pretrained, *self._finetuned]]
+        self._pages = [_block_ends(ckpt, partition) for ckpt in [pretrained, *self.finetuned]]
 
     @property
     def block_vectors(self):
@@ -224,6 +231,13 @@ class TaskVectorSet:
             # unpacked bits are 0/1 bytes, so they are a valid bool buffer
             row[np.flatnonzero(np.unpackbits(packed[k], count=d).view(bool))] = values[k]
         return out
+
+    def pretrained_block(self, b: int) -> np.ndarray:
+        """Block ``b``'s pretrained values as one flat float32 vector: the
+        set's own read-only array for a block of one tensor, a new
+        concatenation otherwise."""
+        parts = [self._base[name] for name in self.partition.blocks[b].tensor_names]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def release(self, b: int) -> None:
         """Give back every mapped input's pages up to the end of block ``b``."""
@@ -298,7 +312,7 @@ class TaskVectorSet:
 
     def _fill(self, b: int, k: int, out: np.ndarray) -> None:
         """Write task ``k``'s untrimmed row of block ``b`` into ``out``."""
-        tensors = self._finetuned[k].tensors
+        tensors = self.finetuned[k].tensors
         offset = 0
         for name in self.partition.blocks[b].tensor_names:
             base = self._base[name]

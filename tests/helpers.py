@@ -8,7 +8,15 @@ from pathlib import Path
 
 import numpy as np
 
-from blockmerge import Checkpoint, TaskVectorSet, compute_task_vectors, partition
+from blockmerge import (
+    Checkpoint,
+    MergeOutput,
+    MergerConfig,
+    TaskVectorSet,
+    compute_task_vectors,
+    merge_group,
+    partition,
+)
 from blockmerge.mergers import ceil_count
 from blockmerge.task_space import Block, BlockPartition
 from blockmerge.tensor_store import dtype_code
@@ -108,6 +116,17 @@ def tv_from_rows(blocks) -> TaskVectorSet:
     pre = Checkpoint({n: np.zeros(v.shape[1], dtype=np.float32) for n, v in zip(names, blocks)})
     tasks = [Checkpoint({n: v[k] for n, v in zip(names, blocks)}) for k in range(len(blocks[0]))]
     return compute_task_vectors(pre, tasks, part)
+
+
+def merge_rows(algorithm: str, vectors, **overrides) -> MergeOutput:
+    """``merge_group`` of ``vectors`` (an (n, d) matrix or n d-vectors, n >=
+    1) as one group of a one-block ``tv_from_rows`` set, under
+    ``algorithm``'s defaults with ``overrides``. The set views the given
+    rows, so an input the merge wrote into would show."""
+    mat = np.asarray(vectors, dtype=np.float32)
+    mat = mat.reshape(len(mat), -1)
+    cfg = MergerConfig.for_algorithm(algorithm, **overrides)
+    return merge_group(cfg, tv_from_rows([mat]), 0, range(len(mat)))
 
 
 def synthetic_rows(rng: np.random.Generator, dims: list[int], num_tasks: int, scale=1.0) -> list[np.ndarray]:

@@ -70,8 +70,9 @@ def _top_indices(values, count):
 
 
 def ceil_ratio(ratio: float, n: int) -> int:
+    """ceil(ratio * n): at least 1 of n >= 1 for any ratio > 0."""
     frac = Fraction(ratio).limit_denominator(10**6)
-    return min(n, max(0, -((-frac.numerator * n) // frac.denominator)))
+    return min(n, max(1 if ratio > 0 else 0, -((-frac.numerator * n) // frac.denominator)))
 
 
 def pcb_oracle(vectors, keep_ratio, lam, intra_temp, inter_temp):
@@ -443,12 +444,11 @@ def export_manifest_reference(artifact, out_dir: str) -> None:
     write_archive(Checkpoint(tensors=tensors), os.path.join(out_dir, "tensors.safetensors"))
 
 
-def sweep_reference(assignments, out_dirs, tv, pretrained, cfg, finetuned=None,
-                    fingerprint: str = "") -> None:
+def sweep_reference(assignments, out_dirs, tv, cfg, fingerprint: str = "") -> None:
     """What ``export_sweep`` plus the ``groups.json`` of ``blockmerge merge``
     must write, size by size."""
     for asg, out_dir in zip(assignments, out_dirs):
-        art = build_artifact(asg, tv, pretrained, cfg, finetuned=finetuned, fingerprint=fingerprint)
+        art = build_artifact(asg, tv, cfg, fingerprint=fingerprint)
         export_manifest_reference(art, out_dir)
         write_assignment_json(asg, tv.partition.block_keys, os.path.join(out_dir, "groups.json"))
 

@@ -21,12 +21,6 @@ from blockmerge import (
     compute_task_vectors,
     default_transformer_rules,
     kmeans_baseline,
-    merge_average,
-    merge_consensus,
-    merge_emr,
-    merge_pcb,
-    merge_ta,
-    merge_ties,
     partition,
     prepare_task_vectors,
     reconstruct_task,
@@ -38,7 +32,7 @@ from blockmerge.cli import main as cli_main
 from blockmerge.scheduler import GroupAssignment
 from blockmerge.similarity import pairwise_all
 
-from helpers import plan_signature, synthetic_tv, toy_model
+from helpers import merge_rows, plan_signature, synthetic_tv, toy_model
 from oracles import (
     average_oracle,
     consensus_oracle,
@@ -78,13 +72,7 @@ def test_criterion_1_size_formula_reproduction():
             asg = replay_to_size(plan, tv, Fraction(0), sm)
             assert asg.size == expected
             assert sm.size_of(asg.block_groups) == expected
-            pre = Checkpoint(
-                tensors={
-                    b.tensor_names[0]: rng.standard_normal(b.dim).astype(np.float32)
-                    for b in tv.partition.blocks
-                }
-            )
-            art = build_artifact(asg, tv, pre, cfg)
+            art = build_artifact(asg, tv, cfg)
             assert art.size_report.units == expected
         assert float(cases[0][2]) == 2.34375
         assert float(cases[1][2]) == 2.21875
@@ -135,14 +123,14 @@ def test_criterion_3_extreme_size_exactness(tmp_path):
             sm = SizeModel.from_partition(part, cfg)
 
             full = replay_to_size(plan, tv, Fraction(5), sm)
-            art = build_artifact(full, tv, pre, cfg, finetuned=tasks)
+            art = build_artifact(full, tv, cfg)
             for k in range(5):
                 out = str(tmp_path / f"out{algorithm}{k}.st")
                 write_archive(reconstruct_task(art, k), out)
                 assert Path(out).read_bytes() == Path(input_paths[k]).read_bytes()
 
             one = replay_to_size(plan, tv, Fraction(1), sm)
-            art1 = build_artifact(one, tv, pre, cfg, finetuned=tasks)
+            art1 = build_artifact(one, tv, cfg)
             rebuilt = reconstruct_task(art1, 0)
             lam = np.float32(1.5) if algorithm == "ta" else np.float32(1.0)
             for name in part.tensor_to_block:
@@ -189,7 +177,7 @@ def test_criterion_4_averaging_sse_monotone():
                 block_keys=plan.block_keys,
             )
             asg = replay_to_size(sub, tv, Fraction(0), sm)
-            art = build_artifact(asg, tv, pre, cfg, finetuned=tasks)
+            art = build_artifact(asg, tv, cfg)
             sse = verify_artifact(art, tasks).total_sse
             if sse < last:
                 violations += 1
@@ -207,28 +195,28 @@ def test_criterion_5_merger_oracles():
             d = int(rng.integers(1, 65))
             vecs = [rng.normal(size=d).astype(np.float32) for _ in range(n)]
             np.testing.assert_allclose(
-                merge_average(vecs).unified, average_oracle(vecs), rtol=1e-6, atol=1e-8
+                merge_rows("average", vecs).unified, average_oracle(vecs), rtol=1e-6, atol=1e-8
             )
             np.testing.assert_allclose(
-                merge_ta(vecs, 1.5).unified, ta_oracle(vecs, 1.5), rtol=1e-6, atol=1e-7
+                merge_rows("ta", vecs, lam=1.5).unified, ta_oracle(vecs, 1.5), rtol=1e-6, atol=1e-7
             )
             np.testing.assert_allclose(
-                merge_ties(vecs, 1.0).unified, ties_oracle(vecs, 1.0), rtol=1e-6, atol=1e-8
+                merge_rows("ties", vecs, lam=1.0).unified, ties_oracle(vecs, 1.0), rtol=1e-6, atol=1e-8
             )
             keep = float(rng.choice([0.25, 0.5, 1.0]))
             np.testing.assert_allclose(
-                merge_pcb(vecs, keep_ratio=keep, lam=1.0).unified,
+                merge_rows("pcb", vecs, keep_ratio=keep, lam=1.0).unified,
                 pcb_oracle(vecs, keep, 1.0, 1.0, 1.0),
                 rtol=1e-6,
                 atol=1e-8,
             )
             u, masks, gammas = emr_oracle(vecs)
-            out = merge_emr(vecs)
+            out = merge_rows("emr", vecs)
             np.testing.assert_allclose(out.unified, u, rtol=1e-6, atol=1e-8)
             np.testing.assert_array_equal(out.masks, np.array(masks, dtype=bool))
             np.testing.assert_allclose(out.rescalers, gammas, rtol=1e-6, atol=1e-8)
             cu, cmasks = consensus_oracle(vecs, 0.6)
-            cout = merge_consensus(vecs, 0.6)
+            cout = merge_rows("consensus", vecs, consensus_threshold=0.6)
             np.testing.assert_allclose(cout.unified, cu, rtol=1e-6, atol=1e-8)
             np.testing.assert_array_equal(cout.masks, np.array(cmasks, dtype=bool))
             groups += 1
@@ -236,12 +224,12 @@ def test_criterion_5_merger_oracles():
         # one-member emr groups reconstruct their member exactly
         for _ in range(10):
             v = rng.normal(size=int(rng.integers(1, 65))).astype(np.float32)
-            out = merge_emr([v])
+            out = merge_rows("emr", [v])
             np.testing.assert_array_equal(out.rescalers[0] * out.unified * out.masks[0], v)
         # threshold-0 consensus masks are all ones
         for _ in range(10):
             vecs = [rng.normal(size=16).astype(np.float32) for _ in range(3)]
-            assert merge_consensus(vecs, threshold=0.0).masks.all()
+            assert merge_rows("consensus", vecs, consensus_threshold=0.0).masks.all()
 
 
 def test_criterion_6_fractional_size_coverage():
@@ -286,9 +274,6 @@ def test_criterion_7_performance_budget():
 
         with threadpool_limits(1):
             tv = synthetic_tv(rng, dims, num_tasks=m)
-            pre = Checkpoint(
-                tensors={f"b{i}.w": rng.standard_normal(d).astype(np.float32) for i in range(b)}
-            )
             start = time.perf_counter()
             matrices = pairwise_all(tv)
             stage1 = time.perf_counter() - start
@@ -298,7 +283,7 @@ def test_criterion_7_performance_budget():
             targets = [Fraction(x) for x in (1, 2, 3, 5, 8, 11, 15, 19, 24, 30)]
             for target in targets:
                 asg = replay_to_size(plan, tv, target, sm)
-                build_artifact(asg, tv, pre, cfg)
+                build_artifact(asg, tv, cfg)
             elapsed = time.perf_counter() - start
             assert elapsed < 60.0, f"plan + sweep took {elapsed:.1f}s"
 
@@ -414,7 +399,7 @@ def test_criterion_10_inplace_restoration():
                     size=Fraction(0),
                 )
                 asg.size = sm.size_of(asg.block_groups)
-            art = build_artifact(asg, tv, pre, cfg, finetuned=tasks)
+            art = build_artifact(asg, tv, cfg)
             assert art.pretrained_blocks, "fixture must contain masked groups"
             before = {b: buf.tobytes() for b, buf in art.pretrained_blocks.items()}
             for _ in range(2):

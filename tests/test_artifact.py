@@ -50,7 +50,7 @@ def _pipeline(rng, num_tasks, algorithm, target, layers=2, width=4, **cfg_overri
     plan = compute_merge_plan(tv)
     sm = SizeModel.from_partition(part, cfg)
     asg = replay_to_size(plan, tv, Fraction(target), sm)
-    art = build_artifact(asg, tv, pre, cfg, finetuned=tasks)
+    art = build_artifact(asg, tv, cfg)
     return pre, tasks, part, tv, asg, art
 
 
@@ -141,12 +141,35 @@ def test_inplace_restore_bit_exact_power_of_two_gammas():
     plan = compute_merge_plan(tv)
     sm = SizeModel.from_partition(part, cfg)
     asg = replay_to_size(plan, tv, Fraction(0), sm)
-    art = build_artifact(asg, tv, pre, cfg, finetuned=tasks)
+    art = build_artifact(asg, tv, cfg)
     before = {b: buf.tobytes() for b, buf in art.pretrained_blocks.items()}
     for k in (0, 1, 0, 1):
         reconstruct_task(art, k)
     after = {b: buf.tobytes() for b, buf in art.pretrained_blocks.items()}
     assert before == after
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+def test_pretrained_blocks_are_the_sets_read_only_arrays(dtype):
+    # an artifact shares the set's pretrained arrays, so neither can write
+    # into the other; a float16 model's are the set's own widened copies
+    pre, tasks = toy_model(np.random.default_rng(18), 3, layers=1, width=4, dtype=dtype)
+    part = partition(pre, default_transformer_rules(), exclude=["head.*"])
+    cfg = MergerConfig.for_algorithm("emr")
+    tv = compute_task_vectors(pre, tasks, part)
+    assert all(len(block.tensor_names) == 1 for block in part.blocks)
+    for block in part.blocks:
+        base = tv.pretrained_block(block.block_id)
+        assert base is tv.pretrained_block(block.block_id)
+        assert base.tobytes() == flatten_block(pre, block).tobytes()
+        assert not base.flags.writeable
+    asg = replay_to_size(compute_merge_plan(tv), tv, Fraction(0), SizeModel.from_partition(part, cfg))
+    art = build_artifact(asg, tv, cfg)
+    assert art.pretrained_blocks.keys() == set(range(part.num_blocks))
+    for b, arr in art.pretrained_blocks.items():
+        assert arr is tv.pretrained_block(b)
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_repeat_reconstruction_bit_identical_non_dyadic_rescalers():
@@ -165,7 +188,7 @@ def test_repeat_reconstruction_bit_identical_non_dyadic_rescalers():
     tv = compute_task_vectors(pre, tasks, part)
     sm = SizeModel.from_partition(part, cfg)
     asg = replay_to_size(compute_merge_plan(tv), tv, Fraction(0), sm)
-    art = build_artifact(asg, tv, pre, cfg, finetuned=tasks)
+    art = build_artifact(asg, tv, cfg)
     gammas = np.concatenate([g.gammas for g in art.groups if g.payload == "masked"])
     assert (np.frexp(gammas)[0] != 0.5).any(), "fixture needs non-power-of-two rescalers"
     first = {k: reconstruct_task(art, k) for k in range(4)}
@@ -192,7 +215,7 @@ def test_reuse_shares_payloads_and_matches_fresh_build(tmp_path, monkeypatch):
 
     monkeypatch.setattr(artifact_mod, "merge_group", counting)
     dirs = [str(tmp_path / "large"), str(tmp_path / "small")]
-    large, small = export_sweep(asgs, dirs, tv, pre, cfg, finetuned=tasks)
+    large, small = export_sweep(asgs, dirs, tv, cfg)
     monkeypatch.undo()
 
     keys = [{(b, g) for b, groups in enumerate(a.block_groups) for g in groups} for a in asgs]
@@ -204,7 +227,7 @@ def test_reuse_shares_payloads_and_matches_fresh_build(tmp_path, monkeypatch):
     assert set(calls) == {key for key in keys[0] | keys[1] if len(key[1]) > 1}
 
     for asg, got in zip(asgs, dirs):
-        fresh = build_artifact(asg, tv, pre, cfg, finetuned=tasks)
+        fresh = build_artifact(asg, tv, cfg)
         want = str(tmp_path / "fresh" / os.path.basename(got))
         export_manifest(fresh, want)
         for name in ("tensors.safetensors", "manifest.json"):
@@ -225,7 +248,7 @@ def test_config_mismatch_on_trim_state():
     plan = compute_merge_plan(tv)
     asg = replay_to_size(plan, tv, Fraction(1), SizeModel.from_partition(part, cfg))
     with pytest.raises(ConfigMismatch):
-        build_artifact(asg, tv, pre, cfg, finetuned=tasks)
+        build_artifact(asg, tv, cfg)
 
 
 def test_unknown_task():
@@ -322,7 +345,7 @@ def test_reconstruction_preserves_interleaved_tensor_order(tmp_path):
     cfg = MergerConfig.for_algorithm("average")
     plan = compute_merge_plan(tv)
     asg = replay_to_size(plan, tv, Fraction(2), SizeModel.from_partition(part, cfg))
-    art = build_artifact(asg, tv, pre, cfg, finetuned=tasks)
+    art = build_artifact(asg, tv, cfg)
     rebuilt = reconstruct_task(art, 1)
     assert rebuilt.names == names
     assert rebuilt.same_tensors(tasks[1])
@@ -351,7 +374,7 @@ def test_float16_pipeline_and_mask_floor():
     plan = compute_merge_plan(tv)
     sm = SizeModel.from_partition(part, cfg)
     asg = replay_to_size(plan, tv, Fraction(0), sm)
-    art = build_artifact(asg, tv, pre, cfg, finetuned=tasks)
+    art = build_artifact(asg, tv, cfg)
     # half the bytes per element doubles the relative mask cost: 2 + M/16
     assert art.size_report.units == Fraction(2) + Fraction(3, 16)
     ckpt = reconstruct_task(art, 0)
@@ -375,7 +398,7 @@ def test_hand_built_assignment_accepted():
     sm = SizeModel.from_partition(part, cfg)
     asg = GroupAssignment(block_groups=list(groups), applied_events=0, size=Fraction(0))
     asg.size = sm.size_of(asg.block_groups)
-    art = build_artifact(asg, tv, pre, cfg, finetuned=tasks)
+    art = build_artifact(asg, tv, cfg)
     assert {g.members for g in art.groups} == {(0, 1), (2, 3)}
 
 
@@ -405,7 +428,7 @@ def test_size_m_round_trip_is_byte_exact_off_grid(tmp_path, algorithm):
     tv = prepare_task_vectors(compute_task_vectors(pre, tasks, part), cfg)
     sm = SizeModel.from_partition(part, cfg)
     asg = replay_to_size(compute_merge_plan(tv), tv, Fraction(3), sm)
-    art = build_artifact(asg, tv, pre, cfg, finetuned=tasks)
+    art = build_artifact(asg, tv, cfg)
     # the fixture must be one where pre + (ft - pre) != ft somewhere
     assert any((flatten_block(pre, b) + tv.rows(b.block_id)[k]
                 != flatten_block(tasks[k], b)).any() for k in range(3) for b in part.blocks)
@@ -470,8 +493,7 @@ def test_loaded_float32_payloads_are_views_of_the_archive(tmp_path, monkeypatch,
     cfg = MergerConfig.for_algorithm(algorithm)
     tv = prepare_task_vectors(compute_task_vectors(pre, tasks, part), cfg)
     sm = SizeModel.from_partition(part, cfg)
-    art = build_artifact(replay_to_size(compute_merge_plan(tv), tv, Fraction(target), sm), tv, pre, cfg,
-                         finetuned=tasks)
+    art = build_artifact(replay_to_size(compute_merge_plan(tv), tv, Fraction(target), sm), tv, cfg)
     kinds = {"emr": {"dense", "masked"}, "ties": {"dense"}}[algorithm]
     assert {g.payload for g in art.groups} == kinds
     export_manifest(art, str(tmp_path / "art"))
@@ -524,8 +546,7 @@ def test_a_float32_block_with_an_empty_tensor_inside_loads_as_one_view(tmp_path,
     cfg = MergerConfig.for_algorithm("ta")
     tv = compute_task_vectors(pre, tasks, part)
     sm = SizeModel.from_partition(part, cfg)
-    art = build_artifact(replay_to_size(compute_merge_plan(tv), tv, Fraction(2), sm), tv, pre, cfg,
-                         finetuned=tasks)
+    art = build_artifact(replay_to_size(compute_merge_plan(tv), tv, Fraction(2), sm), tv, cfg)
     export_manifest(art, str(tmp_path / "art"))
     back, archive = _load_keeping_archive(monkeypatch, str(tmp_path / "art"))
     payloads = [g.dense for g in back.groups if g.block_id == attn.block_id]

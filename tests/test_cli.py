@@ -186,6 +186,16 @@ def test_rules_file_mistakes_are_config_errors(workspace, tmp_path, capsys, rule
     assert "config error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("algorithm", ["ties", "consensus"])
+def test_a_tiny_keep_ratio_trims_to_one_entry_per_task(workspace, capsys, algorithm):
+    # ceil(1e-9 * D) is 1: the trim keeps each task's largest magnitude
+    out = workspace["tmp"] / "tiny"
+    args = _base_args(workspace, ["--algorithm", algorithm, "--keep-ratio", "1e-9"])
+    assert main(["plan", *args, "--out", str(out / "plan")]) == 0, capsys.readouterr().err
+    assert main(["merge", *args, "--plan", str(out / "plan" / "plan.jsonl"), "--sizes", "1,4",
+                 "--out", str(out / "merge")]) == 0, capsys.readouterr().err
+
+
 def test_exit_code_fingerprint(workspace):
     ws = workspace
     plan_dir = _planned(ws)

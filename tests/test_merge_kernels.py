@@ -7,19 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from blockmerge import (
-    MergerConfig,
-    merge_average,
-    merge_consensus,
-    merge_emr,
-    merge_group,
-    merge_pcb,
-    merge_ta,
-    merge_ties,
-)
+from blockmerge import MergerConfig, merge_group
 from blockmerge.mergers import ALGORITHMS
 
-from helpers import synthetic_tv
+from helpers import merge_rows, synthetic_tv
 from oracles import merge_consensus_reference, merge_emr_reference, merge_ties_reference
 
 DIMS = (1, 7, 8, 9, 8193, 100_003)  # mask-byte edges and numpy's 8192-element cast buffer
@@ -52,21 +43,23 @@ def group(kind: str, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
 
 def assert_same_bits(mat: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):  # wide and non-finite groups
-        compare_bits(list(mat))
+        compare_bits(mat)
 
 
-def compare_bits(vectors):
+def compare_bits(mat: np.ndarray):
+    vectors = list(mat)
     unified, masks, gammas = merge_emr_reference(vectors)
-    out = merge_emr(vectors)
+    out = merge_rows("emr", mat)
     assert out.unified.view(np.uint32).tobytes() == unified.view(np.uint32).tobytes()
     assert out.masks.tobytes() == masks.tobytes()
     assert out.rescalers.view(np.uint32).tobytes() == gammas.view(np.uint32).tobytes()
     for lam in (1.0, -0.5):
         want = merge_ties_reference(vectors, lam)
-        assert merge_ties(vectors, lam).unified.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
+        got = merge_rows("ties", mat, lam=lam).unified
+        assert got.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
     for threshold in (0.6, 0.0):
         unified, masks = merge_consensus_reference(vectors, threshold)
-        out = merge_consensus(vectors, threshold)
+        out = merge_rows("consensus", mat, consensus_threshold=threshold)
         assert out.unified.view(np.uint32).tobytes() == unified.view(np.uint32).tobytes()
         assert out.masks.tobytes() == masks.tobytes()
 
@@ -88,14 +81,14 @@ def test_member_sums_are_sequential_not_pairwise():
     col = np.zeros((16, 1), dtype=np.float32)
     col[0], col[1], col[8] = 1e30, -1.0, -1e30
     assert_same_bits(col)
-    assert merge_ties(list(col)).unified[0] == np.float32(1e30)
+    assert merge_rows("ties", col).unified[0] == np.float32(1e30)
     # disjoint sum: each 2**-50 vanishes into 16 + 2**-20 one at a time, so
     # the mean sits exactly halfway between two float32s and rounds to 1.0;
     # added pairwise, they carry it past the midpoint
     col = np.full((16, 1), 2.0**-50, dtype=np.float32)
     col[0], col[1] = 16.0, 2.0**-20
     assert_same_bits(col)
-    assert merge_ties(list(col)).unified[0] == np.float32(1.0)
+    assert merge_rows("ties", col).unified[0] == np.float32(1.0)
 
 
 def test_row_sums_add_each_whole_row_pairwise():
@@ -116,16 +109,6 @@ def test_non_finite_members_match_reference_bits():
     assert_same_bits(mat)
 
 
-DIRECT = {
-    "average": merge_average,
-    "ta": lambda v: merge_ta(v, lam=1.5),
-    "ties": lambda v: merge_ties(v, lam=1.0),
-    "pcb": lambda v: merge_pcb(v, keep_ratio=0.5, lam=1.0),
-    "emr": merge_emr,
-    "consensus": lambda v: merge_consensus(v, threshold=0.6),
-}
-
-
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_kernels_never_write_their_inputs(algorithm):
     rng = np.random.default_rng(21)
@@ -136,13 +119,11 @@ def test_kernels_never_write_their_inputs(algorithm):
         merge_group(cfg, tv, b, [4, 1, 2])
     assert [v.tobytes() for v in tv.block_vectors] == before
 
+    # a set viewing the caller's matrix: the rows merged are built apart
     mat = rng.normal(size=(3, 37)).astype(np.float32)
-    rows = [row.copy() for row in mat]
-    mat_bytes, rows_bytes = mat.tobytes(), [row.tobytes() for row in rows]
-    DIRECT[algorithm](mat)
-    DIRECT[algorithm](rows)
+    mat_bytes = mat.tobytes()
+    merge_rows(algorithm, mat, keep_ratio=0.5)
     assert mat.tobytes() == mat_bytes
-    assert [row.tobytes() for row in rows] == rows_bytes
 
 
 @pytest.mark.parametrize("algorithm", ["emr", "ties", "consensus"])

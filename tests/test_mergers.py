@@ -3,23 +3,13 @@
 import numpy as np
 import pytest
 
-from blockmerge import (
-    EmptyGroup,
-    MergerConfig,
-    merge_average,
-    merge_consensus,
-    merge_emr,
-    merge_group,
-    merge_pcb,
-    merge_ta,
-    merge_ties,
-    ties_trim,
-)
+from blockmerge import EmptyGroup, MergerConfig, merge_group, ties_trim
 from blockmerge.mergers import ceil_count
 
-from helpers import synthetic_rows, synthetic_tv, tv_from_rows
+from helpers import merge_rows, synthetic_rows, synthetic_tv, tv_from_rows
 from oracles import (
     average_oracle,
+    ceil_ratio,
     consensus_oracle,
     emr_oracle,
     pcb_oracle,
@@ -36,26 +26,26 @@ def v32(*rows):
 
 def test_average_of_one_is_identity():
     (v,) = v32([0.5, -2.0, 3.25])
-    np.testing.assert_array_equal(merge_average([v]).unified, v)
+    np.testing.assert_array_equal(merge_rows("average", [v]).unified, v)
 
 
 def test_average_arithmetic():
-    out = merge_average(v32([2.0, 0.0], [0.0, 2.0]))
+    out = merge_rows("average", v32([2.0, 0.0], [0.0, 2.0]))
     np.testing.assert_array_equal(out.unified, np.array([1.0, 1.0], dtype=np.float32))
 
 
 def test_average_three_members():
-    out = merge_average(v32([1.0, 1.0], [2.0, 2.0], [3.0, 3.0]))
+    out = merge_rows("average", v32([1.0, 1.0], [2.0, 2.0], [3.0, 3.0]))
     np.testing.assert_array_equal(out.unified, np.array([2.0, 2.0], dtype=np.float32))
 
 
 def test_ta_identity_at_lambda_one():
     (v,) = v32([1.0, -4.5])
-    np.testing.assert_array_equal(merge_ta([v], lam=1.0).unified, v)
+    np.testing.assert_array_equal(merge_rows("ta", [v], lam=1.0).unified, v)
 
 
 def test_ta_scaled_mean():
-    out = merge_ta(v32([2.0, 0.0], [0.0, 2.0]), lam=1.5)
+    out = merge_rows("ta", v32([2.0, 0.0], [0.0, 2.0]), lam=1.5)
     np.testing.assert_array_equal(out.unified, np.array([1.5, 1.5], dtype=np.float32))
 
 
@@ -68,13 +58,14 @@ def test_ta_is_scaled_average():
     vecs = [rng.normal(size=16).astype(np.float32) for _ in range(4)]
     lam = np.float32(1.5)
     np.testing.assert_array_equal(
-        merge_ta(vecs, lam=1.5).unified, lam * merge_average(vecs).unified
+        merge_rows("ta", vecs, lam=1.5).unified, lam * merge_rows("average", vecs).unified
     )
 
 
 def test_empty_group_raises():
+    tv = synthetic_tv(np.random.default_rng(0), [4], num_tasks=2)
     with pytest.raises(EmptyGroup):
-        merge_average([])
+        merge_group(MergerConfig.for_algorithm("average"), tv, 0, [])
 
 
 # -- global trim -------------------------------------------------------------
@@ -109,22 +100,48 @@ def test_trim_count_exact():
     assert ceil_count(0.1, 41) == 5
     assert ceil_count(1.0, 7) == 7
     assert ceil_count(0.25, 10) == 3
+    # the rational approximation rounds 1e-9 to 0, but ceil(1e-9 * n) is 1
+    assert ceil_count(1e-9, 1000) == ceil_ratio(1e-9, 1000) == 1
+    assert ceil_count(1e-9, 0) == 0
+    assert ceil_count(0.0, 1000) == 0
+
+
+def test_trim_at_a_tiny_ratio_keeps_each_tasks_largest_magnitude():
+    rows = synthetic_rows(np.random.default_rng(24), [32, 64], num_tasks=3)
+    rows[1][2, 5] = rows[0][2, 7] = np.float32(-9.0)  # task 2 ties: the lower flat index wins
+    tv = ties_trim(tv_from_rows(rows), 1e-9)
+    assert tv.trim_ratio == 1e-9
+    dense = np.concatenate(rows, axis=1)
+    trimmed = np.concatenate([tv.rows(b) for b in range(2)], axis=1)
+    for k in range(3):
+        top = int(np.argmax(np.abs(dense[k])))  # the first of equal magnitudes
+        assert np.flatnonzero(trimmed[k]).tolist() == [top]
+        assert trimmed[k, top] == dense[k, top]
+    assert np.flatnonzero(trimmed[2]).tolist() == [7]
+
+
+def test_pcb_at_a_tiny_ratio_keeps_one_coordinate_per_member():
+    rng = np.random.default_rng(25)
+    vecs = [rng.normal(size=16).astype(np.float32) for _ in range(3)]
+    got = merge_rows("pcb", vecs, keep_ratio=1e-9).unified
+    assert 1 <= np.count_nonzero(got) <= 3
+    np.testing.assert_allclose(got, pcb_oracle(vecs, 1e-9, 1.0, 1.0, 1.0), rtol=1e-6, atol=1e-8)
 
 
 # -- ties --------------------------------------------------------------------
 
 def test_ties_single_identity():
     (v,) = v32([1.0, 0.0, -2.0])
-    np.testing.assert_array_equal(merge_ties([v], lam=1.0).unified, v)
+    np.testing.assert_array_equal(merge_rows("ties", [v], lam=1.0).unified, v)
 
 
 def test_ties_elect_and_disjoint():
-    out = merge_ties(v32([1.0, -2.0], [3.0, 1.0]), lam=1.0)
+    out = merge_rows("ties", v32([1.0, -2.0], [3.0, 1.0]), lam=1.0)
     np.testing.assert_array_equal(out.unified, np.array([2.0, -2.0], dtype=np.float32))
 
 
 def test_ties_zero_column():
-    out = merge_ties(v32([0.0, 1.0], [0.0, 1.0]), lam=1.0)
+    out = merge_rows("ties", v32([0.0, 1.0], [0.0, 1.0]), lam=1.0)
     assert out.unified[0] == 0.0
 
 
@@ -132,7 +149,7 @@ def test_ties_sign_consistency_property():
     rng = np.random.default_rng(4)
     for _ in range(30):
         mat = rng.normal(size=(rng.integers(2, 5), 12)).astype(np.float32)
-        out = merge_ties(list(mat), lam=1.0)
+        out = merge_rows("ties", list(mat), lam=1.0)
         total = mat.sum(axis=0, dtype=np.float64)
         eps = np.where(total >= 0, 1.0, -1.0)
         nz = out.unified != 0
@@ -143,14 +160,14 @@ def test_ties_sign_consistency_property():
 
 def test_pcb_single_identity():
     (v,) = v32([1.0, -2.0, 0.5])
-    np.testing.assert_array_equal(merge_pcb([v], keep_ratio=1.0, lam=1.0).unified, v)
+    np.testing.assert_array_equal(merge_rows("pcb", [v], keep_ratio=1.0, lam=1.0).unified, v)
 
 
 def test_pcb_drop_count():
     rng = np.random.default_rng(5)
     vecs = [rng.normal(size=16).astype(np.float32) for _ in range(3)]
     keep_ratio = 0.25  # keep 4 of 16 per member
-    out = merge_pcb(vecs, keep_ratio=keep_ratio, lam=1.0)
+    out = merge_rows("pcb", vecs, keep_ratio=keep_ratio, lam=1.0)
     # combined vector can only be nonzero where at least one member kept
     assert np.count_nonzero(out.unified) <= 3 * 4
 
@@ -161,7 +178,7 @@ def test_pcb_matches_oracle():
         n = int(rng.integers(2, 4))
         d = 16
         vecs = [rng.normal(size=d).astype(np.float32) for _ in range(n)]
-        got = merge_pcb(vecs, keep_ratio=0.5, lam=1.0).unified
+        got = merge_rows("pcb", vecs, keep_ratio=0.5, lam=1.0).unified
         want = pcb_oracle(vecs, 0.5, 1.0, 1.0, 1.0)
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
 
@@ -169,7 +186,7 @@ def test_pcb_matches_oracle():
 # -- emr ---------------------------------------------------------------------
 
 def test_emr_hand_case():
-    out = merge_emr(v32([1.0, -2.0], [3.0, 1.0]))
+    out = merge_rows("emr", v32([1.0, -2.0], [3.0, 1.0]))
     np.testing.assert_array_equal(out.unified, np.array([3.0, -2.0], dtype=np.float32))
     np.testing.assert_array_equal(out.masks, np.array([[True, True], [True, False]]))
     assert out.rescalers[0] == pytest.approx(0.6)
@@ -178,7 +195,7 @@ def test_emr_hand_case():
 
 def test_emr_single_member_reconstructs_exactly():
     (v,) = v32([1.0, 0.0, -2.0, 0.25])
-    out = merge_emr([v])
+    out = merge_rows("emr", [v])
     np.testing.assert_array_equal(out.masks[0], v != 0)
     assert out.rescalers[0] == 1.0
     np.testing.assert_array_equal(out.rescalers[0] * out.unified * out.masks[0], v)
@@ -188,7 +205,7 @@ def test_emr_masks_binary_and_sign_safe():
     rng = np.random.default_rng(7)
     for _ in range(20):
         mat = rng.normal(size=(rng.integers(2, 6), 10)).astype(np.float32)
-        out = merge_emr(list(mat))
+        out = merge_rows("emr", list(mat))
         amax = np.abs(mat).max(axis=0)
         assert np.all(np.abs(out.unified) <= amax + 1e-7)
         picked = out.masks & (out.unified[None, :] != 0)
@@ -200,12 +217,12 @@ def test_emr_masks_binary_and_sign_safe():
 def test_consensus_threshold_zero_all_ones():
     rng = np.random.default_rng(8)
     vecs = [rng.normal(size=12).astype(np.float32) for _ in range(3)]
-    out = merge_consensus(vecs, threshold=0.0)
+    out = merge_rows("consensus", vecs, consensus_threshold=0.0)
     assert out.masks.all()
 
 
 def test_consensus_mask_inequality():
-    out = merge_consensus(v32([1.0], [3.0]), threshold=0.6)
+    out = merge_rows("consensus", v32([1.0], [3.0]), consensus_threshold=0.6)
     # unified = mean(1, 3) = 2; member 0: |1| >= 0.6 * |2 - 1| -> 1
     assert out.unified[0] == 2.0
     assert bool(out.masks[0, 0]) is True
@@ -219,7 +236,8 @@ def test_consensus_unified_is_ties():
     rng = np.random.default_rng(9)
     vecs = [rng.normal(size=8).astype(np.float32) for _ in range(3)]
     np.testing.assert_array_equal(
-        merge_consensus(vecs, 0.6).unified, merge_ties(vecs, lam=1.0).unified
+        merge_rows("consensus", vecs, consensus_threshold=0.6).unified,
+        merge_rows("ties", vecs, lam=1.0).unified,
     )
 
 
@@ -255,20 +273,20 @@ def test_scalar_loop_oracles_random_groups():
         d = int(rng.integers(1, 65))
         vecs = [rng.normal(size=d).astype(np.float32) for _ in range(n)]
         np.testing.assert_allclose(
-            merge_average(vecs).unified, average_oracle(vecs), rtol=1e-6, atol=1e-8
+            merge_rows("average", vecs).unified, average_oracle(vecs), rtol=1e-6, atol=1e-8
         )
         np.testing.assert_allclose(
-            merge_ta(vecs, 1.5).unified, ta_oracle(vecs, 1.5), rtol=1e-6, atol=1e-7
+            merge_rows("ta", vecs, lam=1.5).unified, ta_oracle(vecs, 1.5), rtol=1e-6, atol=1e-7
         )
         np.testing.assert_allclose(
-            merge_ties(vecs, 1.0).unified, ties_oracle(vecs, 1.0), rtol=1e-6, atol=1e-8
+            merge_rows("ties", vecs, lam=1.0).unified, ties_oracle(vecs, 1.0), rtol=1e-6, atol=1e-8
         )
         u, m, g = emr_oracle(vecs)
-        out = merge_emr(vecs)
+        out = merge_rows("emr", vecs)
         np.testing.assert_allclose(out.unified, u, rtol=1e-6, atol=1e-8)
         np.testing.assert_array_equal(out.masks, np.array(m, dtype=bool))
         np.testing.assert_allclose(out.rescalers, g, rtol=1e-6, atol=1e-8)
         cu, cm = consensus_oracle(vecs, 0.6)
-        cout = merge_consensus(vecs, 0.6)
+        cout = merge_rows("consensus", vecs, consensus_threshold=0.6)
         np.testing.assert_allclose(cout.unified, cu, rtol=1e-6, atol=1e-8)
         np.testing.assert_array_equal(cout.masks, np.array(cm, dtype=bool))

@@ -158,8 +158,7 @@ def test_full_sweeps_leave_the_checkpoints_untouched(tmp_path, dtype):
         sm = SizeModel.from_partition(part, cfg)
         targets = [Fraction(s) for s in range(len(tasks), 0, -1)]
         out_dirs = [str(tmp_path / algorithm / str(t)) for t in targets]
-        export_sweep(replay_to_sizes(compute_merge_plan(tv), tv, targets, sm), out_dirs, tv, pre, cfg,
-                     finetuned=tasks)
+        export_sweep(replay_to_sizes(compute_merge_plan(tv), tv, targets, sm), out_dirs, tv, cfg)
     assert _hashes([pre] + tasks) == before
 
 
@@ -231,7 +230,7 @@ def test_merge_stage_peak_memory_is_bounded(tmp_path, algorithm, dtype):
     def merge_stage():
         tv = prepare_task_vectors(compute_task_vectors(pre, tasks, part), cfg)
         export_sweep(replay_to_sizes(plan, tv, targets, sm),
-                     [str(tmp_path / str(t)) for t in targets], tv, pre, cfg, finetuned=tasks)
+                     [str(tmp_path / str(t)) for t in targets], tv, cfg)
 
     peak, _ = _traced(merge_stage)
     widened = sum(DIMS) * 4 if dtype == np.float16 else 0  # the set's float32 pretrained copy

@@ -26,6 +26,7 @@ from blockmerge import (
     export_sweep,
     partition,
     prepare_task_vectors,
+    read_archive,
     replay_to_sizes,
     write_archive,
     write_assignment_json,
@@ -42,9 +43,17 @@ RULES = [PartitionRule("blocks.0.*", "L0")] + default_transformer_rules()
 FILES = ("tensors.safetensors", "manifest.json", "groups.json")
 
 
-def _setup(algorithm, dtype, heads, seed=31):
+def _setup(algorithm, dtype, heads, seed=31, mapped_in=None):
+    """The toy family's set; with ``mapped_in``, a directory, the
+    checkpoints are written there and mapped back (read_archive)."""
     pre, tasks = toy_model(np.random.default_rng(seed), M, layers=2, width=4, dtype=dtype,
                            with_head=heads)
+    if mapped_in is not None:
+        os.makedirs(mapped_in)
+        paths = [os.path.join(mapped_in, f"in{k}.st") for k in range(M + 1)]
+        for path, ck in zip(paths, [pre] + tasks):
+            write_archive(ck, path)
+        pre, *tasks = map(read_archive, paths)
     part = partition(pre, RULES, exclude=["head.*"])
     cfg = MergerConfig.for_algorithm(algorithm)
     tv = prepare_task_vectors(compute_task_vectors(pre, tasks, part), cfg)
@@ -62,32 +71,33 @@ def _assert_same_files(got_dirs, want_dirs, names=FILES[:2]):
             assert _read(os.path.join(got, name)) == _read(os.path.join(want, name)), (got, name)
 
 
-def _sweep_both(tmp_path, pre, tasks, part, cfg, tv, sizes, finetuned=True):
+def _sweep_both(tmp_path, part, cfg, tv, sizes):
     assignments = replay_to_sizes(compute_merge_plan(tv), tv, [Fraction(s) for s in sizes],
                                   SizeModel.from_partition(part, cfg))
     got = [str(tmp_path / "stream" / f"{i}") for i in range(len(sizes))]
     want = [str(tmp_path / "ref" / f"{i}") for i in range(len(sizes))]
-    ft = tasks if finetuned else None
-    written = export_sweep(assignments, got, tv, pre, cfg, finetuned=ft, fingerprint="fp")
-    sweep_reference(assignments, want, tv, pre, cfg, finetuned=ft, fingerprint="fp")
+    written = export_sweep(assignments, got, tv, cfg, fingerprint="fp")
+    sweep_reference(assignments, want, tv, cfg, fingerprint="fp")
     return assignments, got, want, written
 
 
-@pytest.mark.parametrize("inputs", ["heads", "no_heads", "no_finetuned"])
+@pytest.mark.parametrize("inputs", ["heads", "no_heads", "mapped"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float16])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_sweep_matches_the_per_size_reference_bytes(tmp_path, algorithm, dtype, inputs):
     # fractional and below-floor sizes, largest first as merge passes them;
-    # ties/consensus run on trimmed task vectors, the rest untrimmed
-    pre, tasks, part, cfg, tv = _setup(algorithm, dtype, heads=inputs == "heads")
+    # ties/consensus run on trimmed task vectors, the rest untrimmed. Mapped
+    # inputs have heads too; the sweep releases their pages block by block
+    pre, tasks, part, cfg, tv = _setup(
+        algorithm, dtype, heads=inputs != "no_heads",
+        mapped_in=str(tmp_path / "inputs") if inputs == "mapped" else None)
     sizes = [M, 2.75, 2, 1.25, 1, 0.5]
-    assignments, got, want, written = _sweep_both(tmp_path, pre, tasks, part, cfg, tv, sizes,
-                                                  finetuned=inputs != "no_finetuned")
+    assignments, got, want, written = _sweep_both(tmp_path, part, cfg, tv, sizes)
     _assert_same_files(got, want)
     assert [w.units for w in written] == [a.size for a in assignments]
     # export_manifest writes the in-memory artifact as the reference does too
     for i, asg in enumerate(assignments):
-        art = build_artifact(asg, tv, pre, cfg, finetuned=tasks if inputs != "no_finetuned" else None)
+        art = build_artifact(asg, tv, cfg)
         export_manifest(art, str(tmp_path / "one" / f"{i}"))
         export_manifest_reference(art, str(tmp_path / "oneref" / f"{i}"))
     _assert_same_files([str(tmp_path / "one" / f"{i}") for i in range(len(sizes))],
@@ -103,7 +113,7 @@ def test_sweep_matches_the_per_size_reference_bytes(tmp_path, algorithm, dtype, 
 @pytest.mark.parametrize("algorithm", ["emr", "ties"])
 def test_sweep_size_lists(tmp_path, algorithm, sizes):
     pre, tasks, part, cfg, tv = _setup(algorithm, np.float32, heads=True)
-    assignments, got, want, written = _sweep_both(tmp_path, pre, tasks, part, cfg, tv, sizes)
+    assignments, got, want, written = _sweep_both(tmp_path, part, cfg, tv, sizes)
     _assert_same_files(got, want)
     repeats = 0
     for prev, cur, done in zip(assignments, assignments[1:], written[1:]):
@@ -151,15 +161,14 @@ def test_merge_command_matches_reference_and_counts_each_merge_once(tmp_path, mo
     # the reference: the same pipeline, then one artifact per size
     argv = ["merge", *base, "--sizes", SWEEP, "--out", str(out)]
     config = _build_config(build_parser().parse_args(argv))
-    pre, tasks, part, tv = _load_pipeline(config)
+    tv = _load_pipeline(config)
     targets = sorted(set(config.sizes), reverse=True)
     assignments = replay_to_sizes(compute_merge_plan(tv), tv, targets,
-                                  SizeModel.from_partition(part, config.merger))
+                                  SizeModel.from_partition(tv.partition, config.merger))
     with open(out / "size_4" / "manifest.json") as fh:
         fingerprint = json.load(fh)["fingerprint"]
     want = [str(tmp_path / "ref" / str(t)) for t in targets]
-    sweep_reference(assignments, want, tv, pre, config.merger, finetuned=tasks,
-                    fingerprint=fingerprint)
+    sweep_reference(assignments, want, tv, config.merger, fingerprint=fingerprint)
     got = [str(out / f"size_{t}") for t in ("4", "2.5", "2", "1.5", "1", "0.5")]
     assert sorted(os.listdir(out)) == sorted(os.path.basename(d) for d in got)
     _assert_same_files(got, want, FILES)
@@ -234,24 +243,35 @@ def test_a_failed_groups_write_leaves_no_stale_groups_json(tmp_path, monkeypatch
     assert json.loads(first) != groups["size_2"]  # the first run's file would be stale
 
 
-@pytest.mark.parametrize("case", ["trim_state", "finetuned_count", "excluded_without_finetuned",
-                                  "block_count", "out_dir_count"])
+def test_export_manifest_over_a_merge_directory_leaves_no_stale_groups_json(tmp_path):
+    out = tmp_path / "out"
+    argv = ["merge", *_cli_workspace(tmp_path), "--algorithm", "ta", "--sizes", "2", "--out", str(out)]
+    assert main(argv) == 0
+    assert sorted(os.listdir(out / "size_2")) == sorted(FILES)
+    tv = _load_pipeline(_build_config(build_parser().parse_args(argv)))
+    cfg = MergerConfig.for_algorithm("ta")
+    [asg] = replay_to_sizes(compute_merge_plan(tv), tv, [Fraction(1)],
+                            SizeModel.from_partition(tv.partition, cfg))
+    export_manifest(build_artifact(asg, tv, cfg), str(out / "size_2"))
+    assert sorted(os.listdir(out / "size_2")) == sorted(FILES[:2])
+    with open(out / "size_2" / "manifest.json") as fh:
+        groups = json.load(fh)["groups"]
+    assert groups == {key: [list(g) for g in block]
+                      for key, block in zip(tv.partition.block_keys, asg.block_groups)}
+
+
+@pytest.mark.parametrize("case", ["trim_state", "block_count", "out_dir_count"])
 def test_sweep_checks_its_inputs_before_writing(tmp_path, case):
     pre, tasks, part, cfg, tv = _setup("emr", np.float32, heads=True)
     asg = replay_to_sizes(compute_merge_plan(tv), tv, [Fraction(2)], SizeModel.from_partition(part, cfg))
-    finetuned = tasks
     expected = ValueError
     if case == "trim_state":
         cfg, expected = MergerConfig.for_algorithm("ties"), ConfigMismatch
-    elif case == "finetuned_count":
-        finetuned = tasks[:-1]
-    elif case == "excluded_without_finetuned":
-        finetuned = None
     elif case == "block_count":
         asg[0].block_groups = asg[0].block_groups[:-1]
     out_dirs = [str(tmp_path / "out" / "a")] * (2 if case == "out_dir_count" else 1)
     with pytest.raises(expected):
-        export_sweep(asg, out_dirs, tv, pre, cfg, finetuned=finetuned)
+        export_sweep(asg, out_dirs, tv, cfg)
     assert not (tmp_path / "out").exists()
 
 
@@ -280,9 +300,8 @@ def test_manifest_and_groups_json_are_compact(tmp_path):
     tv = compute_task_vectors(pre, tasks, part)
     [asg] = replay_to_sizes(compute_merge_plan(tv), tv, [Fraction(2)], SizeModel.from_partition(part, cfg))
     assert asg.block_groups == [((0, 2), (1,)), ((0, 2), (1,))]
-    export_sweep([asg], [str(tmp_path / "sweep")], tv, pre, cfg, finetuned=tasks, fingerprint="fp")
-    export_manifest(build_artifact(asg, tv, pre, cfg, finetuned=tasks, fingerprint="fp"),
-                    str(tmp_path / "one"))
+    export_sweep([asg], [str(tmp_path / "sweep")], tv, cfg, fingerprint="fp")
+    export_manifest(build_artifact(asg, tv, cfg, fingerprint="fp"), str(tmp_path / "one"))
     for d in ("sweep", "one"):
         assert _read(tmp_path / d / "manifest.json") == TOY_MANIFEST
     write_assignment_json(asg, part.block_keys, str(tmp_path / "groups.json"))

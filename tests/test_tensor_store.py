@@ -395,9 +395,9 @@ def _write_each_way(tmp_path):
     tv = prepare_task_vectors(compute_task_vectors(pre, tasks, part), cfg)
     sizes = [Fraction(2), Fraction(1)]
     assignments = replay_to_sizes(compute_merge_plan(tv), tv, sizes, SizeModel.from_partition(part, cfg))
-    export_manifest(build_artifact(assignments[0], tv, pre, cfg, finetuned=tasks), str(tmp_path / "one"))
+    export_manifest(build_artifact(assignments[0], tv, cfg), str(tmp_path / "one"))
     sweep = [str(tmp_path / f"sweep{i}") for i in range(len(sizes))]
-    export_sweep(assignments, sweep, tv, pre, cfg, finetuned=tasks)
+    export_sweep(assignments, sweep, tv, cfg)
     dirs = [str(tmp_path / "one")] + sweep
     return paths + [os.path.join(d, "tensors.safetensors") for d in dirs]
 
