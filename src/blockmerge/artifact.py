@@ -10,23 +10,30 @@ member order, the only form a mask is kept in) and, for emr, one rescaling
 scalar per member, alongside one shared copy of the pretrained block. Each
 task's tensors outside the partition (its head) are stored as they are.
 
-On disk an artifact is a version 3 manifest, which lists each block's
-groups by their members, plus one archive of payloads named by group id;
-load_artifact derives routing, payload kinds and sizes from them (see
-export_manifest). The archive's layout follows from the groups alone
-(_archive_layout), so a size sweep (export_sweep) writes every size's
-header first and then its payloads block by block, never holding a whole
-size in memory; build_artifact and export_manifest build and write one size
-in memory, with the same payloads and bytes.
+A stored group's payload is one flat float32 row per block tensor (a block
+of one tensor has one), so a group of a block reads the same whether it was
+built in memory or loaded.
 
-A loaded artifact keeps its float32 payloads, masks and pretrained blocks as
-read-only views of the archive's buffer, a mapping of the file for every
-archive written here. Reconstruction only reads those buffers
+On disk an artifact is a version 4 manifest, which lists each block's
+groups by their members, plus one archive that stacks each block's groups:
+one entry per block tensor, one mask entry and one rescaler entry per
+block, so the number of entries does not grow with the number of groups
+(_archive_layout). load_artifact derives routing, payload kinds and sizes
+from the manifest (see export_manifest). Since the layout follows from the
+groups alone, a size sweep (export_sweep) writes every size's header first
+and then its payloads block by block, never holding a whole size in memory;
+build_artifact and export_manifest build and write one size in memory, with
+the same payloads and bytes. Both write a block's groups through one span
+builder (_block_span), row views in archive order, without stacking them.
+
+A loaded artifact keeps its float32 payload rows, mask rows and pretrained
+blocks as read-only views of the archive's buffer, a mapping of the file
+for every archive written here. Reconstruction only reads those buffers
 and always returns fresh arrays: each call writes every block into one new
 float32 buffer (masked blocks rebuilt as pretrained + masked product, dense
-payloads copied) and narrows float16 tensors from it. So an output never
-aliases the artifact, and reconstruction never depends on what was
-reconstructed before.
+payloads copied) tensor by tensor and narrows float16 tensors from it. So
+an output never aliases the artifact, and reconstruction never depends on
+what was reconstructed before.
 """
 
 from __future__ import annotations
@@ -50,13 +57,13 @@ from .tensor_store import (
     dtype_code,
     read_archive,
     tensor_span,
-    write_archive,
+    write_archive,  # noqa: F401  (a call site perfbench/spans.py patches by name)
 )
 
 MANIFEST_NAME = "manifest.json"
 TENSORS_NAME = "tensors.safetensors"
 GROUPS_NAME = "groups.json"  # written by the CLI's merge next to each manifest
-MANIFEST_VERSION = 3
+MANIFEST_VERSION = 4
 
 
 @dataclass
@@ -65,8 +72,9 @@ class StoredGroup:
     block_id: int
     members: tuple[int, ...]
     payload: str  # "dense" | "masked"
-    dense: np.ndarray | None = None  # flat float32 final block weights
-    unified: np.ndarray | None = None  # flat float32 unified task vector
+    # one flat float32 row per block tensor, in block order: the final block
+    # weights of a dense group, the unified task vector of a masked one
+    rows: tuple[np.ndarray, ...]
     masks: np.ndarray | None = None  # (len(members), ceil(d/8)) uint8 packed bits, member order
     gammas: np.ndarray | None = None  # (len(members),) float32
 
@@ -144,21 +152,27 @@ def _size_report(part: BlockPartition, cfg: MergerConfig, block_groups,
     )
 
 
-def _block_arrays(block: Block, flat: np.ndarray) -> list[np.ndarray]:
-    """A flat float32 block as its tensors in block order, each in its own
-    shape and archive dtype (views where nothing is narrowed)."""
-    return [flat[offset : offset + n].reshape(shape).astype(DTYPES[code], copy=False)
-            for _, offset, n, shape, code in _block_slices(block)]
+def _tensor_rows(block: Block, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A flat block as one flat view per tensor, in block order."""
+    return tuple(flat[offset : offset + n] for _, offset, n, _, _ in _block_slices(block))
 
 
-def _payload_arrays(block: Block, g: StoredGroup) -> list[np.ndarray]:
-    """One group's archive entries in archive order: its block tensors,
-    then, for a masked group, its packed masks and rescalers."""
-    if g.payload == "dense":
-        return _block_arrays(block, g.dense)
-    arrays = _block_arrays(block, g.unified) + [g.masks]
-    if g.gammas is not None:
-        arrays.append(g.gammas.astype(np.float32, copy=False))
+def _archive_rows(block: Block, rows) -> list[np.ndarray]:
+    """One row per block tensor, each in its tensor's archive dtype (the
+    row itself where nothing is narrowed)."""
+    return [row.astype(DTYPES[code], copy=False) for row, code in zip(rows, block.dtypes)]
+
+
+def _block_span(block: Block, groups: list[StoredGroup]) -> list[np.ndarray]:
+    """The arrays of a block's ``("groups", b)`` span, in archive order and
+    views where nothing is narrowed: tensor by tensor, that tensor's row of
+    every group in group-id order; then the mask rows of every masked group
+    and, for emr, their rescalers. Written back to back, they are the
+    block's stacked entries, so no writer stacks them."""
+    arrays = [row for rows in zip(*(_archive_rows(block, g.rows) for g in groups)) for row in rows]
+    masked = [g for g in groups if g.payload == "masked"]
+    arrays += [g.masks for g in masked]
+    arrays += [g.gammas for g in masked if g.gammas is not None]
     return arrays
 
 
@@ -170,12 +184,14 @@ def _archive_layout(part: BlockPartition, cfg: MergerConfig, block_groups,
 
     The spans are ``("pre", b)`` for each block holding a masked group (the
     pretrained block, its tensors named ``pre.<tensor>``), then
-    ``("groups", b)`` for every block: its groups in group-id order, each
-    ``g<gid>.<tensor>`` then, when masked, ``mask.g<gid>`` (U8, shape
-    ``(n, ceil(d/8))``, rows in member order) and, for emr,
-    ``gamma.g<gid>`` (F32, ``(n,)``). Group ids run over blocks, then list
-    order. Last comes ``("heads", -1)``: ``head.t<task>.<tensor>`` for each
-    task's tensors outside the partition.
+    ``("groups", b)`` for every block (see _block_span): ``g.<tensor>`` for
+    each block tensor, shape ``(G_b, *shape)`` with one row per group in
+    group-id order; then, when the block holds masked groups,
+    ``mask.<block key>`` (U8, shape ``(sum n, ceil(d/8))``: the member rows
+    of its masked groups, in group order, then member order) and, for emr,
+    ``gamma.<block key>`` (F32, ``(sum n,)``). Group ids run over blocks,
+    then list order. Last comes ``("heads", -1)``: ``head.t<task>.<tensor>``
+    for each task's tensors outside the partition.
     """
     entries: list[tuple[str, str, tuple[int, ...]]] = []
     spans: dict[tuple[str, int], tuple[int, int]] = {}
@@ -196,16 +212,14 @@ def _archive_layout(part: BlockPartition, cfg: MergerConfig, block_groups,
     for block, groups in zip(part.blocks, block_groups):
         if cfg.masked and any(len(g) > 1 for g in groups):
             span(("pre", block.block_id), block_entries("pre", block))
-    gid = 0
     for block, groups in zip(part.blocks, block_groups):
-        items = []
-        for members in groups:
-            items += block_entries(f"g{gid}", block)
-            if cfg.masked and len(members) > 1:
-                items.append((f"mask.g{gid}", "U8", (len(members), (block.dim + 7) // 8)))
-                if cfg.has_rescalers:
-                    items.append((f"gamma.g{gid}", "F32", (len(members),)))
-            gid += 1
+        items = [(f"g.{name}", code, (len(groups), *shape))
+                 for name, shape, code in zip(block.tensor_names, block.shapes, block.dtypes)]
+        masked_rows = sum(len(g) for g in groups if len(g) > 1) if cfg.masked else 0
+        if masked_rows:
+            items.append((f"mask.{block.key}", "U8", (masked_rows, (block.dim + 7) // 8)))
+            if cfg.has_rescalers:
+                items.append((f"gamma.{block.key}", "F32", (masked_rows,)))
         span(("groups", block.block_id), items)
     span(("heads", -1), [(f"head.t{task}.{name}", dtype_code(arr), arr.shape)
                          for task, head in enumerate(heads) for name, arr in head.items()])
@@ -244,13 +258,13 @@ def _group_payload(gid: int, cfg: MergerConfig, tv: TaskVectorSet, block: Block,
             dense = flatten_block(tv.finetuned[k], block)
         else:
             dense = base + tv.rows(b, [k])[0]
-        return StoredGroup(gid, b, members, "dense", dense=dense)
+        return StoredGroup(gid, b, members, "dense", _tensor_rows(block, dense))
     out = merge_group(cfg, tv, b, members)
     members = tuple(sorted(members))
     if cfg.masked:
-        return StoredGroup(gid, b, members, "masked", unified=out.unified,
+        return StoredGroup(gid, b, members, "masked", _tensor_rows(block, out.unified),
                            masks=np.packbits(out.masks, axis=1), gammas=out.rescalers)
-    return StoredGroup(gid, b, members, "dense", dense=base + out.unified)
+    return StoredGroup(gid, b, members, "dense", _tensor_rows(block, base + out.unified))
 
 
 def build_artifact(
@@ -306,17 +320,20 @@ def build_artifact(
 
 
 def _task_block(artifact: MergedArtifact, task: int, block_id: int, out: np.ndarray) -> np.ndarray:
-    """Write one task's flat float32 block into ``out`` and return it. A
-    masked block unpacks the task's mask row and is built in the operand
-    order pretrained + gamma * (unified * mask)."""
+    """Write one task's flat float32 block into ``out``, tensor by tensor,
+    and return it. A masked block unpacks the task's mask row once and is
+    built in the operand order pretrained + gamma * (unified * mask)."""
     group = artifact.groups[artifact.routing[task][block_id]]
     if group.payload == "dense":
-        np.copyto(out, group.dense)
-        return out
+        return np.concatenate(group.rows, out=out)
     idx = group.members.index(task)
     # unpacked bits are 0/1 bytes, so they are a valid bool buffer
     mask = np.unpackbits(group.masks[idx], count=out.size).view(bool)
-    np.multiply(group.unified, mask, out=out)
+    pos = 0
+    for row in group.rows:
+        end = pos + row.size
+        np.multiply(row, mask[pos:end], out=out[pos:end])
+        pos = end
     if group.gammas is not None:
         np.multiply(group.gammas[idx], out, out=out)
     return np.add(artifact.pretrained_blocks[block_id], out, out=out)
@@ -429,22 +446,29 @@ def _drop_stale(out_dir: str) -> None:
             pass
 
 
+def _pre_span(block: Block, base: np.ndarray) -> list[np.ndarray]:
+    return _archive_rows(block, _tensor_rows(block, base))
+
+
 def export_manifest(artifact: MergedArtifact, out_dir: str) -> None:
     """Write one archive holding every payload (``tensors.safetensors``),
     then ``manifest.json``. An earlier run's manifest and ``groups.json``
     are removed before the archive is renamed into place.
 
-    The manifest is ``version`` 3 and states each fact once. ``groups`` is
+    The manifest is ``version`` 4 and states each fact once. ``groups`` is
     ``{block_key: [[member ids], ...]}``, the layout of ``groups.json``; a
     group's id is its running index over ``blocks`` order, then list order,
-    the numbering build_artifact and load_artifact give ``artifact.groups``.
-    Routing, payload kinds, which blocks keep a pretrained copy and the size
-    report all follow from the groups and the algorithm, so load_artifact
-    derives them. ``size_report`` and each block's ``dim`` and ``nbytes``
-    are written for readers of the file; load_artifact recomputes them. The
-    JSON is compact, with sorted keys.
+    the numbering build_artifact and load_artifact give ``artifact.groups``,
+    and its position within its block is its row of the block's stacked
+    entries. Routing, payload kinds, which blocks keep a pretrained copy and
+    the size report all follow from the groups and the algorithm, so
+    load_artifact derives them. ``size_report`` and each block's ``dim`` and
+    ``nbytes`` are written for readers of the file; load_artifact recomputes
+    them. The JSON is compact, with sorted keys.
 
-    Archive names and order are those of _archive_layout.
+    Archive names and order are those of _archive_layout. The archive is
+    streamed span by span, as export_sweep writes it, from the payload rows
+    themselves (_block_span), so no stacked copy is made.
     """
     part = artifact.partition
     by_block: list[list[StoredGroup]] = [[] for _ in part.blocks]
@@ -452,18 +476,21 @@ def export_manifest(artifact: MergedArtifact, out_dir: str) -> None:
         by_block[g.block_id].append(g)
     block_groups = [[g.members for g in groups] for groups in by_block]
     entries, spans = _archive_layout(part, artifact.config, block_groups, artifact.heads)
-    arrays: list[np.ndarray] = []
-    for kind, b in spans:
-        if kind == "pre":
-            arrays += _block_arrays(part.blocks[b], artifact.pretrained_blocks[b])
-        elif kind == "groups":
-            arrays += [a for g in by_block[b] for a in _payload_arrays(part.blocks[b], g)]
-        else:
-            arrays += [arr for head in artifact.heads for arr in head.values()]
     os.makedirs(out_dir, exist_ok=True)
-    tensors = {name: arr for (name, _, _), arr in zip(entries, arrays, strict=True)}
-    _drop_stale(out_dir)
-    write_archive(Checkpoint(tensors=tensors), os.path.join(out_dir, TENSORS_NAME))
+    archive = StreamedArchive(os.path.join(out_dir, TENSORS_NAME), entries)
+    try:
+        for (kind, b), span in spans.items():
+            if kind == "pre":
+                archive.write(span, _pre_span(part.blocks[b], artifact.pretrained_blocks[b]))
+            elif kind == "groups":
+                archive.write(span, _block_span(part.blocks[b], by_block[b]))
+            else:
+                archive.write(span, [arr for head in artifact.heads for arr in head.values()])
+        _drop_stale(out_dir)
+        archive.commit()
+    except BaseException:
+        archive.discard()
+        raise
     _write_json(_manifest(part, artifact.config, artifact.num_tasks, block_groups, artifact.heads,
                           artifact.size_report, artifact.fingerprint),
                 os.path.join(out_dir, MANIFEST_NAME))
@@ -539,10 +566,9 @@ def export_sweep(
                         g = _group_payload(-1, cfg, tv, block, base, members)
                         merged[i] += len(members) > 1
                     payloads[members] = g
-                archive.write(spans["groups", b],
-                              [a for g in payloads.values() for a in _payload_arrays(block, g)])
+                archive.write(spans["groups", b], _block_span(block, list(payloads.values())))
                 if ("pre", b) in spans:
-                    archive.write(spans["pre", b], _block_arrays(block, base))
+                    archive.write(spans["pre", b], _pre_span(block, base))
                 known = payloads
             tv.release(b)
         head_arrays = [arr for head in heads for arr in head.values()]
@@ -645,22 +671,27 @@ def _check_manifest(manifest) -> list[Block]:
 def load_artifact(out_dir: str) -> MergedArtifact:
     """Inverse of export_manifest.
 
-    The manifest is checked against its schema first, and each tensor it
-    names against the archive as it is loaded (MalformedArtifact); a
-    manifest of any version but 3 is malformed. Everything the manifest does
-    not state is derived: the routing from the group members; a group's
-    payload is masked iff the algorithm is masked and the group has two or
-    more members; each block's ``dim`` and ``nbytes`` from its shapes and
-    dtypes; and the size report the way build_artifact computes it (the
-    written ``size_report`` is never read). An emr artifact must hold a
-    rescaler entry for every masked group.
+    The manifest is checked against its schema first (a config value out
+    of its algorithm's range included), and each entry it implies against
+    the archive as it is loaded (MalformedArtifact); a manifest of any
+    version but 4 is malformed. Everything the manifest does not state is
+    derived: the routing from the group members; a group's payload is
+    masked iff the algorithm is masked and the group has two or more
+    members; each block's ``dim`` and ``nbytes`` from its shapes and dtypes;
+    and the size report the way build_artifact computes it (the written
+    ``size_report`` is never read).
 
-    Float32 payloads, packed masks and pretrained blocks stay views of the
-    archive's buffer (a block of several tensors as one span of it), so a
-    float32 artifact is held once. The archives export_manifest and
-    export_sweep write are mapped (read_archive), so loading reads the
-    header, the heads and the rescalers; a payload's pages are read when a
-    reconstruction first touches them. Head tensors and rescalers are
+    Each stacked entry is looked up and checked once per block: ``g.<tensor>``
+    must hold one row per listed group, and the mask entry (and, for emr,
+    the rescaler entry) one row per member of the block's masked groups.
+    A group's payload rows, its mask rows and its rescalers are then rows
+    of those entries. Float32 rows, mask rows and pretrained blocks (a
+    block of several tensors as one span) stay views of the archive's
+    buffer, so a float32 artifact is held once. A float16 entry is widened
+    once per block, and rescalers are copied once per block. The archives
+    export_manifest and export_sweep write are mapped (read_archive), so
+    loading reads the header, the heads and the rescalers; a payload's pages
+    are read when a reconstruction first touches them. Head tensors are
     copied, so a float16 archive without masked groups is freed once its
     blocks have been widened; with masked groups, the mask views keep its
     buffer alive.
@@ -682,14 +713,14 @@ def load_artifact(out_dir: str) -> MergedArtifact:
               "archive lacks tensor {!r} of shape {}", name, shape)
         return arr
 
-    def block_flat(prefix: str, block: Block) -> np.ndarray:
-        parts = [tensor(f"{prefix}.{n}", shape, "f").astype(np.float32, copy=False).ravel()
+    def pretrained_flat(block: Block) -> np.ndarray:
+        parts = [tensor(f"pre.{n}", shape, "f").astype(np.float32, copy=False).ravel()
                  for n, shape in zip(block.tensor_names, block.shapes)]
         if len(parts) == 1:
             return parts[0]
         # export writes a block's tensors back to back, so float32 ones are
         # one span of the archive; anything else is joined into a copy
-        span = tensor_span(archive, [f"{prefix}.{n}" for n in block.tensor_names], index)
+        span = tensor_span(archive, [f"pre.{n}" for n in block.tensor_names], index)
         return span if span is not None and span.dtype == np.float32 else np.concatenate(parts)
 
     part = BlockPartition(
@@ -698,8 +729,11 @@ def load_artifact(out_dir: str) -> MergedArtifact:
         excluded=[],
         name_order=list(manifest.get("name_order", [])),
     )
-    cfg = MergerConfig(algorithm=manifest["algorithm"],
-                       **{f: manifest["config"][f] for f in CONFIG_NUMBERS})
+    try:
+        cfg = MergerConfig(algorithm=manifest["algorithm"],
+                           **{f: manifest["config"][f] for f in CONFIG_NUMBERS})
+    except ValueError as exc:
+        raise MalformedArtifact(f"manifest: config: {exc}") from None
     m = manifest["num_tasks"]
     block_groups = [manifest["groups"][b.key] for b in blocks]
 
@@ -708,19 +742,27 @@ def load_artifact(out_dir: str) -> MergedArtifact:
     pretrained_blocks = {}
     for block, member_lists in zip(blocks, block_groups):
         b = block.block_id
-        for members in map(tuple, member_lists):
+        count = len(member_lists)
+        # per tensor, every group's row; a float16 entry is widened here, once
+        stacked = [tensor(f"g.{name}", (count, *shape), "f").astype(np.float32, copy=False)
+                   .reshape(count, math.prod(shape))
+                   for name, shape in zip(block.tensor_names, block.shapes)]
+        masked_rows = sum(len(g) for g in member_lists if len(g) > 1) if cfg.masked else 0
+        if masked_rows:
+            masks = tensor(f"mask.{block.key}", (masked_rows, (block.dim + 7) // 8), "u")
+            gammas = (np.array(tensor(f"gamma.{block.key}", (masked_rows,), "f"), dtype=np.float32)
+                      if cfg.has_rescalers else None)
+            pretrained_blocks[b] = pretrained_flat(block)
+        row = 0
+        for members, payload in zip(map(tuple, member_lists), zip(*stacked)):
             gid = len(groups)
-            flat = block_flat(f"g{gid}", block)
-            if cfg.masked and len(members) > 1:
-                masks = tensor(f"mask.g{gid}", (len(members), (block.dim + 7) // 8), "u")
-                gammas = (np.array(tensor(f"gamma.g{gid}", (len(members),), "f"), dtype=np.float32)
-                          if cfg.has_rescalers else None)
-                groups.append(StoredGroup(gid, b, members, "masked", unified=flat, masks=masks,
-                                          gammas=gammas))
-                if b not in pretrained_blocks:
-                    pretrained_blocks[b] = block_flat("pre", block)
+            if masked_rows and len(members) > 1:
+                end = row + len(members)
+                groups.append(StoredGroup(gid, b, members, "masked", payload, masks=masks[row:end],
+                                          gammas=None if gammas is None else gammas[row:end]))
+                row = end
             else:
-                groups.append(StoredGroup(gid, b, members, "dense", dense=flat))
+                groups.append(StoredGroup(gid, b, members, "dense", payload))
             for k in members:
                 routing[k][b] = gid
 

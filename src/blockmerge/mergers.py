@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 
@@ -53,6 +54,21 @@ class MergerConfig:
     keep_ratio: float = 1.0
     consensus_threshold: float = 0.6
 
+    def __post_init__(self) -> None:
+        """Raise ValueError unless each number the algorithm reads is in
+        range: ``keep_ratio`` in (0, 1] (ties, consensus, pcb), ``lam``
+        finite (ta, ties, pcb; its sign is free) and
+        ``consensus_threshold`` finite and >= 0 (consensus)."""
+        a = self.algorithm
+        if a in ("ties", "consensus", "pcb") and not 0 < self.keep_ratio <= 1:
+            raise ValueError(f"{a}: keep_ratio must be in (0, 1], got {self.keep_ratio!r}")
+        if a in ("ta", "ties", "pcb") and not _finite(self.lam):
+            raise ValueError(f"{a}: lam must be finite, got {self.lam!r}")
+        if a == "consensus" and not (_finite(self.consensus_threshold)
+                                     and self.consensus_threshold >= 0):
+            raise ValueError(f"{a}: consensus_threshold must be finite and >= 0, "
+                             f"got {self.consensus_threshold!r}")
+
     @staticmethod
     def for_algorithm(algorithm: str, **overrides) -> "MergerConfig":
         """Config with the recommended defaults for one algorithm; keyword
@@ -79,6 +95,13 @@ class MergerConfig:
     def fingerprint(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _finite(x) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond every float
+        return False
 
 
 # MergerConfig's number fields, as manifests and rules files spell them

@@ -392,23 +392,26 @@ def export_manifest_reference(artifact, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     tensors: dict[str, np.ndarray] = {}
 
-    def put_block(prefix: str, block, flat: np.ndarray) -> None:
-        for name, offset, n, shape, code in _block_slices(block):
-            tensors[f"{prefix}.{name}"] = (
-                flat[offset : offset + n].reshape(shape).astype(DTYPES[code], copy=False))
+    def tensor_arrays(block, flat: np.ndarray):
+        return [(name, flat[offset : offset + n].reshape(shape).astype(DTYPES[code], copy=False))
+                for name, offset, n, shape, code in _block_slices(block)]
 
     for b in sorted(artifact.pretrained_blocks):
-        put_block("pre", part.blocks[b], artifact.pretrained_blocks[b])
+        for name, arr in tensor_arrays(part.blocks[b], artifact.pretrained_blocks[b]):
+            tensors[f"pre.{name}"] = arr
 
     groups_meta: dict[str, list[list[int]]] = {block.key: [] for block in part.blocks}
-    for g in artifact.groups:
-        block = part.blocks[g.block_id]
-        put_block(f"g{g.group_id}", block, g.dense if g.payload == "dense" else g.unified)
-        if g.payload == "masked":
-            tensors[f"mask.g{g.group_id}"] = g.masks
-            if g.gammas is not None:
-                tensors[f"gamma.g{g.group_id}"] = g.gammas.astype(np.float32, copy=False)
-        groups_meta[block.key].append(list(g.members))
+    for block in part.blocks:
+        groups = [g for g in artifact.groups if g.block_id == block.block_id]
+        per_group = [tensor_arrays(block, np.concatenate(g.rows)) for g in groups]
+        for t, name in enumerate(block.tensor_names):
+            tensors[f"g.{name}"] = np.stack([arrays[t][1] for arrays in per_group])
+        masked = [g for g in groups if g.payload == "masked"]
+        if masked:
+            tensors[f"mask.{block.key}"] = np.concatenate([g.masks for g in masked])
+            if masked[0].gammas is not None:
+                tensors[f"gamma.{block.key}"] = np.concatenate([g.gammas for g in masked])
+        groups_meta[block.key] = [list(g.members) for g in groups]
 
     excluded_meta: dict[str, list[str]] = {}
     for task, head in enumerate(artifact.heads):

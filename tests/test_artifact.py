@@ -1,6 +1,7 @@
 """Artifact build, reconstruction, verification and manifest round trips."""
 
 import json
+import math
 import os
 import shutil
 from fractions import Fraction
@@ -101,7 +102,7 @@ def test_emr_masked_reconstruction_matches_formula():
         mask = np.unpackbits(group.masks[idx], count=block.dim).astype(bool)
         want = (
             flatten_block(pre, block)
-            + group.gammas[idx] * (group.unified * mask)
+            + group.gammas[idx] * (np.concatenate(group.rows) * mask)
         )
         got = flatten_block(reconstruct_task(art, 1), block)
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-7)
@@ -441,7 +442,7 @@ def test_size_m_round_trip_is_byte_exact_off_grid(tmp_path, algorithm):
 
 
 def _artifact_arrays(art):
-    arrays = [a for g in art.groups for a in (g.dense, g.unified, g.masks, g.gammas) if a is not None]
+    arrays = [a for g in art.groups for a in (*g.rows, g.masks, g.gammas) if a is not None]
     arrays += list(art.pretrained_blocks.values())
     arrays += [a for head in art.heads for a in head.values()]
     return arrays
@@ -480,8 +481,8 @@ def _multi_tensor_model(rng, num_tasks, width):
     return pre, tasks
 
 
-# masks of odd byte length (an embedding block of 3 * width entries packs
-# into 3 * width / 8 bytes) leave later tensors at offsets that are not
+# mask rows of odd byte length (an embedding block of 3 * width entries packs
+# into 3 * width / 8 bytes) leave later entries at offsets that are not
 # multiples of 4; width 5 gives more of them than width 8
 @pytest.mark.parametrize("algorithm,target,width", [("emr", 2.5, 5), ("emr", 2.5, 8), ("ties", 2, 5)])
 def test_loaded_float32_payloads_are_views_of_the_archive(tmp_path, monkeypatch, algorithm, target,
@@ -490,6 +491,7 @@ def test_loaded_float32_payloads_are_views_of_the_archive(tmp_path, monkeypatch,
     pre, tasks = _multi_tensor_model(rng, 3, width)
     part = partition(pre, default_transformer_rules(), exclude=["head.*"])
     assert max(len(b.tensor_names) for b in part.blocks) > 1
+    assert min(len(b.tensor_names) for b in part.blocks) == 1
     cfg = MergerConfig.for_algorithm(algorithm)
     tv = prepare_task_vectors(compute_task_vectors(pre, tasks, part), cfg)
     sm = SizeModel.from_partition(part, cfg)
@@ -498,26 +500,62 @@ def test_loaded_float32_payloads_are_views_of_the_archive(tmp_path, monkeypatch,
     assert {g.payload for g in art.groups} == kinds
     export_manifest(art, str(tmp_path / "art"))
     back, archive = _load_keeping_archive(monkeypatch, str(tmp_path / "art"))
-    flats = [g.dense if g.payload == "dense" else g.unified for g in back.groups]
-    flats += list(back.pretrained_blocks.values())
+    rows = [row for g in back.groups for row in g.rows]
+    flats = rows + list(back.pretrained_blocks.values())
     masks = [g.masks for g in back.groups if g.payload == "masked"]
     assert bool(masks) == ("masked" in kinds)
-    # every float32 block, one tensor or several, and every packed mask is a
-    # view of the archive's one mapping: nothing is unpacked or copied at
-    # load, and a view is aligned exactly when its file offset is
+    # every float32 payload row, pretrained block and mask row is a view of
+    # the archive's one mapping: nothing is unpacked or copied at load, and
+    # a view is aligned exactly when its file offset is
     assert all(f.base is not None for f in flats + masks)
-    assert len({id(buffer_owner(f)) for f in flats + masks}) == 1
     assert all(buffer_owner(f) is archive.layout.data for f in flats + masks)
-    # each group's payload starts where the header puts its first tensor
-    first = {name: begin for name, begin in zip(archive.layout.names, archive.layout.offsets.tolist())}
-    for g in back.groups:
-        flat = g.dense if g.payload == "dense" else g.unified
-        name = back.partition.blocks[g.block_id].tensor_names[0]
-        assert buffer_offset(flat) == first[f"g{g.group_id}.{name}"]
+    # a group's rows are its rows of the block's stacked entries: its
+    # position in the block for the payload, its members' for the masks
+    begin = dict(zip(archive.layout.names, archive.layout.offsets.tolist()))
+    for block in back.partition.blocks:
+        groups = [g for g in back.groups if g.block_id == block.block_id]
+        mask_row = 0
+        for i, g in enumerate(groups):
+            assert [r.shape for r in g.rows] == [(math.prod(shape),) for shape in block.shapes]
+            for name, row in zip(block.tensor_names, g.rows):
+                assert buffer_offset(row) == begin[f"g.{name}"] + i * row.nbytes
+            if g.payload == "masked":
+                assert buffer_offset(g.masks) == begin[f"mask.{block.key}"] + mask_row * g.masks.shape[1]
+                mask_row += len(g.members)
+        if len(block.tensor_names) == 1:  # one flat view of the block
+            assert all(len(g.rows) == 1 and g.rows[0].size == block.dim for g in groups)
     assert all(f.flags.aligned == (buffer_offset(f) % f.itemsize == 0) for f in flats + masks)
     assert all(f.flags.aligned for f in flats) == (algorithm != "emr")  # masks skew later blocks
     assert all(h.base is None for head in back.heads for h in head.values())  # heads copied
     for k in range(3):
+        assert reconstruct_task(back, k).same_tensors(reconstruct_task(art, k))
+
+
+def test_a_float16_entry_is_widened_once_per_block(tmp_path, monkeypatch):
+    pre, tasks = toy_model(np.random.default_rng(35), 5, layers=1, width=4, dtype=np.float16)
+    part = partition(pre, default_transformer_rules(), exclude=["head.*"])
+    cfg = MergerConfig.for_algorithm("emr")
+    tv = compute_task_vectors(pre, tasks, part)
+    groups = [((0, 1), (2, 3), (4,))] * part.num_blocks
+    asg = GroupAssignment(groups, 0, SizeModel.from_partition(part, cfg).size_of(groups))
+    art = build_artifact(asg, tv, cfg)
+    export_manifest(art, str(tmp_path / "art"))
+    back, archive = _load_keeping_archive(monkeypatch, str(tmp_path / "art"))
+    for block in back.partition.blocks:
+        groups = [g for g in back.groups if g.block_id == block.block_id]
+        assert [g.payload for g in groups] == ["masked", "masked", "dense"]
+        for t in range(len(block.tensor_names)):
+            # one float32 copy of the stacked entry holds every group's row
+            owners = {id(buffer_owner(g.rows[t])) for g in groups}
+            assert len(owners) == 1
+            assert all(g.rows[t].dtype == np.float32 for g in groups)
+            assert buffer_owner(groups[0].rows[t]) is not archive.layout.data
+        # rescalers are one copy per block; mask rows stay views
+        masked = groups[:2]
+        assert len({id(buffer_owner(g.gammas)) for g in masked}) == 1
+        assert buffer_owner(masked[0].gammas) is not archive.layout.data
+        assert all(buffer_owner(g.masks) is archive.layout.data for g in masked)
+    for k in range(5):
         assert reconstruct_task(back, k).same_tensors(reconstruct_task(art, k))
 
 
@@ -530,9 +568,9 @@ def _load_keeping_archive(monkeypatch, out_dir):
     return back, archive
 
 
-def test_a_float32_block_with_an_empty_tensor_inside_loads_as_one_view(tmp_path, monkeypatch):
-    # the empty tensor has no place in memory, but the header puts it
-    # between its neighbours, so the block is still one span of the archive
+def test_a_float32_block_with_an_empty_tensor_inside_loads_without_a_copy(tmp_path, monkeypatch):
+    # the empty tensor has no place in memory, but each group still has a
+    # row of it: an empty view of the archive between its neighbours' rows
     rng = np.random.default_rng(34)
     width = 6
     shapes = {"embed.w": (3, width), "blocks.0.attn.q": (width, width), "blocks.0.attn.k": (0, width),
@@ -549,9 +587,11 @@ def test_a_float32_block_with_an_empty_tensor_inside_loads_as_one_view(tmp_path,
     art = build_artifact(replay_to_size(compute_merge_plan(tv), tv, Fraction(2), sm), tv, cfg)
     export_manifest(art, str(tmp_path / "art"))
     back, archive = _load_keeping_archive(monkeypatch, str(tmp_path / "art"))
-    payloads = [g.dense for g in back.groups if g.block_id == attn.block_id]
-    assert payloads and all(p.size == attn.dim for p in payloads)
-    assert all(p.base is not None and buffer_owner(p) is archive.layout.data for p in payloads)
+    payloads = [g.rows for g in back.groups if g.block_id == attn.block_id]
+    assert len(payloads) > 1
+    assert all([r.size for r in rows] == [width * width, 0, width * width] for rows in payloads)
+    assert all(r.base is not None and buffer_owner(r) is archive.layout.data
+               for rows in payloads for r in rows)
     for k in range(3):
         assert reconstruct_task(back, k).same_tensors(reconstruct_task(art, k))
 
@@ -621,11 +661,13 @@ def test_manifest_not_json_is_malformed(tmp_path, exported_emr):
 
 
 def test_emr_artifact_missing_a_rescaler_is_malformed(tmp_path, exported_emr):
-    # emr stores one rescaler entry per masked group; without it the group
-    # would rebuild as pretrained + unified * mask, other bytes than exported
-    src, _ = exported_emr
+    # emr stores one rescaler entry per block with masked groups; without it
+    # they would rebuild as pretrained + unified * mask, other bytes than
+    # exported
+    src, manifest = exported_emr
     archive = read_archive(os.path.join(src, "tensors.safetensors"))
-    gamma = next(name for name in archive.tensors if name.startswith("gamma.g"))
+    gamma = next(name for name in archive.tensors if name.startswith("gamma."))
+    assert gamma[len("gamma."):] in manifest["groups"]
     del archive.tensors[gamma]
     write_archive(archive, str(tmp_path / "tensors.safetensors"))
     shutil.copy(os.path.join(src, "manifest.json"), tmp_path)
@@ -658,7 +700,7 @@ def test_block_nbytes_disagreeing_with_shapes_is_malformed(tmp_path, exported_em
 
 
 @pytest.mark.parametrize("algorithm", ["emr", "consensus"])
-def test_export_writes_one_packed_mask_entry_per_masked_group(tmp_path, algorithm):
+def test_export_writes_one_packed_mask_entry_per_masked_block(tmp_path, algorithm):
     rng = np.random.default_rng(34)
     pre, tasks, part, tv, asg, art = _pipeline(rng, 3, algorithm, target=0, width=5)
     export_manifest(art, str(tmp_path))
@@ -666,12 +708,59 @@ def test_export_writes_one_packed_mask_entry_per_masked_group(tmp_path, algorith
     masked = [g for g in art.groups if g.payload == "masked"]
     assert masked
     assert sorted(n for n in archive.tensors if n.startswith("mask.")) == sorted(
-        f"mask.g{g.group_id}" for g in masked)
-    for g in masked:
-        d = part.blocks[g.block_id].dim
-        want = merge_group(art.config, tv, g.block_id, g.members).masks
-        packed = archive.tensors[f"mask.g{g.group_id}"]
-        assert packed.dtype == np.uint8 and packed.shape == (len(g.members), (d + 7) // 8)
-        np.testing.assert_array_equal(np.unpackbits(packed, axis=1, count=d).astype(bool), want)
+        {f"mask.{part.blocks[g.block_id].key}" for g in masked})
+    for block in part.blocks:
+        groups = [g for g in masked if g.block_id == block.block_id]
+        want = np.concatenate([merge_group(art.config, tv, g.block_id, g.members).masks
+                               for g in groups])
+        packed = archive.tensors[f"mask.{block.key}"]
+        assert packed.dtype == np.uint8 and packed.shape == (len(want), (block.dim + 7) // 8)
+        np.testing.assert_array_equal(np.unpackbits(packed, axis=1, count=block.dim).astype(bool), want)
     with open(tmp_path / "manifest.json", encoding="utf-8") as fh:
-        assert json.load(fh)["version"] == MANIFEST_VERSION
+        assert json.load(fh)["version"] == MANIFEST_VERSION == 4
+
+
+@pytest.mark.parametrize("algorithm", ["emr", "consensus", "ta"])
+def test_archive_entries_do_not_grow_with_the_group_count(tmp_path, algorithm):
+    # pre + sum over blocks of (tensors + mask + gamma) + heads, at every size
+    rng = np.random.default_rng(36)
+    pre, tasks = _multi_tensor_model(rng, 4, 4)
+    part = partition(pre, default_transformer_rules(), exclude=["head.*"])
+    cfg = MergerConfig.for_algorithm(algorithm)
+    tv = prepare_task_vectors(compute_task_vectors(pre, tasks, part), cfg)
+    sizes = [Fraction(4), Fraction(3), Fraction(2), Fraction(0)]
+    asgs = replay_to_sizes(compute_merge_plan(tv), tv, sizes, SizeModel.from_partition(part, cfg))
+    dirs = [str(tmp_path / f"size_{i}") for i in range(len(sizes))]
+    export_sweep(asgs, dirs, tv, cfg)
+    tensors = sum(len(b.tensor_names) for b in part.blocks)
+    heads = 4 * len(part.excluded)
+    assert heads
+    counts = []
+    for asg, out in zip(asgs, dirs):
+        masked = [b for b, groups in zip(part.blocks, asg.block_groups)
+                  if cfg.masked and any(len(g) > 1 for g in groups)]
+        pre_entries = sum(len(b.tensor_names) for b in masked)
+        per_block = len(masked) * (1 + cfg.has_rescalers)
+        names = read_archive(os.path.join(out, "tensors.safetensors")).names
+        assert len(names) == pre_entries + tensors + per_block + heads
+        assert sum(n.startswith("g.") for n in names) == tensors
+        counts.append(len(names))
+        back = load_artifact(out)
+        assert len(back.groups) == sum(map(len, asg.block_groups))
+    assert len({sum(map(len, a.block_groups)) for a in asgs}) >= 3  # group counts differ
+    if not cfg.masked:
+        assert len(set(counts)) == 1
+
+
+@pytest.mark.parametrize("field,value", [("keep_ratio", 0), ("keep_ratio", -1), ("keep_ratio", 1.5),
+                                         ("lam", float("nan")), ("lam", float("inf"))])
+def test_a_pcb_manifest_with_an_out_of_range_setting_is_malformed(tmp_path, field, value):
+    rng = np.random.default_rng(37)
+    *_, art = _pipeline(rng, 3, "pcb", target=2)
+    src = str(tmp_path / "src")
+    export_manifest(art, src)
+    with open(os.path.join(src, "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest["config"][field] = value
+    with pytest.raises(MalformedArtifact, match=field):
+        load_artifact(_with_manifest(tmp_path, src, manifest))

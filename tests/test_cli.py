@@ -196,6 +196,38 @@ def test_a_tiny_keep_ratio_trims_to_one_entry_per_task(workspace, capsys, algori
                  "--out", str(out / "merge")]) == 0, capsys.readouterr().err
 
 
+# each number an algorithm reads, out of its range
+_BAD_SETTINGS = [
+    ("pcb", "keep_ratio", 0.0), ("pcb", "keep_ratio", -1.0), ("pcb", "keep_ratio", 1.5),
+    ("ties", "keep_ratio", 0.0), ("consensus", "keep_ratio", 1.5),
+    ("ta", "lam", float("nan")), ("ta", "lam", float("inf")), ("ties", "lam", float("-inf")),
+    ("pcb", "lam", float("nan")),
+    ("consensus", "consensus_threshold", -0.5), ("consensus", "consensus_threshold", float("inf")),
+]
+_FLAGS = {"keep_ratio": "--keep-ratio", "lam": "--lambda", "consensus_threshold": "--threshold"}
+
+
+@pytest.mark.parametrize("form", ["flag", "rules"])
+@pytest.mark.parametrize("command", ["plan", "merge"])
+@pytest.mark.parametrize("algorithm,field,value", _BAD_SETTINGS)
+def test_out_of_range_merger_settings_are_config_errors(workspace, tmp_path, capsys, form, command,
+                                                        algorithm, field, value):
+    out = tmp_path / "out"
+    args = _base_args(workspace, ["--out", str(out)] + (["--sizes", "2"] if command == "merge" else []))
+    if form == "flag":
+        # "--lambda=-inf": a separate "-inf" would parse as an option
+        args += ["--algorithm", algorithm, f"{_FLAGS[field]}={value!r}"]
+    else:
+        rules = str(tmp_path / "rules.json")
+        with open(rules, "w") as fh:  # NaN and Infinity, as json writes and reads them
+            json.dump({**RULES, "merger": {"algorithm": algorithm, field: value}}, fh)
+        args[args.index("--rules") + 1] = rules
+    assert main([command, *args]) == 3
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_exit_code_fingerprint(workspace):
     ws = workspace
     plan_dir = _planned(ws)
@@ -339,7 +371,7 @@ def _task_left_out(groups):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("groups", []), ("num_tasks", "4"), ("version", 2), ("version", 1),
+    ("groups", []), ("num_tasks", "4"), ("version", 3), ("version", 2), ("version", 1),
     pytest.param("groups", _task_twice, id="groups-task-twice"),
     pytest.param("groups", _task_left_out, id="groups-task-left-out"),
 ])

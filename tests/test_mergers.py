@@ -241,6 +241,30 @@ def test_consensus_unified_is_ties():
     )
 
 
+# -- settings -------------------------------------------------------------------
+
+@pytest.mark.parametrize("algorithm,overrides", [
+    ("pcb", {"keep_ratio": 0.0}), ("pcb", {"keep_ratio": -1.0}), ("pcb", {"keep_ratio": 1.5}),
+    ("ties", {"keep_ratio": float("nan")}), ("consensus", {"keep_ratio": 0}),
+    ("ta", {"lam": float("nan")}), ("ties", {"lam": float("inf")}), ("pcb", {"lam": 10**400}),
+    ("consensus", {"consensus_threshold": -1e-9}), ("consensus", {"consensus_threshold": float("nan")}),
+])
+def test_config_rejects_a_setting_its_algorithm_reads_out_of_range(algorithm, overrides):
+    with pytest.raises(ValueError, match=next(iter(overrides))):
+        MergerConfig.for_algorithm(algorithm, **overrides)
+    with pytest.raises(ValueError):
+        MergerConfig(algorithm, **overrides)
+
+
+def test_config_checks_only_the_settings_its_algorithm_reads():
+    nan = float("nan")
+    for algorithm in ("average", "emr"):
+        MergerConfig(algorithm, lam=nan, keep_ratio=0.0, consensus_threshold=-1.0)
+    MergerConfig("ta", keep_ratio=-1.0, consensus_threshold=nan)
+    MergerConfig("consensus", lam=nan, keep_ratio=1e-9, consensus_threshold=0.0)
+    MergerConfig("pcb", lam=-2.0, keep_ratio=1.0, consensus_threshold=nan)
+
+
 # -- dispatcher / order invariance -------------------------------------------
 
 @pytest.mark.parametrize("algorithm", ["average", "ta", "ties", "pcb", "emr", "consensus"])

@@ -284,7 +284,7 @@ TOY_MANIFEST = (
     b'"fingerprint":"fp","format":"blockmerge-artifact","groups":{"a.w":[[0,2],[1]],'
     b'"b.w":[[0,2],[1]]},"name_order":["a.w","b.w","head.w"],"num_tasks":3,"size_report":'
     b'{"dense_bytes":40,"head_bytes":12,"mask_bytes":0,"pretrained_bytes":0,"scalar_bytes":0,'
-    b'"unit_bytes":20,"units":"2/1","units_float":2.0},"version":3}\n'
+    b'"unit_bytes":20,"units":"2/1","units_float":2.0},"version":4}\n'
 )
 TOY_GROUPS = b'{"a.w":[[0,2],[1]],"b.w":[[0,2],[1]]}\n'
 
