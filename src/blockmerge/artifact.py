@@ -654,11 +654,11 @@ def _check_manifest(manifest) -> list[Block]:
     groups = manifest["groups"]
     _need(set(groups) == keys, "groups must have one entry per block")
     for key, lists in groups.items():
-        # counts first: nothing of size num_tasks is built before they agree
-        _need(isinstance(lists, list) and all(isinstance(g, list) and g for g in lists)
+        # counts first, so nothing of size num_tasks is built before they agree
+        _need(isinstance(lists, list) and set(map(type, lists)) == {list} and all(lists)
               and sum(map(len, lists)) == m
-              and all(is_int(t) and t < m for g in lists for t in g)
-              and len({t for g in lists for t in g}) == m,
+              and set(map(type, flat := [t for g in lists for t in g])) == {int}
+              and sorted(flat) == list(range(m)),
               "block {!r} groups must hold every task 0..{} exactly once", key, m - 1)
 
     task_ids = {str(t) for t in range(m)}  # m is bounded by the member lists now

@@ -152,8 +152,8 @@ def _ta(mat: np.ndarray, lam: float) -> MergeOutput:
 def ties_trim(tv: TaskVectorSet, keep_ratio: float) -> TaskVectorSet:
     """Keep, per task, the ceil(keep_ratio * D) largest-magnitude entries
     across ALL blocks concatenated; every other entry becomes +0.0. Returns
-    ``tv`` itself with the trim recorded (``TaskVectorSet.keep_largest``)
-    and ``trim_ratio`` set.
+    ``tv`` itself with ``trim_ratio`` set and the trim recorded as a
+    threshold and last kept tie per task (``TaskVectorSet.keep_largest``).
 
     Trimming is global rather than per block and happens once, before any
     scheduling or merging. Ties at the magnitude threshold are resolved by

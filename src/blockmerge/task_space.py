@@ -9,7 +9,7 @@ block order, row-major per tensor.
 Task vectors are built on demand: a ``TaskVectorSet`` refers to the read
 checkpoints and ``rows`` builds one block's rows for the members asked for,
 into a new array the caller owns.
-No stage holds the whole (M, D) set; a global trim keeps only its survivors.
+No stage holds the whole (M, D) set; a global trim records a threshold per task.
 
 Mapped inputs are given back as the stages finish with them
 (``TaskVectorSet.release``), so the input pages a process holds are bounded
@@ -170,9 +170,9 @@ class TaskVectorSet:
 
     ``trim_ratio`` records a global magnitude trim applied up front (None
     means untrimmed; ``mergers.ties_trim`` sets it). ``keep_largest``
-    records that trim on the set itself: per block, a packed keep-mask row
-    per task plus the kept values in flat order, from which the trimmed rows
-    are rebuilt. A trim that keeps everything stores nothing.
+    records that trim on the set itself as two numbers per task, and
+    ``rows`` trims each row it builds with them. A trim that keeps
+    everything records nothing.
 
     ``block_vectors`` yields ``rows(b)`` for each block in order; the
     pipeline never reads it.
@@ -202,9 +202,9 @@ class TaskVectorSet:
         for base in self._base.values():
             base.flags.writeable = False
         self.finetuned = list(finetuned)
-        # set by keep_largest: per block, (M, ceil(d_b / 8)) packed keep masks
-        # and each task's kept values
-        self._kept: list[tuple[np.ndarray, list[np.ndarray]]] | None = None
+        # set by keep_largest: per task, the threshold and the last tie kept;
+        # per block, its first flat index
+        self._trim: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         # per input (the pretrained one first, then task k at k + 1): its
         # mapping and, per block, the file offset just past the block's last
         # tensor, or None for an input that read_archive did not map
@@ -217,19 +217,23 @@ class TaskVectorSet:
     def rows(self, b: int, members=None) -> np.ndarray:
         """Block ``b``'s task vectors of ``members`` (all tasks when None),
         in the order given, as a new C-contiguous (n, d_b) float32 array
-        that shares no memory with the set's sources."""
+        that shares no memory with the set's sources; trimmed if the set is."""
         members = range(self.num_tasks) if members is None else list(members)
         d = self.partition.blocks[b].dim
-        if self._kept is None:
-            out = np.empty((len(members), d), dtype=np.float32)
-            for row, k in zip(out, members):
-                self._fill(b, k, row)
-            return out
-        out = np.zeros((len(members), d), dtype=np.float32)
-        packed, values = self._kept[b]
+        out = np.empty((len(members), d), dtype=np.float32)
+        if self._trim is not None:
+            thresholds, last_ties, offsets = self._trim
+            mags, keep = np.empty(d, dtype=np.float32), np.empty(d, dtype=bool)
         for row, k in zip(out, members):
-            # unpacked bits are 0/1 bytes, so they are a valid bool buffer
-            row[np.flatnonzero(np.unpackbits(packed[k], count=d).view(bool))] = values[k]
+            self._fill(b, k, row)
+            if self._trim is not None:
+                # entries at the threshold are kept up to the last tie, not after it
+                ties = max(last_ties[k] + 1 - offsets[b], 0)
+                np.abs(row, out=mags)
+                np.greater_equal(mags[:ties], thresholds[k], out=keep[:ties])
+                np.greater(mags[ties:], thresholds[k], out=keep[ties:])
+                # the integer product of the mask and the bits: +0.0 where dropped
+                np.multiply(keep, row.view(np.int32), out=row.view(np.int32))
         return out
 
     def pretrained_block(self, b: int) -> np.ndarray:
@@ -250,14 +254,13 @@ class TaskVectorSet:
         blocks concatenated, ties at the threshold broken by ascending flat
         index; every other entry reads back as +0.0.
 
-        Records, per block, a packed keep-mask row per task plus the kept
-        float32 values in flat order, verbatim (so -0.0 and NaN survive as
-        they were); ``rows`` rebuilds the trimmed rows from them. That is at
-        most M * D / 8 + 4 * keep * M bytes against 4 * M * D for dense rows.
-        Beyond them it holds two (D,) float32 scratch rows, which every task
-        reuses, and a few block-sized temporaries. Keeping every entry
-        records nothing. Each task's mapped input is released after its
-        pass, the pretrained one after the last.
+        Records, per task, the float32 magnitude threshold and the flat
+        index of the last entry at it that is kept (-1 if none); ``rows``
+        keeps, verbatim, the entries above the threshold and those at it up
+        to that index, so NaN never survives. That takes two (D,) float32
+        scratch rows, which every task reuses, and a few block-sized
+        temporaries. Keeping every entry records nothing. Each task's mapped
+        input is released after its pass, the pretrained one after the last.
         """
         dims = self.partition.block_dims
         total = sum(dims)
@@ -265,12 +268,13 @@ class TaskVectorSet:
             return
         signed = np.empty(total, dtype=np.float32)
         mags = np.empty(total, dtype=np.float32)
-        kept = [(np.empty((self.num_tasks, (d + 7) // 8), dtype=np.uint8), []) for d in dims]
+        thresholds = np.empty(self.num_tasks, dtype=np.float32)
+        last_ties = np.empty(self.num_tasks, dtype=np.int64)
         for k in range(self.num_tasks):
-            self._keep_task(k, keep, signed, mags, kept)
+            thresholds[k], last_ties[k] = self._threshold(k, keep, signed, mags)
             self._release_input(k + 1)
         self._release_input(0)
-        self._kept = kept
+        self._trim = (thresholds, last_ties, np.cumsum([0, *dims[:-1]]))
 
     def _release_input(self, i: int) -> None:
         """Give back all pages of input ``i`` (0 is the pretrained) if mapped."""
@@ -278,11 +282,9 @@ class TaskVectorSet:
         if pages is not None:
             release_pages(pages[0], len(pages[0]))
 
-    def _keep_task(self, k: int, keep: int, signed: np.ndarray, mags: np.ndarray,
-                   kept) -> None:
-        """Record task ``k``'s ``keep`` largest magnitudes in ``kept``: one
-        pass builds its concatenated row into ``signed``, ``mags`` finds the
-        threshold."""
+    def _threshold(self, k: int, keep: int, signed: np.ndarray, mags: np.ndarray):
+        """Task ``k``'s threshold and last kept tie: one pass builds its
+        concatenated row into ``signed``, ``mags`` finds the threshold."""
         dims = self.partition.block_dims
         offset = 0
         for b, d in enumerate(dims):
@@ -297,18 +299,15 @@ class TaskVectorSet:
         above = sum(np.count_nonzero(mags[i : i + chunk] > thresh)
                     for i in range(cut + 1, len(mags), chunk))
         short = keep - above
-        offset = 0
-        for (packed, values), d in zip(kept, dims):
-            row = signed[offset : offset + d]
-            offset += d
-            row_mags = np.abs(row, out=mags[:d])
-            mask = row_mags > thresh
-            if short > 0:
-                ties = np.flatnonzero(row_mags == thresh)[:short]
-                mask[ties] = True
-                short -= len(ties)
-            packed[k] = np.packbits(mask)
-            values.append(row[np.flatnonzero(mask)])
+        last_tie = -1
+        for i in range(0, len(signed), chunk):  # the first ties in flat order, until none is short
+            part = signed[i : i + chunk]
+            ties = np.flatnonzero(np.abs(part, out=mags[: len(part)]) == thresh)[:short]
+            if len(ties):
+                last_tie, short = i + int(ties[-1]), short - len(ties)
+            if not short:
+                break
+        return thresh, last_tie
 
     def _fill(self, b: int, k: int, out: np.ndarray) -> None:
         """Write task ``k``'s untrimmed row of block ``b`` into ``out``."""

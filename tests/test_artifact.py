@@ -682,6 +682,19 @@ def _with_manifest(tmp_path, src, manifest) -> str:
     return str(tmp_path)
 
 
+@pytest.mark.parametrize("swap", [True, 1.0, "1", -1, 0, None], ids=repr)
+def test_member_lists_hold_json_ints_of_every_task_once(tmp_path, exported_emr, swap):
+    # task 1 of one block replaced: true and 1.0 equal 1 in Python, so only
+    # their type tells them apart
+    src, manifest = exported_emr
+    edited = json.loads(json.dumps(manifest))
+    key = min(edited["groups"])
+    group = next(g for g in edited["groups"][key] if 1 in g)
+    group[group.index(1)] = swap
+    with pytest.raises(MalformedArtifact, match=f"block {key!r} groups must hold every task"):
+        load_artifact(_with_manifest(tmp_path, src, edited))
+
+
 def test_written_size_report_is_derived_not_read(tmp_path, exported_emr):
     src, manifest = exported_emr
     edited = json.loads(json.dumps(manifest))

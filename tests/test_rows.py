@@ -30,7 +30,6 @@ from blockmerge import (
     ties_trim,
     write_archive,
 )
-from blockmerge.mergers import ceil_count
 from blockmerge.similarity import pairwise_all
 
 from helpers import buffer_owner, ratio_for, toy_model, write_unpadded
@@ -179,13 +178,6 @@ def _inputs(dtype):
     return pre, tasks, partition(pre, default_transformer_rules())
 
 
-def _survivors(cfg) -> int:
-    """Bytes a trimmed set records: packed keep masks plus kept values."""
-    if not cfg.needs_global_trim:
-        return 0
-    return M * (sum((d + 7) // 8 for d in DIMS) + 4 * ceil_count(cfg.keep_ratio, sum(DIMS)))
-
-
 def _traced(fn):
     tracemalloc.start()
     try:
@@ -212,7 +204,7 @@ def test_plan_stage_peak_memory_is_bounded(algorithm, dtype):
         return pairwise_all(tv)
 
     peak, _ = _traced(plan_stage)
-    bound = 5 * UNIT + _survivors(cfg) + SLACK
+    bound = 5 * UNIT + SLACK
     assert peak <= bound, f"peak {peak / UNIT:.2f} units > {bound / UNIT:.2f}"
 
 
@@ -234,5 +226,5 @@ def test_merge_stage_peak_memory_is_bounded(tmp_path, algorithm, dtype):
 
     peak, _ = _traced(merge_stage)
     widened = sum(DIMS) * 4 if dtype == np.float16 else 0  # the set's float32 pretrained copy
-    bound = 4 * UNIT + _survivors(cfg) + widened + SLACK
+    bound = 4 * UNIT + widened + SLACK
     assert peak <= bound, f"peak {peak / UNIT:.2f} units > {bound / UNIT:.2f}"

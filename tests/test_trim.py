@@ -89,6 +89,44 @@ def test_trim_ties_straddle_block_boundaries():
     assert [v[0].tolist() for v in tv.block_vectors] == [[0.0, -2.0, 0.0], [-2.0, 2.0], [2.0, 0.0, 0.0]]
 
 
+def _one_task(*blocks):
+    return [np.float32([b]) for b in blocks]
+
+
+NAN, INF = np.nan, np.inf
+EDGE_CASES = {
+    # ties at 1.0 in every block; the third one kept sits in the last block,
+    # after entries at the threshold in the first two, and the fourth is dropped
+    "last_tie_in_a_later_block": (_one_task([1.0, 3.0, -1.0], [0.5, 2.0], [-1.0, 1.0, 4.0]), 6),
+    # one task's ties run out in its first block, the other's in its last
+    "per_task_last_ties": ([np.float32([[2.0, -2.0, 2.0], [1.0, 3.0, 0.5]]),
+                            np.float32([[1.0, 0.0], [-0.5, 0.5]]),
+                            np.float32([[-2.0, 2.0, 3.0], [1.0, 1.0, -1.0]])], 4),
+    # more NaNs than keep: the threshold is NaN, and nothing is kept
+    "more_nans_than_keep": (_one_task([NAN, 1.0, -NAN], [INF, NAN], [-0.0, 5.0]), 2),
+    # NaNs fewer than keep still count toward it, and are never kept
+    "nans_fewer_than_keep": (_one_task([NAN, 1.0, -INF], [2.0, NAN], [-0.0, 5.0]), 4),
+    # a zero threshold keeps -0.0 ties verbatim up to the last tie kept and
+    # reads +0.0 after it
+    "zero_threshold": (_one_task([3.0, -0.0, 0.0], [-0.0, 2.0, -0.0], [-0.0, 0.0]), 5),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES, ids=str)
+def test_trim_edge_cases_match_reference(case):
+    blocks, keep = EDGE_CASES[case]
+    assert_trim_matches_reference(blocks, ratio_for(keep, sum(v.shape[1] for v in blocks)))
+
+
+@pytest.mark.parametrize("keep", ["all", "ratio_one"])
+def test_keeping_every_entry_records_nothing(keep):
+    blocks = _one_task([1.0, -0.0], [NAN, INF, -1.0])
+    want = ties_trim_reference(blocks, ratio_for(keep, 5))
+    tv = ties_trim(tv_from_rows(blocks), ratio_for(keep, 5))
+    assert tv._trim is None
+    assert [v.tobytes() for v in tv.block_vectors] == [v.tobytes() for v in want]
+
+
 # -- what the trim does to the set --------------------------------------------
 
 def test_trim_keeps_the_set_and_its_checkpoints():
@@ -158,12 +196,11 @@ def test_prepare_trims_through_the_module_global(monkeypatch):
 DIMS = [20_000 + 3_001 * i for i in range(12)]  # D = 438 066, uneven widths
 
 
-def _bound(dims, num_tasks=8, keep_ratio=0.1) -> int:
-    # two float32 scratch rows, a few block-sized temporaries and the
-    # survivors the trim records (packed keep masks and kept values): a
-    # dense copy of the set (8 tasks x 4 bytes) does not fit
-    survivors = num_tasks * (sum((d + 7) // 8 for d in dims) + 4 * ceil_count(keep_ratio, sum(dims)))
-    return 8 * sum(dims) + 16 * max(dims) + survivors + (64 << 10)
+def _bound(dims) -> int:
+    # two float32 scratch rows and a few block-sized temporaries: the trim
+    # records two numbers per task, so neither the survivors (packed keep
+    # masks and kept values) nor a dense copy of the set fits beside them
+    return 8 * sum(dims) + 16 * max(dims) + (64 << 10)
 
 
 def _grid_tv(seed: int):
@@ -177,6 +214,20 @@ def test_trim_peak_memory_is_bounded():
     tv = _grid_tv(45)
     peak = _traced_peak(lambda: ties_trim(tv, 0.1))
     assert peak <= _bound(DIMS), f"peak {peak} > bound {_bound(DIMS)}"
+
+
+def test_a_trimmed_set_retains_bytes_per_task_not_per_entry():
+    # what the trim leaves on the set: 64 thresholds and last ties, not the
+    # 64 x 8000 entries' keep masks and survivors (over 260 KB)
+    num_tasks = 64
+    tv = synthetic_tv(np.random.default_rng(48), [3_000, 5_000], num_tasks)
+    tracemalloc.start()
+    try:
+        ties_trim(tv, 0.1)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= 16 * num_tasks + 4096, f"{retained} bytes retained"
 
 
 def test_prepare_consensus_peak_memory_is_bounded():
