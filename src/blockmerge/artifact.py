@@ -43,6 +43,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +57,6 @@ from .tensor_store import (
     StreamedArchive,
     dtype_code,
     read_archive,
-    tensor_span,
     write_archive,  # noqa: F401  (a call site perfbench/spans.py patches by name)
 )
 
@@ -104,6 +104,9 @@ class SizeReport:
 
 @dataclass
 class MergedArtifact:
+    """One size's stored payloads. ``size_report`` is not stored: it
+    follows from the groups and heads, computed when first read."""
+
     partition: BlockPartition
     config: MergerConfig
     num_tasks: int
@@ -111,8 +114,12 @@ class MergedArtifact:
     routing: list[list[int]]  # routing[task][block_id] -> group_id
     pretrained_blocks: dict[int, np.ndarray]  # only blocks holding masked groups
     heads: list[dict[str, np.ndarray]]  # per task, tensors outside every block
-    size_report: SizeReport
     fingerprint: str = ""
+
+    @cached_property
+    def size_report(self) -> SizeReport:
+        block_groups = [[g.members for g in groups] for groups in _by_block(self)]
+        return _size_report(self.partition, self.config, block_groups, self.heads)
 
 
 @dataclass
@@ -135,12 +142,20 @@ def _block_slices(block: Block):
     return out
 
 
+def _by_block(artifact: MergedArtifact) -> list[list[StoredGroup]]:
+    """Each block's groups, in group-id order."""
+    out: list[list[StoredGroup]] = [[] for _ in artifact.partition.blocks]
+    for g in artifact.groups:
+        out[g.block_id].append(g)
+    return out
+
+
 def _size_report(part: BlockPartition, cfg: MergerConfig, block_groups,
                  heads: list[dict[str, np.ndarray]]) -> SizeReport:
     """Stored bytes of the grouping (``block_groups[b]`` lists block b's
     member lists) under ``cfg``, plus the head tensors' bytes."""
     sm = SizeModel.from_partition(part, cfg)
-    stored = sm.stored_bytes(block_groups)
+    stored = sm.stored_bytes(block_groups)  # one walk over the groups
     return SizeReport(
         dense_bytes=stored["dense"],
         mask_bytes=stored["mask"],
@@ -148,7 +163,7 @@ def _size_report(part: BlockPartition, cfg: MergerConfig, block_groups,
         scalar_bytes=stored["scalar"],
         head_bytes=sum(arr.nbytes for h in heads for arr in h.values()),
         unit_bytes=sm.unit_bytes,
-        units=sm.size_of(block_groups),
+        units=sm.units(stored),
     )
 
 
@@ -221,9 +236,13 @@ def _archive_layout(part: BlockPartition, cfg: MergerConfig, block_groups,
             if cfg.has_rescalers:
                 items.append((f"gamma.{block.key}", "F32", (masked_rows,)))
         span(("groups", block.block_id), items)
-    span(("heads", -1), [(f"head.t{task}.{name}", dtype_code(arr), arr.shape)
+    span(("heads", -1), [(_head_key(task, name), dtype_code(arr), arr.shape)
                          for task, head in enumerate(heads) for name, arr in head.items()])
     return entries, spans
+
+
+def _head_key(task: int, name: str) -> str:
+    return f"head.t{task}.{name}"
 
 
 def _checked_heads(tv: TaskVectorSet, cfg: MergerConfig, assignments):
@@ -314,7 +333,6 @@ def build_artifact(
         routing=routing,
         pretrained_blocks=pretrained_blocks,
         heads=heads,
-        size_report=_size_report(part, cfg, assignment.block_groups, heads),
         fingerprint=fingerprint or cfg.fingerprint(),
     )
 
@@ -471,9 +489,7 @@ def export_manifest(artifact: MergedArtifact, out_dir: str) -> None:
     themselves (_block_span), so no stacked copy is made.
     """
     part = artifact.partition
-    by_block: list[list[StoredGroup]] = [[] for _ in part.blocks]
-    for g in artifact.groups:
-        by_block[g.block_id].append(g)
+    by_block = _by_block(artifact)
     block_groups = [[g.members for g in groups] for groups in by_block]
     entries, spans = _archive_layout(part, artifact.config, block_groups, artifact.heads)
     os.makedirs(out_dir, exist_ok=True)
@@ -534,11 +550,14 @@ def export_sweep(
     after that. A stale manifest and a stale ``groups.json`` are removed
     before the rename, so no earlier run's groups sit next to the new
     archive. On failure the partial files are removed. The inputs are
-    checked as build_artifact checks them, before any file is created.
+    checked as build_artifact checks them, before any file is created, and
+    so are ``out_dirs``: ValueError when two of them name one directory.
     """
     heads = _checked_heads(tv, cfg, assignments)
     if len(out_dirs) != len(assignments):
         raise ValueError(f"{len(assignments)} assignments but {len(out_dirs)} output directories")
+    if len(set(map(os.path.realpath, out_dirs))) != len(out_dirs):
+        raise ValueError(f"output directories repeat: {out_dirs}")
     part = tv.partition
     merged = [0] * len(assignments)
     reused = [0] * len(assignments)
@@ -603,8 +622,8 @@ def _check_manifest(manifest) -> list[Block]:
     load_artifact reads, with the right types and ranges, at least one
     block, and member lists that hold every task 0..M-1 exactly once in
     each block. Returns the blocks, with ``dim`` and ``nbytes`` derived from
-    their shapes and dtypes (written values must agree). The tensors the
-    manifest names are checked as they are loaded."""
+    their shapes and dtypes (written values must agree). load_artifact
+    checks the archive against the layout these imply."""
 
     def is_int(x, lo: int = 0) -> bool:
         return isinstance(x, int) and not isinstance(x, bool) and x >= lo
@@ -672,29 +691,31 @@ def load_artifact(out_dir: str) -> MergedArtifact:
     """Inverse of export_manifest.
 
     The manifest is checked against its schema first (a config value out
-    of its algorithm's range included), and each entry it implies against
-    the archive as it is loaded (MalformedArtifact); a manifest of any
-    version but 4 is malformed. Everything the manifest does not state is
-    derived: the routing from the group members; a group's payload is
-    masked iff the algorithm is masked and the group has two or more
-    members; each block's ``dim`` and ``nbytes`` from its shapes and dtypes;
-    and the size report the way build_artifact computes it (the written
-    ``size_report`` is never read).
+    of its algorithm's range included); a manifest of any version but 4 is
+    malformed. Everything it does not state is derived: the routing from
+    the group members; a group's payload is masked iff the algorithm is
+    masked and the group has two or more members; each block's ``dim`` and
+    ``nbytes`` from its shapes and dtypes; and from all of these the
+    archive layout (_archive_layout). Then one check: the header must list
+    exactly the layout's entries, with the same names, dtypes and shapes,
+    in the same order, then the heads ``excluded`` names, task by task (a
+    head's dtype and shape are the archive's own); otherwise
+    MalformedArtifact. Every read after it takes its entry as it is. The
+    written ``size_report`` is never read (see MergedArtifact).
 
-    Each stacked entry is looked up and checked once per block: ``g.<tensor>``
-    must hold one row per listed group, and the mask entry (and, for emr,
-    the rescaler entry) one row per member of the block's masked groups.
-    A group's payload rows, its mask rows and its rescalers are then rows
-    of those entries. Float32 rows, mask rows and pretrained blocks (a
-    block of several tensors as one span) stay views of the archive's
-    buffer, so a float32 artifact is held once. A float16 entry is widened
-    once per block, and rescalers are copied once per block. The archives
-    export_manifest and export_sweep write are mapped (read_archive), so
-    loading reads the header, the heads and the rescalers; a payload's pages
-    are read when a reconstruction first touches them. Head tensors are
-    copied, so a float16 archive without masked groups is freed once its
-    blocks have been widened; with masked groups, the mask views keep its
-    buffer alive.
+    A group's payload rows are its rows of the block's ``g.<tensor>``
+    entries; a masked group's mask rows and rescalers are its members' rows
+    of the block's mask and rescaler entries. A block keeps a pretrained
+    copy exactly when the layout has a ``("pre", b)`` span, which for a
+    float32 block is viewed as float32 in place. Float32 rows, mask rows
+    and pretrained blocks stay views of the archive's buffer, so a float32
+    artifact is held once. A float16 entry is widened once per block, and
+    rescalers are copied once per block. The archives export_manifest and
+    export_sweep write are mapped (read_archive), so loading reads the
+    header, the heads and the rescalers; a payload's pages are read when a
+    reconstruction first touches them. Head tensors are copied, so a
+    float16 archive without masked groups is freed once its blocks have
+    been widened; with masked groups, the mask views keep its buffer alive.
     """
     path = os.path.join(out_dir, MANIFEST_NAME)
     with open(path, "rb") as fh:
@@ -705,24 +726,6 @@ def load_artifact(out_dir: str) -> MergedArtifact:
         raise MalformedArtifact(f"{path}: not valid JSON: {exc}") from None
     blocks = _check_manifest(manifest)
     archive = read_archive(os.path.join(out_dir, TENSORS_NAME))
-    index = {name: i for i, name in enumerate(archive.layout.names)}  # header positions
-
-    def tensor(name: str, shape: tuple[int, ...], kind: str) -> np.ndarray:
-        arr = archive.tensors.get(name)
-        _need(arr is not None and arr.shape == shape and arr.dtype.kind == kind,
-              "archive lacks tensor {!r} of shape {}", name, shape)
-        return arr
-
-    def pretrained_flat(block: Block) -> np.ndarray:
-        parts = [tensor(f"pre.{n}", shape, "f").astype(np.float32, copy=False).ravel()
-                 for n, shape in zip(block.tensor_names, block.shapes)]
-        if len(parts) == 1:
-            return parts[0]
-        # export writes a block's tensors back to back, so float32 ones are
-        # one span of the archive; anything else is joined into a copy
-        span = tensor_span(archive, [f"pre.{n}" for n in block.tensor_names], index)
-        return span if span is not None and span.dtype == np.float32 else np.concatenate(parts)
-
     part = BlockPartition(
         blocks=blocks,
         tensor_to_block={n: b.block_id for b in blocks for n in b.tensor_names},
@@ -735,8 +738,18 @@ def load_artifact(out_dir: str) -> MergedArtifact:
     except ValueError as exc:
         raise MalformedArtifact(f"manifest: config: {exc}") from None
     m = manifest["num_tasks"]
-    block_groups = [manifest["groups"][b.key] for b in blocks]
+    block_groups = [[tuple(g) for g in manifest["groups"][b.key]] for b in blocks]
+    head_names = [manifest["excluded"].get(str(task), []) for task in range(m)]
 
+    entries, spans = _archive_layout(part, cfg, block_groups, [])
+    names = [name for name, _, _ in entries]
+    names += [_head_key(task, name) for task, head in enumerate(head_names) for name in head]
+    tensors = archive.tensors
+    _need(archive.layout.names == tuple(names) and all(
+        tensors[name].dtype == DTYPES[code] and tensors[name].shape == shape
+        for name, code, shape in entries), "archive entries disagree with the manifest")
+
+    data, start = archive.layout.data, archive.layout.offsets[0]
     groups: list[StoredGroup] = []
     routing = [[-1] * len(blocks) for _ in range(m)]
     pretrained_blocks = {}
@@ -744,19 +757,22 @@ def load_artifact(out_dir: str) -> MergedArtifact:
         b = block.block_id
         count = len(member_lists)
         # per tensor, every group's row; a float16 entry is widened here, once
-        stacked = [tensor(f"g.{name}", (count, *shape), "f").astype(np.float32, copy=False)
-                   .reshape(count, math.prod(shape))
+        stacked = [tensors[f"g.{name}"].astype(np.float32, copy=False).reshape(count, math.prod(shape))
                    for name, shape in zip(block.tensor_names, block.shapes)]
-        masked_rows = sum(len(g) for g in member_lists if len(g) > 1) if cfg.masked else 0
-        if masked_rows:
-            masks = tensor(f"mask.{block.key}", (masked_rows, (block.dim + 7) // 8), "u")
-            gammas = (np.array(tensor(f"gamma.{block.key}", (masked_rows,), "f"), dtype=np.float32)
-                      if cfg.has_rescalers else None)
-            pretrained_blocks[b] = pretrained_flat(block)
+        masked = ("pre", b) in spans
+        if masked:
+            masks = tensors[f"mask.{block.key}"]
+            gammas = np.array(tensors[f"gamma.{block.key}"], np.float32) if cfg.has_rescalers else None
+            if all(code == "F32" for code in block.dtypes):
+                begin, end = spans["pre", b]
+                pretrained_blocks[b] = data[start + begin : start + end].view(np.float32)
+            else:
+                pretrained_blocks[b] = np.concatenate(
+                    [tensors[f"pre.{name}"].ravel() for name in block.tensor_names], dtype=np.float32)
         row = 0
-        for members, payload in zip(map(tuple, member_lists), zip(*stacked)):
+        for members, payload in zip(member_lists, zip(*stacked)):
             gid = len(groups)
-            if masked_rows and len(members) > 1:
+            if masked and len(members) > 1:
                 end = row + len(members)
                 groups.append(StoredGroup(gid, b, members, "masked", payload, masks=masks[row:end],
                                           gammas=None if gammas is None else gammas[row:end]))
@@ -766,14 +782,6 @@ def load_artifact(out_dir: str) -> MergedArtifact:
             for k in members:
                 routing[k][b] = gid
 
-    heads: list[dict[str, np.ndarray]] = [{} for _ in range(m)]
-    for task_str, names in manifest["excluded"].items():
-        task = int(task_str)
-        for name in names:
-            key = f"head.t{task}.{name}"
-            _need(key in archive.tensors, "archive lacks head tensor {!r}", key)
-            heads[task][name] = archive.tensors[key].copy()
-
     return MergedArtifact(
         partition=part,
         config=cfg,
@@ -781,7 +789,7 @@ def load_artifact(out_dir: str) -> MergedArtifact:
         groups=groups,
         routing=routing,
         pretrained_blocks=pretrained_blocks,
-        heads=heads,
-        size_report=_size_report(part, cfg, block_groups, heads),
+        heads=[{name: tensors[_head_key(task, name)].copy() for name in head}
+               for task, head in enumerate(head_names)],
         fingerprint=manifest["fingerprint"],
     )

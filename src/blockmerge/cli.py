@@ -114,7 +114,7 @@ def _build_config(args) -> RunConfig:
         overrides["consensus_threshold"] = args.threshold
     cfg = MergerConfig.for_algorithm(algorithm, **overrides)
     sizes = []
-    for tok in (args.sizes or "").split(","):
+    for tok in getattr(args, "sizes", "").split(","):  # only merge takes --sizes
         tok = tok.strip()
         if tok:
             try:
@@ -458,7 +458,7 @@ def cmd_inspect(args) -> int:
         return EXIT_PARSE
 
 
-def _add_pipeline_flags(p: argparse.ArgumentParser, need_sizes: bool) -> None:
+def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pretrained", required=True, help="pretrained checkpoint archive")
     p.add_argument("--finetuned", action="append", required=True,
                    help="fine-tuned checkpoint archive; repeat per task (task id = position)")
@@ -475,9 +475,6 @@ def _add_pipeline_flags(p: argparse.ArgumentParser, need_sizes: bool) -> None:
     p.add_argument("--strategy", default="min", choices=STRATEGIES)
     p.add_argument("--order", default="greedy", choices=sorted(_ORDER_NAMES))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sizes", default="" if not need_sizes else None,
-                   required=need_sizes,
-                   help='comma-separated target sizes in model units, e.g. "1,1.5,2.25"')
     p.add_argument("--out", required=True, help="output directory")
 
 
@@ -496,11 +493,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("plan", help="precompute similarities and the global merge order")
-    _add_pipeline_flags(p, need_sizes=False)
+    _add_pipeline_flags(p)
     p.set_defaults(fn=cmd_plan)
 
     p = sub.add_parser("merge", help="replay a plan to one or more target sizes")
-    _add_pipeline_flags(p, need_sizes=True)
+    _add_pipeline_flags(p)
+    p.add_argument("--sizes", required=True,
+                   help='comma-separated target sizes in model units, e.g. "1,1.5,2.25"')
     p.add_argument("--plan", default=None, help="plan JSONL from `blockmerge plan` (optional)")
     p.set_defaults(fn=cmd_merge)
 

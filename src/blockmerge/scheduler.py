@@ -275,10 +275,12 @@ class SizeModel:
                 pretrained += bb
         return {"dense": dense, "mask": mask, "pretrained": pretrained, "scalar": scalar}
 
+    def units(self, stored: dict[str, int]) -> ModelUnits:
+        """Model units of a ``stored_bytes`` breakdown (scalars not counted)."""
+        return Fraction(stored["dense"] + stored["mask"] + stored["pretrained"], self.unit_bytes)
+
     def size_of(self, block_groups) -> ModelUnits:
-        parts = self.stored_bytes(block_groups)
-        counted = parts["dense"] + parts["mask"] + parts["pretrained"]
-        return Fraction(counted, self.unit_bytes)
+        return self.units(self.stored_bytes(block_groups))
 
     def merge_delta(
         self, block_id: int, left_size: int, right_size: int, block_had_merged: bool

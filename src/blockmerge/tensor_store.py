@@ -20,7 +20,8 @@ with the same results, only a little slower.
 
 Where each tensor lies in the file is kept as the validated header states
 it (``Checkpoint.layout``, which only read_archive builds); page release
-and ``tensor_span`` read it there, never from array pointers.
+and load_artifact (a block's pretrained tensors viewed as one span of the
+file) read it there, never from array pointers.
 
 A mapped archive must be replaced, never modified in place: truncating a
 mapped file makes the next access to a lost page fail with SIGBUS, not an
@@ -186,19 +187,6 @@ def read_archive(path: str) -> Checkpoint:
     offsets = data_start + np.array([0] + [entry[-1] for entry in entries], np.int64)
     layout = ArchiveLayout(mapping, data, tuple(tensors), offsets)
     return Checkpoint(tensors=tensors, metadata=metadata, layout=layout)
-
-
-def tensor_span(archive: Checkpoint, names: list[str], index: dict[str, int]) -> np.ndarray | None:
-    """One flat view of the read ``archive``'s tensors ``names`` when its
-    header lists them back to back in this order with one dtype; None
-    otherwise. ``index`` maps each header name to its position in
-    ``archive.layout.names``; build it once per archive."""
-    first = index[names[0]]
-    dtype = archive.tensors[names[0]].dtype
-    if any(index[n] != i or archive.tensors[n].dtype != dtype for i, n in enumerate(names, first)):
-        return None
-    layout = archive.layout
-    return layout.data[layout.offsets[first] : layout.offsets[first + len(names)]].view(dtype)
 
 
 def _parse_header(path: str, raw: bytes, data_len: int):

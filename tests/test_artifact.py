@@ -35,6 +35,7 @@ from blockmerge import (
 )
 import blockmerge.artifact as artifact_mod
 from blockmerge.artifact import MANIFEST_VERSION
+from blockmerge.cli import main
 from blockmerge.scheduler import GroupAssignment
 from blockmerge.task_space import flatten_block
 from blockmerge.tensor_store import Checkpoint
@@ -568,9 +569,12 @@ def _load_keeping_archive(monkeypatch, out_dir):
     return back, archive
 
 
-def test_a_float32_block_with_an_empty_tensor_inside_loads_without_a_copy(tmp_path, monkeypatch):
+@pytest.mark.parametrize("algorithm", ["ta", "emr"])
+def test_a_float32_block_with_an_empty_tensor_inside_loads_without_a_copy(tmp_path, monkeypatch,
+                                                                          algorithm):
     # the empty tensor has no place in memory, but each group still has a
-    # row of it: an empty view of the archive between its neighbours' rows
+    # row of it: an empty view of the archive between its neighbours' rows;
+    # under emr the block's pretrained copy is one view of its span
     rng = np.random.default_rng(34)
     width = 6
     shapes = {"embed.w": (3, width), "blocks.0.attn.q": (width, width), "blocks.0.attn.k": (0, width),
@@ -581,10 +585,11 @@ def test_a_float32_block_with_an_empty_tensor_inside_loads_without_a_copy(tmp_pa
     part = partition(pre, default_transformer_rules(), exclude=["head.*"])
     (attn,) = [b for b in part.blocks if b.key == "L0.attn"]
     assert attn.tensor_names == ["blocks.0.attn.q", "blocks.0.attn.k", "blocks.0.attn.v"]
-    cfg = MergerConfig.for_algorithm("ta")
+    cfg = MergerConfig.for_algorithm(algorithm)
     tv = compute_task_vectors(pre, tasks, part)
-    sm = SizeModel.from_partition(part, cfg)
-    art = build_artifact(replay_to_size(compute_merge_plan(tv), tv, Fraction(2), sm), tv, cfg)
+    groups = [((0, 1), (2,))] * part.num_blocks
+    art = build_artifact(GroupAssignment(groups, 0, SizeModel.from_partition(part, cfg).size_of(groups)),
+                         tv, cfg)
     export_manifest(art, str(tmp_path / "art"))
     back, archive = _load_keeping_archive(monkeypatch, str(tmp_path / "art"))
     payloads = [g.rows for g in back.groups if g.block_id == attn.block_id]
@@ -592,6 +597,14 @@ def test_a_float32_block_with_an_empty_tensor_inside_loads_without_a_copy(tmp_pa
     assert all([r.size for r in rows] == [width * width, 0, width * width] for rows in payloads)
     assert all(r.base is not None and buffer_owner(r) is archive.layout.data
                for rows in payloads for r in rows)
+    if algorithm == "emr":
+        base = back.pretrained_blocks[attn.block_id]
+        assert buffer_owner(base) is archive.layout.data and base.dtype == np.float32
+        assert buffer_offset(base) == dict(zip(archive.layout.names,
+                                               archive.layout.offsets.tolist()))["pre.blocks.0.attn.q"]
+        np.testing.assert_array_equal(base, flatten_block(pre, attn))
+    else:
+        assert not back.pretrained_blocks
     for k in range(3):
         assert reconstruct_task(back, k).same_tensors(reconstruct_task(art, k))
 
@@ -673,6 +686,63 @@ def test_emr_artifact_missing_a_rescaler_is_malformed(tmp_path, exported_emr):
     shutil.copy(os.path.join(src, "manifest.json"), tmp_path)
     with pytest.raises(MalformedArtifact):
         load_artifact(str(tmp_path))
+
+
+@pytest.fixture(scope="module")
+def exported_f16(tmp_path_factory):
+    pre, tasks = toy_model(np.random.default_rng(38), 3, layers=1, width=4, dtype=np.float16)
+    part = partition(pre, default_transformer_rules(), exclude=["head.*"])
+    cfg = MergerConfig.for_algorithm("emr")
+    groups = [((0, 1), (2,))] * part.num_blocks
+    asg = GroupAssignment(groups, 0, SizeModel.from_partition(part, cfg).size_of(groups))
+    out = tmp_path_factory.mktemp("f16")
+    export_manifest(build_artifact(asg, compute_task_vectors(pre, tasks, part), cfg), str(out))
+    with open(out / "manifest.json", encoding="utf-8") as fh:
+        return str(out), json.load(fh)
+
+
+def _drop_a_head(manifest, tensors):
+    assert manifest["excluded"]["1"] == ["head.w"]
+    manifest["excluded"]["1"] = []
+
+
+def _add_an_entry(manifest, tensors):
+    tensors["extra"] = np.zeros(2, np.float32)
+
+
+def _swap_two_entries(manifest, tensors):
+    items = list(tensors.items())
+    items[1], items[2] = items[2], items[1]
+    tensors.clear()
+    tensors.update(items)
+
+
+def _widen_a_float16_entry(manifest, tensors):
+    name = next(n for n in tensors if n.startswith("g."))
+    assert tensors[name].dtype == np.float16
+    tensors[name] = tensors[name].astype(np.float32)
+
+
+@pytest.mark.parametrize("source,edit", [
+    ("exported_emr", _drop_a_head), ("exported_emr", _add_an_entry),
+    ("exported_emr", _swap_two_entries), ("exported_f16", _widen_a_float16_entry),
+], ids=["head-not-excluded", "extra-entry", "entries-swapped", "f32-entry-for-f16-block"])
+def test_an_archive_that_disagrees_with_its_manifest_is_malformed(tmp_path, capsys, request, source,
+                                                                 edit):
+    src, manifest = request.getfixturevalue(source)
+    manifest = json.loads(json.dumps(manifest))
+    tensors = dict(read_archive(os.path.join(src, "tensors.safetensors")).tensors)
+    edit(manifest, tensors)
+    write_archive(Checkpoint(tensors), str(tmp_path / "tensors.safetensors"))
+    with open(tmp_path / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    with pytest.raises(MalformedArtifact, match="archive entries disagree with the manifest"):
+        load_artifact(str(tmp_path))
+    assert main(["reconstruct", "--artifact", str(tmp_path), "--task", "0",
+                 "--out", str(tmp_path / "task0.st")]) == 3
+    err = capsys.readouterr().err
+    assert "archive entries disagree with the manifest" in err and "Traceback" not in err
+    assert not (tmp_path / "task0.st").exists()
 
 
 def _with_manifest(tmp_path, src, manifest) -> str:

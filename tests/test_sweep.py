@@ -275,6 +275,24 @@ def test_sweep_checks_its_inputs_before_writing(tmp_path, case):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("form", ["same", "trailing_slash", "dot_dot", "symlink"])
+def test_sweep_rejects_repeated_output_directories(tmp_path, form):
+    # two archives streamed to one .partial file would commit one and lose the other
+    pre, tasks, part, cfg, tv = _setup("emr", np.float32, heads=True)
+    asgs = replay_to_sizes(compute_merge_plan(tv), tv, [Fraction(3), Fraction(2)],
+                           SizeModel.from_partition(part, cfg))
+    out = tmp_path / "out"
+    a = str(out / "a")
+    other = {"same": a, "trailing_slash": a + "/", "dot_dot": str(out / "x" / ".." / "a"),
+             "symlink": str(tmp_path / "link")}[form]
+    if form == "symlink":
+        os.makedirs(a)
+        os.symlink(a, other)
+    with pytest.raises(ValueError, match="output directories repeat"):
+        export_sweep(asgs, [a, other], tv, cfg)
+    assert os.listdir(a) == [] if form == "symlink" else not out.exists()
+
+
 # the compact encoding, pinned: sorted keys, no whitespace, one final newline
 TOY_MANIFEST = (
     b'{"algorithm":"ta","blocks":[{"dim":3,"dtypes":["F32"],"key":"a.w","nbytes":12,'

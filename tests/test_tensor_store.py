@@ -33,7 +33,7 @@ from blockmerge import (
     write_archive,
 )
 import blockmerge.tensor_store as tensor_store
-from blockmerge.tensor_store import StreamedArchive, dtype_code, tensor_span
+from blockmerge.tensor_store import StreamedArchive, dtype_code
 
 from helpers import (
     BOOLEAN_ENTRIES,
@@ -310,30 +310,6 @@ def test_misaligned_tensor_is_an_unaligned_view_of_the_shared_mapping(tmp_path, 
     want = [True, False, True, True, lead.dtype == np.uint8]
     assert [arr.flags.aligned for arr in back.tensors.values()] == want
     assert back.same_tensors(ck)
-
-
-def test_tensor_span_covers_consecutive_tensors_of_one_dtype_only(tmp_path):
-    rng = np.random.default_rng(4)
-    ck = Checkpoint(tensors={
-        "a": rng.normal(size=(2, 3)).astype(np.float32),
-        "b": rng.normal(size=4).astype(np.float32),
-        "c": np.arange(3, dtype=np.uint8),
-        "d": rng.normal(size=5).astype(np.float32),
-        "z": np.zeros(0, np.float32),
-        "e": rng.normal(size=2).astype(np.float32),
-    })
-    _, back = rt(ck, tmp_path)
-    index = {name: i for i, name in enumerate(back.layout.names)}
-    joined = tensor_span(back, ["a", "b"], index)
-    np.testing.assert_array_equal(joined, np.concatenate([ck.tensors["a"].ravel(), ck.tensors["b"]]))
-    assert buffer_owner(joined) is back.layout.data
-    # an empty tensor lies between its neighbours in the header, if nowhere in memory
-    spanned = tensor_span(back, ["d", "z", "e"], index)
-    np.testing.assert_array_equal(spanned, np.concatenate([ck.tensors["d"], ck.tensors["e"]]))
-    assert buffer_owner(spanned) is back.layout.data
-    assert tensor_span(back, ["b", "a"], index) is None  # out of order
-    assert tensor_span(back, ["a", "d"], index) is None  # not adjacent
-    assert tensor_span(back, ["b", "c"], index) is None  # dtypes differ
 
 
 def test_streamed_archive_equals_write_archive_despite_short_writes(tmp_path, monkeypatch):
