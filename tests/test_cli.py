@@ -554,7 +554,6 @@ def test_plan_meta_is_written_last(workspace):
     assert merge == 3
 
 
-# the workspace has 4 fine-tuned inputs, so a target lies in (0, 4]
 @pytest.mark.parametrize("sizes", ["2", "99"])
 def test_plan_takes_no_sizes(workspace, capsys, sizes):
     out = workspace["tmp"] / "p"
@@ -564,6 +563,7 @@ def test_plan_takes_no_sizes(workspace, capsys, sizes):
     assert not out.exists()
 
 
+# the workspace has 4 fine-tuned inputs, so a target lies in (0, 4]
 @pytest.mark.parametrize("sizes,bad", [("1/0", "1/0"), ("abc", "abc"), ("nan", "nan"),
                                        ("2, 1/0", "1/0"), ("-1", "-1"), ("0", "0"), ("2, 0/3", "0/3"),
                                        ("4.5", "4.5"), ("1e400", "1e400"), ("4, 9/2", "9/2")])
