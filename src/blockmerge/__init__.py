@@ -51,6 +51,7 @@ from .scheduler import (
     MergePlan,
     ModelUnits,
     SizeModel,
+    SizeReport,
     block_merge_sequence,
     compute_merge_plan,
     global_merge_order,
@@ -64,7 +65,6 @@ from .scheduler import (
 from .artifact import (
     MergedArtifact,
     ReconstructionReport,
-    SizeReport,
     StoredGroup,
     build_artifact,
     export_manifest,

@@ -42,14 +42,13 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigMismatch, MalformedArtifact, UnknownTask
 from .mergers import ALGORITHMS, CONFIG_NUMBERS, MergerConfig, expected_trim_ratio, merge_group
-from .scheduler import GroupAssignment, SizeModel
+from .scheduler import GroupAssignment, SizeModel, SizeReport, merged_members
 from .task_space import Block, BlockPartition, TaskVectorSet, flatten_block
 from .tensor_store import (
     DTYPES,
@@ -80,29 +79,6 @@ class StoredGroup:
 
 
 @dataclass
-class SizeReport:
-    dense_bytes: int
-    mask_bytes: int
-    pretrained_bytes: int
-    scalar_bytes: int
-    head_bytes: int
-    unit_bytes: int
-    units: Fraction
-
-    def as_dict(self) -> dict:
-        return {
-            "dense_bytes": self.dense_bytes,
-            "mask_bytes": self.mask_bytes,
-            "pretrained_bytes": self.pretrained_bytes,
-            "scalar_bytes": self.scalar_bytes,
-            "head_bytes": self.head_bytes,
-            "unit_bytes": self.unit_bytes,
-            "units": f"{self.units.numerator}/{self.units.denominator}",
-            "units_float": float(self.units),
-        }
-
-
-@dataclass
 class MergedArtifact:
     """One size's stored payloads. ``size_report`` is not stored: it
     follows from the groups and heads, computed when first read."""
@@ -119,7 +95,8 @@ class MergedArtifact:
     @cached_property
     def size_report(self) -> SizeReport:
         block_groups = [[g.members for g in groups] for groups in _by_block(self)]
-        return _size_report(self.partition, self.config, block_groups, self.heads)
+        return SizeModel.from_partition(self.partition, self.config).report(
+            block_groups, _head_bytes(self.heads))
 
 
 @dataclass
@@ -150,21 +127,8 @@ def _by_block(artifact: MergedArtifact) -> list[list[StoredGroup]]:
     return out
 
 
-def _size_report(part: BlockPartition, cfg: MergerConfig, block_groups,
-                 heads: list[dict[str, np.ndarray]]) -> SizeReport:
-    """Stored bytes of the grouping (``block_groups[b]`` lists block b's
-    member lists) under ``cfg``, plus the head tensors' bytes."""
-    sm = SizeModel.from_partition(part, cfg)
-    stored = sm.stored_bytes(block_groups)  # one walk over the groups
-    return SizeReport(
-        dense_bytes=stored["dense"],
-        mask_bytes=stored["mask"],
-        pretrained_bytes=stored["pretrained"],
-        scalar_bytes=stored["scalar"],
-        head_bytes=sum(arr.nbytes for h in heads for arr in h.values()),
-        unit_bytes=sm.unit_bytes,
-        units=sm.units(stored),
-    )
+def _head_bytes(heads: list[dict[str, np.ndarray]]) -> int:
+    return sum(arr.nbytes for h in heads for arr in h.values())
 
 
 def _tensor_rows(block: Block, flat: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -224,17 +188,18 @@ def _archive_layout(part: BlockPartition, cfg: MergerConfig, block_groups,
         return [(f"{prefix}.{name}", code, shape)
                 for name, shape, code in zip(block.tensor_names, block.shapes, block.dtypes)]
 
-    for block, groups in zip(part.blocks, block_groups):
-        if cfg.masked and any(len(g) > 1 for g in groups):
+    # a block's mask rows: its merged members, when the algorithm masks
+    masked_rows = [merged_members(groups) if cfg.masked else 0 for groups in block_groups]
+    for block, rows in zip(part.blocks, masked_rows):
+        if rows:
             span(("pre", block.block_id), block_entries("pre", block))
-    for block, groups in zip(part.blocks, block_groups):
+    for block, groups, rows in zip(part.blocks, block_groups, masked_rows):
         items = [(f"g.{name}", code, (len(groups), *shape))
                  for name, shape, code in zip(block.tensor_names, block.shapes, block.dtypes)]
-        masked_rows = sum(len(g) for g in groups if len(g) > 1) if cfg.masked else 0
-        if masked_rows:
-            items.append((f"mask.{block.key}", "U8", (masked_rows, (block.dim + 7) // 8)))
+        if rows:
+            items.append((f"mask.{block.key}", "U8", (rows, (block.dim + 7) // 8)))
             if cfg.has_rescalers:
-                items.append((f"gamma.{block.key}", "F32", (masked_rows,)))
+                items.append((f"gamma.{block.key}", "F32", (rows,)))
         span(("groups", block.block_id), items)
     span(("heads", -1), [(_head_key(task, name), dtype_code(arr), arr.shape)
                          for task, head in enumerate(heads) for name, arr in head.items()])
@@ -518,7 +483,6 @@ class SweepSize:
 
     merged: int  # groups merged for this size
     reused: int  # groups whose payload the previous size had built
-    units: Fraction  # achieved size, as in the size report
 
 
 def export_sweep(
@@ -602,13 +566,12 @@ def export_sweep(
         raise
 
     fingerprint = fingerprint or cfg.fingerprint()
-    done = []
-    for i, (asg, out_dir) in enumerate(zip(assignments, out_dirs)):
-        report = _size_report(part, cfg, asg.block_groups, heads)
+    sm, head_bytes = SizeModel.from_partition(part, cfg), _head_bytes(heads)
+    for asg, out_dir in zip(assignments, out_dirs):
+        report = sm.report(asg.block_groups, head_bytes)
         _write_json(_manifest(part, cfg, tv.num_tasks, asg.block_groups, heads, report, fingerprint),
                     os.path.join(out_dir, MANIFEST_NAME))
-        done.append(SweepSize(merged[i], reused[i], report.units))
-    return done
+    return [SweepSize(n, r) for n, r in zip(merged, reused)]
 
 
 def _need(ok, what: str, *args) -> None:

@@ -358,7 +358,7 @@ def cmd_merge(args) -> int:
     for target, assignment, out_dir, done in zip(targets, assignments, out_dirs, written):
         write_assignment_json(assignment, tv.partition.block_keys,
                               os.path.join(out_dir, artifact_mod.GROUPS_NAME))
-        achieved = done.units
+        achieved = assignment.size
         print(
             f"target {float(target):g}: achieved {float(achieved):.6g} "
             f"({achieved.numerator}/{achieved.denominator}) after "

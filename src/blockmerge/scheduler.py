@@ -9,17 +9,21 @@ Global ordering interleaves the per-block sequences (min-heap of block heads
 for greedy, concatenation for left-/right-to-left, seeded uniform interleave
 for random), and ``replay_to_size`` walks the plan keeping each block's
 current groups as the plan reader checks them (``_join``), tracking the
-deployed size in exact rationals until the target is reached;
+deployed size in whole bytes until it is at most the target;
 ``replay_to_sizes`` does so for a whole size sweep in one walk.
 
 Sizes are expressed in *model units*: stored bytes divided by the bytes of
-one full fine-tuned mergeable parameter set.
+one full fine-tuned mergeable parameter set. What a block costs is stated
+once, in ``SizeModel.block_bytes``; the size report (``SizeModel.report``,
+which the artifacts' manifests carry), replay and the k-means baseline all
+read sizes through it.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -219,9 +223,41 @@ def compute_merge_plan(
 # Size accounting
 # ---------------------------------------------------------------------------
 
+@dataclass
+class SizeReport:
+    """Stored bytes of one grouping, by kind, plus the head tensors' bytes
+    and the size in model units (scalar and head bytes not counted)."""
+
+    dense_bytes: int
+    mask_bytes: int
+    pretrained_bytes: int
+    scalar_bytes: int
+    head_bytes: int
+    unit_bytes: int
+    units: Fraction
+
+    def as_dict(self) -> dict:
+        return {
+            "dense_bytes": self.dense_bytes,
+            "mask_bytes": self.mask_bytes,
+            "pretrained_bytes": self.pretrained_bytes,
+            "scalar_bytes": self.scalar_bytes,
+            "head_bytes": self.head_bytes,
+            "unit_bytes": self.unit_bytes,
+            "units": f"{self.units.numerator}/{self.units.denominator}",
+            "units_float": float(self.units),
+        }
+
+
+def merged_members(groups) -> int:
+    """How many of a block's tasks sit in groups of two or more."""
+    return sum(len(g) for g in groups if len(g) > 1)
+
+
 @dataclass(frozen=True)
 class SizeModel:
-    """Exact byte accounting for deployed artifacts.
+    """Exact byte accounting for deployed artifacts, stated once per block
+    (``block_bytes``); the report and replay both sum it.
 
     Dense families store one weight block per group. Mask families store,
     per merged group, one dense unified block plus a 1-bit-per-parameter
@@ -251,53 +287,34 @@ class SizeModel:
     def unit_bytes(self) -> int:
         return sum(self.block_nbytes)
 
-    def mask_nbytes(self, block_id: int) -> int:
-        return (self.block_dims[block_id] + 7) // 8
+    def block_bytes(self, b: int, groups: int, merged: int) -> tuple[int, int, int, int]:
+        """Block ``b``'s (dense, mask, pretrained, scalar) bytes when it
+        holds ``groups`` groups and ``merged`` of its tasks sit in groups of
+        two or more (``merged_members``)."""
+        bb = self.block_nbytes[b]
+        if not (self.masked and merged):
+            return groups * bb, 0, 0, 0
+        mask_row = (self.block_dims[b] + 7) // 8
+        return groups * bb, merged * mask_row, bb, (4 * merged if self.scalars else 0)
 
-    def stored_bytes(self, block_groups) -> dict[str, int]:
-        """Byte breakdown {dense, mask, pretrained, scalar} for a partition
-        state (scalar bytes reported, not counted in units)."""
-        dense = mask = pretrained = scalar = 0
-        for b, groups in enumerate(block_groups):
-            bb = self.block_nbytes[b]
-            mb = self.mask_nbytes(b)
-            any_multi = False
-            for g in groups:
-                if len(g) == 1 or not self.masked:
-                    dense += bb
-                else:
-                    any_multi = True
-                    dense += bb
-                    mask += len(g) * mb
-                    if self.scalars:
-                        scalar += 4 * len(g)
-            if self.masked and any_multi:
-                pretrained += bb
-        return {"dense": dense, "mask": mask, "pretrained": pretrained, "scalar": scalar}
-
-    def units(self, stored: dict[str, int]) -> ModelUnits:
-        """Model units of a ``stored_bytes`` breakdown (scalars not counted)."""
-        return Fraction(stored["dense"] + stored["mask"] + stored["pretrained"], self.unit_bytes)
+    def report(self, block_groups, head_bytes: int) -> SizeReport:
+        """The size report of a grouping (``block_groups[b]`` lists block
+        b's member lists) whose heads hold ``head_bytes``."""
+        per_block = [self.block_bytes(b, len(groups), merged_members(groups))
+                     for b, groups in enumerate(block_groups)]
+        dense, mask, pretrained, scalar = map(sum, zip((0, 0, 0, 0), *per_block))
+        return SizeReport(
+            dense_bytes=dense,
+            mask_bytes=mask,
+            pretrained_bytes=pretrained,
+            scalar_bytes=scalar,
+            head_bytes=head_bytes,
+            unit_bytes=self.unit_bytes,
+            units=Fraction(dense + mask + pretrained, self.unit_bytes),
+        )
 
     def size_of(self, block_groups) -> ModelUnits:
-        return self.units(self.stored_bytes(block_groups))
-
-    def merge_delta(
-        self, block_id: int, left_size: int, right_size: int, block_had_merged: bool
-    ) -> ModelUnits:
-        """Exact unit change from replacing two groups with their union."""
-        bb = self.block_nbytes[block_id]
-        if not self.masked:
-            return Fraction(-bb, self.unit_bytes)
-        mb = self.mask_nbytes(block_id)
-
-        def cost(sz: int) -> int:
-            return bb + (sz * mb if sz > 1 else 0)
-
-        delta = cost(left_size + right_size) - cost(left_size) - cost(right_size)
-        if not block_had_merged:
-            delta += bb  # pretrained block becomes necessary
-        return Fraction(delta, self.unit_bytes)
+        return self.report(block_groups, 0).units
 
 
 def _join(groups: dict[int, tuple[int, ...]], ev: MergeEvent, num_tasks: int) -> bool:
@@ -328,7 +345,10 @@ def replay_to_sizes(
 
     Each assignment is the state where the tracked size first drops to the
     target (or the fully merged state when the plan runs out first, e.g.
-    below the family's floor). Targets are visited in descending order, so
+    below the family's floor). The size is tracked as whole stored bytes,
+    each event adding its block's change in ``SizeModel.block_bytes``, and
+    compared with the integer bound floor(target * unit_bytes), which is
+    exact; a Fraction is built only for a snapshot. Targets are visited in descending order, so
     every snapshot is a prefix of the next; equal targets share one
     assignment. Each event walked must join two whole current groups of its
     block, as ``read_plan_jsonl`` checks; a malformed event (no members,
@@ -339,9 +359,18 @@ def replay_to_sizes(
         raise ValueError("plan and task vectors disagree on tasks/blocks")
     wanted = [Fraction(t) for t in targets]
     pending = sorted(set(wanted), reverse=True)
+    # stored bytes are integers, so a size is at most t exactly when its
+    # bytes are at most floor(t * unit_bytes)
+    bound = {t: math.floor(t * sm.unit_bytes) for t in pending}
     m = plan.num_tasks
     group_of = {b: {} for b in range(plan.num_blocks)}  # block -> task -> its merged group
-    size = Fraction(m)
+    num_groups = [m] * plan.num_blocks
+
+    def counted(b: int, groups: int, merged: int) -> int:
+        dense, mask, pretrained, _ = sm.block_bytes(b, groups, merged)
+        return dense + mask + pretrained
+
+    stored = sum(counted(b, m, 0) for b in range(plan.num_blocks))
     applied = 0
     snapshots: dict[Fraction, GroupAssignment] = {}
 
@@ -349,22 +378,25 @@ def replay_to_sizes(
         # each block's groups, sorted members, ordered by their smallest member
         block_groups = [tuple(g.get(t, (t,)) for t in range(m) if g.get(t, (t,))[0] == t)
                         for g in group_of.values()]
-        state = GroupAssignment(block_groups=block_groups, applied_events=applied, size=size)
+        state = GroupAssignment(block_groups=block_groups, applied_events=applied,
+                                size=Fraction(stored, sm.unit_bytes))
         snapshots.update(dict.fromkeys(reached, state))
 
     for ev in plan.events:
-        if pending and size <= pending[0]:
-            reached = [t for t in pending if size <= t]
+        if pending and stored <= bound[pending[0]]:
+            reached = [t for t in pending if stored <= bound[t]]
             take(reached)
             pending = pending[len(reached):]
         if not pending:
             break
-        groups = group_of.get(ev.block_id)
-        had_merged = bool(groups)
+        b = ev.block_id
+        groups = group_of.get(b)
+        merged = len(groups or ())  # a block's merged tasks are its map's keys
         if groups is None or not _join(groups, ev, m):
             raise MalformedPlan(f"plan event {ev.seq} re-merges a group or does not join two whole "
                                 f"groups of tasks 0..{m - 1} in a block 0..{plan.num_blocks - 1}")
-        size += sm.merge_delta(ev.block_id, len(ev.left), len(ev.right), had_merged)
+        stored += counted(b, num_groups[b] - 1, len(groups)) - counted(b, num_groups[b], merged)
+        num_groups[b] -= 1
         applied += 1
     if pending:  # reached after the last event, or below the family's floor
         take(pending)
@@ -443,15 +475,14 @@ def _kmeans_block(x: np.ndarray, k: int, rng: np.random.Generator, max_iter: int
 def kmeans_baseline(
     tv: TaskVectorSet,
     k: int,
+    sm: SizeModel,
     seed: int = 0,
-    sm: SizeModel | None = None,
 ) -> GroupAssignment:
     """Per-block k-means++ clustering of the task vectors into exactly K
-    groups (the fixed-cluster-count baseline; no fractional sizes)."""
+    groups (the fixed-cluster-count baseline; no fractional sizes), sized
+    by ``sm``, the size model of the algorithm that will merge them."""
     if not 1 <= k <= tv.num_tasks:
         raise ValueError(f"k must be in [1, {tv.num_tasks}], got {k}")
-    if sm is None:
-        sm = SizeModel.from_partition(tv.partition)
     block_groups = []
     for b in range(tv.partition.num_blocks):
         labels = _kmeans_block(tv.rows(b), k, np.random.default_rng([seed, b]))
@@ -461,13 +492,11 @@ def kmeans_baseline(
         block_groups.append(
             tuple(tuple(sorted(g)) for g in sorted(clusters.values(), key=lambda g: g[0]))
         )
-    assignment = GroupAssignment(
+    return GroupAssignment(
         block_groups=block_groups,
         applied_events=(tv.num_tasks - k) * tv.partition.num_blocks,
-        size=Fraction(0),
+        size=sm.size_of(block_groups),
     )
-    assignment.size = sm.size_of(assignment.block_groups)
-    return assignment
 
 
 def write_assignment_json(

@@ -14,9 +14,11 @@ from blockmerge import (
     MergerConfig,
     SizeModel,
     block_merge_sequence,
+    build_artifact,
     compute_merge_plan,
     global_merge_order,
     kmeans_baseline,
+    prepare_task_vectors,
     read_plan_jsonl,
     replay_to_size,
     replay_to_sizes,
@@ -25,7 +27,14 @@ from blockmerge import (
 from blockmerge.scheduler import MergeEvent, MergePlan
 from blockmerge.similarity import SimilarityMatrix, pairwise_all
 
-from helpers import plan_signature, synthetic_rows, synthetic_tv, tv_from_rows
+from helpers import (
+    plan_signature,
+    synthetic_partition,
+    synthetic_rows,
+    synthetic_tv,
+    toy_task_vectors,
+    tv_from_rows,
+)
 from oracles import naive_greedy_order, size_oracle
 
 
@@ -208,17 +217,7 @@ def test_replay_groups_match_set_union_simulation():
             events=plan.events[:k], num_tasks=plan.num_tasks, num_blocks=plan.num_blocks,
         )
         asg = replay_to_size(sub, tv, Fraction(0), sm)
-        sets = [[{t} for t in range(6)] for _ in range(3)]
-        for ev in plan.events[:k]:
-            block = sets[ev.block_id]
-            si = next(s for s in block if ev.left[0] in s)
-            sj = next(s for s in block if ev.right[0] in s)
-            block.remove(sj)
-            si |= sj
-        expected = [
-            tuple(tuple(sorted(s)) for s in sorted(block, key=min)) for block in sets
-        ]
-        assert asg.block_groups == expected
+        assert asg.block_groups == _prefix_groups(plan, k)
 
 
 def test_replay_below_floor_returns_full_merge():
@@ -271,22 +270,69 @@ def test_replay_to_sizes_equals_per_target_replays(case):
             assert replay_to_size(shorter, tv, Fraction(0), sm).size > target
 
 
+def _prefix_groups(plan, k):
+    """Each block's groups after the first ``k`` events, by set unions."""
+    sets = [[{t} for t in range(plan.num_tasks)] for _ in range(plan.num_blocks)]
+    for ev in plan.events[:k]:
+        block = sets[ev.block_id]
+        left = next(s for s in block if ev.left[0] in s)
+        right = next(s for s in block if ev.right[0] in s)
+        block.remove(right)
+        left |= right
+    return [tuple(tuple(sorted(s)) for s in sorted(block, key=min)) for block in sets]
+
+
+@st.composite
+def boundary_targets(draw):
+    """A plan, a size model over one- or two-byte elements and, for every
+    prefix of the plan, targets at its exact size, one byte below it and a
+    non-integer number of bytes below and above it."""
+    m = draw(st.integers(2, 5))
+    dims = draw(st.lists(st.integers(1, 20), min_size=1, max_size=4))
+    tv = synthetic_tv(np.random.default_rng(draw(st.integers(0, 2**16))), dims, num_tasks=m)
+    plan = compute_merge_plan(tv, order_policy=draw(st.sampled_from(["greedy", "random"])),
+                              seed=draw(st.integers(0, 3)))
+    algorithm = draw(st.sampled_from([None, "emr", "consensus"]))
+    part = synthetic_partition(dims, bytes_per_element=draw(st.sampled_from([2, 4])))
+    sm = SizeModel.from_partition(part, MergerConfig.for_algorithm(algorithm) if algorithm else None)
+    oracle = [size_oracle(_prefix_groups(plan, k), sm.block_nbytes, sm.block_dims, sm.masked)
+              for k in range(len(plan.events) + 1)]
+    byte = Fraction(1, sm.unit_bytes)
+    below = Fraction(draw(st.integers(1, 8)), 9) * byte
+    above = Fraction(draw(st.integers(1, 8)), 9) * byte
+    targets = [t for size in oracle for t in (size, size - byte, size - below, size + above)]
+    return plan, tv, sm, oracle, draw(st.permutations(targets))
+
+
+@given(boundary_targets())
+@settings(max_examples=60, deadline=None)
+def test_replay_stops_at_the_first_prefix_the_oracle_puts_at_or_below_the_target(case):
+    plan, tv, sm, oracle, targets = case
+    for target, asg in zip(targets, replay_to_sizes(plan, tv, targets, sm), strict=True):
+        k = next((k for k, size in enumerate(oracle) if size <= target), len(plan.events))
+        assert asg.applied_events == k
+        assert asg.block_groups == _prefix_groups(plan, k)
+        assert asg.size == oracle[k]
+
+
 # -- k-means baseline --------------------------------------------------------
 
 def test_kmeans_extremes():
     tv = synthetic_tv(np.random.default_rng(11), [16, 16], num_tasks=5)
-    all_single = kmeans_baseline(tv, k=5, seed=0)
+    sm = SizeModel.from_partition(tv.partition)
+    all_single = kmeans_baseline(tv, k=5, sm=sm, seed=0)
     assert all(groups == ((0,), (1,), (2,), (3,), (4,)) for groups in all_single.block_groups)
     assert all_single.size == Fraction(5)
-    one = kmeans_baseline(tv, k=1, seed=0)
+    one = kmeans_baseline(tv, k=1, sm=sm, seed=0)
     assert all(groups == ((0, 1, 2, 3, 4),) for groups in one.block_groups)
     assert one.size == Fraction(1)
 
 
 def test_kmeans_exact_k_and_size():
     tv = synthetic_tv(np.random.default_rng(12), [16, 8, 24], num_tasks=6)
+    sm = SizeModel.from_partition(tv.partition)
     for k in (2, 3, 4):
-        asg = kmeans_baseline(tv, k=k, seed=3)
+        asg = kmeans_baseline(tv, k=k, sm=sm, seed=3)
         assert all(len(groups) == k for groups in asg.block_groups)
         assert asg.size == Fraction(k)
 
@@ -303,14 +349,28 @@ def test_kmeans_recovers_planted_clusters():
                 side * 10.0 * centers[b] + rng.normal(scale=0.01, size=d)
             ).astype(np.float32)
     tv = tv_from_rows(rows)
-    asg = kmeans_baseline(tv, k=2, seed=0)
+    asg = kmeans_baseline(tv, k=2, sm=SizeModel.from_partition(tv.partition), seed=0)
     assert all(groups == ((0, 1, 2), (3, 4, 5)) for groups in asg.block_groups)
+
+
+@pytest.mark.parametrize("algorithm", ["emr", "consensus"])
+def test_kmeans_sizes_a_masked_grouping_as_its_artifact_reports(algorithm):
+    # masks and the pretrained copy cost bytes: a dense model would say k
+    _, _, part, tv = toy_task_vectors(np.random.default_rng(18), 4)
+    cfg = MergerConfig.for_algorithm(algorithm)
+    tv = prepare_task_vectors(tv, cfg)
+    sm = SizeModel.from_partition(part, cfg)
+    asg = kmeans_baseline(tv, k=2, sm=sm, seed=0)
+    oracle = size_oracle(asg.block_groups, sm.block_nbytes, sm.block_dims, masked=True)
+    assert asg.size == build_artifact(asg, tv, cfg).size_report.units == oracle
+    assert asg.size > 2
 
 
 def test_kmeans_deterministic():
     tv = synthetic_tv(np.random.default_rng(14), [16], num_tasks=6)
-    a = kmeans_baseline(tv, k=3, seed=5)
-    b = kmeans_baseline(tv, k=3, seed=5)
+    sm = SizeModel.from_partition(tv.partition)
+    a = kmeans_baseline(tv, k=3, sm=sm, seed=5)
+    b = kmeans_baseline(tv, k=3, sm=sm, seed=5)
     assert a.block_groups == b.block_groups
 
 

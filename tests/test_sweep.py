@@ -92,9 +92,8 @@ def test_sweep_matches_the_per_size_reference_bytes(tmp_path, algorithm, dtype, 
         algorithm, dtype, heads=inputs != "no_heads",
         mapped_in=str(tmp_path / "inputs") if inputs == "mapped" else None)
     sizes = [M, 2.75, 2, 1.25, 1, 0.5]
-    assignments, got, want, written = _sweep_both(tmp_path, part, cfg, tv, sizes)
+    assignments, got, want, _ = _sweep_both(tmp_path, part, cfg, tv, sizes)
     _assert_same_files(got, want)
-    assert [w.units for w in written] == [a.size for a in assignments]
     # export_manifest writes the in-memory artifact as the reference does too
     for i, asg in enumerate(assignments):
         art = build_artifact(asg, tv, cfg)
